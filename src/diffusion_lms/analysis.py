@@ -5,7 +5,7 @@ bias fixed point, mean-stability step-size bounds, and steady-state readout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +47,18 @@ class MsdTrace:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """First non-finite or threshold-crossing estimate in a snapshot stack."""
+    """First non-finite or threshold-crossing estimate in a snapshot stack.
+
+    For a batched stack, ``first_iterations`` and ``nodes`` give each batch
+    element's first bad index and node (-1 where it stays bounded), and the
+    scalar fields describe the earliest one.
+    """
 
     divergent: bool
     first_iteration: int | None = None
     node: int | None = None
+    first_iterations: np.ndarray | None = None
+    nodes: np.ndarray | None = None
 
 
 def network_msd_db(w_table: np.ndarray, w_o: np.ndarray) -> float:
@@ -70,14 +77,16 @@ def network_msd_db(w_table: np.ndarray, w_o: np.ndarray) -> float:
 
 
 def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-domain deviation curves from a snapshot stack (T, N, M).
+    """Linear-domain deviation curves from a snapshot stack (T, ..., N, M).
 
     Returns (network, per_node): network[i] is the node-averaged squared
-    deviation at index i, per_node[i, k] node k's squared deviation.
+    deviation at index i, per_node[i, k] node k's squared deviation. Axes
+    between the first and the node axis are independent batch elements
+    and are kept in both results.
     """
-    dev = snapshots - np.asarray(w_o, dtype=float)[None, None, :]
-    per_node = (dev * dev).sum(axis=2)
-    return per_node.mean(axis=1), per_node
+    dev = snapshots - np.asarray(w_o, dtype=float)
+    per_node = (dev * dev).sum(axis=-1)
+    return per_node.mean(axis=-1), per_node
 
 
 def msd_trace_db(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
@@ -126,24 +135,32 @@ def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRES
     """Flag the first estimate with a non-finite entry or max-norm above
     ``threshold``.
 
-    ``snapshots`` is a stack (T, N, M) or a single table (N, M); the
-    reported iteration is the index into the given stack.
+    ``snapshots`` is a stack (T, N, M), a single table (N, M), or a batched
+    stack (T, ..., N, M) whose middle axes are independent elements; the
+    reported iterations are indices into the given stack. The scalar
+    report names the first bad (iteration, element, node) in that order.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     arr = np.asarray(snapshots)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise ValueError(f"expected an (N, M) table or (T, N, M) stack, got shape {arr.shape}")
+    if arr.ndim < 3:
+        raise ValueError(f"expected an (N, M) table or (T, ..., N, M) stack, got shape {arr.shape}")
+    # NaN fails every comparison, so this also flags non-finite entries
     with np.errstate(invalid="ignore"):
-        bad = ~np.isfinite(arr) | (np.abs(arr) > threshold)
-    bad_nodes = bad.any(axis=2)
-    if not bad_nodes.any():
-        return DivergenceReport(divergent=False)
-    flat = int(np.argmax(bad_nodes))
-    t, k = divmod(flat, bad_nodes.shape[1])
-    return DivergenceReport(divergent=True, first_iteration=t, node=k)
+        bad_nodes = ~(np.abs(arr) <= threshold).all(axis=-1)
+    report = DivergenceReport(divergent=False)
+    if bad_nodes.any():
+        t, rest = divmod(int(np.argmax(bad_nodes)), bad_nodes[0].size)
+        report = DivergenceReport(divergent=True, first_iteration=t, node=rest % bad_nodes.shape[-1])
+    if arr.ndim == 3:
+        return report
+    bad_rounds = bad_nodes.any(axis=-1)
+    first = np.argmax(bad_rounds, axis=0)
+    nodes = np.argmax(np.take_along_axis(bad_nodes, first[None, ..., None], axis=0)[0], axis=-1)
+    hit = bad_rounds.any(axis=0)
+    return replace(report, first_iterations=np.where(hit, first, -1), nodes=np.where(hit, nodes, -1))
 
 
 def steady_state_msd(trace: MsdTrace | np.ndarray, window: int) -> float:

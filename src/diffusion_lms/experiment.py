@@ -19,7 +19,7 @@ from diffusion_lms.analysis import (
     linear_deviation,
     steady_state_msd,
 )
-from diffusion_lms.filters import AlgorithmSpec, run_filter
+from diffusion_lms.filters import ORDERINGS, AlgorithmSpec, BatchSpec, FrameBlock, run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -69,6 +69,11 @@ SOURCE_KINDS = ("white_gaussian", "delay_line")
 VARIANCE_RANGE = (0.1, 1.0)
 PINNED_NODE = 13
 PINNED_VARIANCE = 0.35
+
+# ensemble memory bound: bytes of stream, curve and buffer data per trial chunk
+CHUNK_BYTES = 4 * 2**20
+# rounds advanced between divergence scans; the block buffers hold this many
+BLOCK_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -228,6 +233,14 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
     return loaded.data, loaded.sample_rate
 
 
+def _trace_length(cfg: ExperimentConfig) -> int:
+    """Rounds per trial: the sample count of a delay-line input file, else
+    the configured horizon (the synthetic signal is generated at it)."""
+    if cfg.source == "delay_line" and cfg.sample_path != SYNTHETIC_SAMPLE_PATH:
+        return load_samples(cfg.sample_path).data.size
+    return cfg.horizon
+
+
 def make_stream(
     cfg: ExperimentConfig,
     setup: ExperimentSetup,
@@ -266,58 +279,148 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     algorithms. An algorithm whose every trial diverged maps to an
     EnsembleDivergence marker instead of a trace; other labels are
     unaffected. Deterministic for a fixed config.
+
+    ATC and CTA labels with the same (mu, gamma) share one recursion: its
+    combined tables are the ATC estimates and its intermediates the CTA
+    estimates, so the run holds one ATC recursion per distinct (mu, gamma)
+    pair. Trials run in chunks, each batched over (trial, pair) and sized
+    so that its streams, deviation curves and block buffers fit in
+    CHUNK_BYTES; memory therefore does not grow with the trial count. Each
+    chunk advances BLOCK_ROUNDS rounds at a time, and after every block the
+    requested estimates are scanned for divergence and reduced to deviation
+    curves. A (trial, label) that diverges anywhere is dropped whole when
+    the chunk ends; a (trial, pair) whose labels have all diverged is held
+    at zero. Every chunk runs the whole horizon, so the cost of a run does
+    not depend on where or whether its trials diverge. The averages match
+    running every (trial, label) on its own exactly.
     """
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     if not cfg.algorithms:
         raise ValueError("need at least one algorithm label")
     setup = build_setup(cfg)
-    specs = {label: algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms}
+    setup.weights.validate_support(setup.topology)
+    specs = [algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms]
+    pairs = list(dict.fromkeys((spec.mu, spec.gamma) for spec in specs))
+    # per label: which recursion output (0 combined, 1 intermediate) of which pair
+    slots = [(ORDERINGS.index(spec.ordering), pairs.index((spec.mu, spec.gamma))) for spec in specs]
 
-    shared_samples = None
-    if cfg.source == "delay_line":
-        shared_samples = _delay_line_samples(cfg)[0]
-
-    acc_net: dict[str, np.ndarray | None] = {label: None for label in cfg.algorithms}
-    acc_node: dict[str, np.ndarray | None] = {label: None for label in cfg.algorithms}
-    kept = {label: 0 for label in cfg.algorithms}
-    divergent = {label: 0 for label in cfg.algorithms}
-    first_failure: dict[str, tuple[int | None, int | None]] = {}
-
-    for t in range(cfg.trials):
-        stream = make_stream(cfg, setup, cfg.base_seed + t, samples=shared_samples)
-        for label in cfg.algorithms:
-            snapshots = run_filter(setup.topology, setup.weights, specs[label], stream)
-            report = detect_divergence(snapshots[1:])
-            if report.divergent:
-                divergent[label] += 1
-                first_failure.setdefault(label, (report.first_iteration, report.node))
-                continue
-            net, node = linear_deviation(snapshots[1:], setup.w_o)
-            if acc_net[label] is None:
-                acc_net[label] = net
-                acc_node[label] = node
-            else:
-                acc_net[label] = acc_net[label] + net
-                acc_node[label] = acc_node[label] + node
-            kept[label] += 1
+    samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
+    horizon = cfg.horizon if samples is None else samples.size
+    n = setup.topology.node_count
+    chunk = min(cfg.trials, _chunk_trials(horizon, n, setup.w_o.size, len(pairs), len(slots)))
+    acc_net = np.zeros((len(slots), horizon))
+    acc_node = np.zeros((len(slots), horizon, n))
+    # the chunk's deviation curves, reused by every chunk
+    net = np.empty((horizon, chunk, len(slots)))
+    node = np.empty((horizon, chunk, len(slots), n))
+    kept = [0] * len(slots)
+    first_failure: dict[int, tuple[int, int]] = {}
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        first_it, first_node = _run_chunk(
+            setup,
+            [make_stream(cfg, setup, cfg.base_seed + t, samples=samples) for t in trials],
+            pairs,
+            slots,
+            net[:, : len(trials)],
+            node[:, : len(trials)],
+        )
+        # trial order, so that the sums do not depend on the chunking
+        for j in range(len(trials)):
+            for s in range(len(slots)):
+                if first_it[j, s] >= 0:
+                    first_failure.setdefault(s, (int(first_it[j, s]), int(first_node[j, s])))
+                else:
+                    acc_net[s] += net[:, j, s]
+                    acc_node[s] += node[:, j, s]
+                    kept[s] += 1
 
     results: dict[str, MsdTrace | EnsembleDivergence] = {}
-    for label in cfg.algorithms:
-        if kept[label] == 0:
-            it, node = first_failure.get(label, (None, None))
-            results[label] = EnsembleDivergence(trials=cfg.trials, first_iteration=it, node=node)
+    for s, label in enumerate(cfg.algorithms):
+        if kept[s] == 0:
+            it, k = first_failure[s]
+            results[label] = EnsembleDivergence(trials=cfg.trials, first_iteration=it, node=k)
             continue
         with np.errstate(divide="ignore"):
-            net_db = 10.0 * np.log10(acc_net[label] / kept[label])
-            node_db = 10.0 * np.log10(acc_node[label] / kept[label])
+            net_db = 10.0 * np.log10(acc_net[s] / kept[s])
+            node_db = 10.0 * np.log10(acc_node[s] / kept[s])
         results[label] = MsdTrace(
             per_iteration_db=net_db,
             per_node_db=node_db,
             trials=cfg.trials,
-            divergent_trials=divergent[label],
+            divergent_trials=cfg.trials - kept[s],
         )
     return results
+
+
+def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int) -> int:
+    """Trials per chunk under CHUNK_BYTES. A trial holds its stream (u, d
+    and noise), one network and one per-node deviation curve per label,
+    and its rows of the two block buffers."""
+    per_trial = 8 * (
+        horizon * n * (m + 2) + labels * horizon * (n + 1) + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
+    )
+    return max(1, CHUNK_BYTES // per_trial)
+
+
+def _run_chunk(
+    setup: ExperimentSetup,
+    streams: list[FrameStream],
+    pairs: list[tuple[float, float]],
+    slots: list[tuple[int, int]],
+    net: np.ndarray,
+    node: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one chunk of trials, batched over (trial, pair).
+
+    Fills the linear network and per-node deviation curves ``net`` and
+    ``node``, shapes (horizon, trials, labels) and (horizon, trials, labels,
+    N), and returns per (trial, label) the first divergent round
+    and node (-1 where none). Curve rows of a (trial, label) that diverged
+    are not meaningful.
+    """
+    horizon, n, m = streams[0].u.shape
+    shape = (len(streams), len(pairs), n, m)
+    steps = np.array(pairs)
+    mu = np.tile(steps[:, 0, None, None], (len(streams), 1, 1, 1))
+    gamma = steps[:, 1, None, None]
+    estimates = np.zeros((BLOCK_ROUNDS + 1,) + shape)
+    intermediates = np.zeros_like(estimates)
+    outputs = (estimates, intermediates)
+    feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
+
+    first_it = np.full((len(streams), len(slots)), -1)
+    first_node = np.full((len(streams), len(slots)), -1)
+    for start in range(0, horizon, BLOCK_ROUNDS):
+        stop = min(start + BLOCK_ROUNDS, horizon)
+        rows = stop - start + 1
+        block = FrameBlock(
+            u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
+            d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
+        )
+        run_filter(
+            None,
+            setup.weights,
+            BatchSpec(mu, gamma),
+            block,
+            out=estimates[:rows],
+            phi_out=intermediates[:rows],
+        )
+        snapshots = np.stack([outputs[o][1:rows, :, p] for o, p in slots], axis=2)
+        report = detect_divergence(snapshots)
+        if report.divergent:
+            fresh = (report.first_iterations >= 0) & (first_it < 0)
+            first_it[fresh] = start + report.first_iterations[fresh]
+            first_node[fresh] = report.nodes[fresh]
+        with np.errstate(over="ignore", invalid="ignore"):
+            net[start:stop], node[start:stop] = linear_deviation(snapshots, setup.w_o)
+        estimates[0] = estimates[rows - 1]
+        # a (trial, pair) is frozen once every label it feeds has diverged
+        live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
+        mu[~live] = 0.0
+        estimates[0][~live] = 0.0
+    return first_it, first_node
 
 
 def _sweep(
@@ -325,6 +428,9 @@ def _sweep(
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
+    length = _trace_length(cfg)
+    if cfg.steady_window > length:
+        raise ValueError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})

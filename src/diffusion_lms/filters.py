@@ -21,6 +21,8 @@ from diffusion_lms.signals import FrameStream, SampleFrame
 __all__ = [
     "ORDERINGS",
     "AlgorithmSpec",
+    "BatchSpec",
+    "FrameBlock",
     "NodeState",
     "init_state",
     "atc_step",
@@ -71,6 +73,29 @@ class NodeState:
         object.__setattr__(self, "phi", phi)
 
 
+@dataclass(frozen=True)
+class BatchSpec:
+    """Per-element step sizes and leakages of a batch of ATC recursions.
+
+    ``mu`` and ``gamma`` broadcast against the (*batch, N, M) estimate
+    tables, e.g. shape (trials, pairs, 1, 1). A zero step size holds an
+    all-zero element at zero.
+    """
+
+    mu: np.ndarray
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
+class FrameBlock:
+    """Consecutive rounds of data for a batch of recursions: regressors
+    ``u`` (T, *batch, N, M) and measurements ``d`` (T, *batch, N), whose
+    batch axes broadcast against the estimate tables."""
+
+    u: np.ndarray
+    d: np.ndarray
+
+
 def init_state(n: int, m: int) -> NodeState:
     """All-zero initial state."""
     if n < 1 or m < 1:
@@ -78,41 +103,51 @@ def init_state(n: int, m: int) -> NodeState:
     return NodeState(w=np.zeros((n, m)), phi=np.zeros((n, m)))
 
 
-def _innovation(w_table: np.ndarray, u: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Data-shared innovation sums, one row per node.
+def _round(
+    w: np.ndarray,
+    u: np.ndarray,
+    d: np.ndarray,
+    mu: float | np.ndarray,
+    leak: float | np.ndarray,
+    a: np.ndarray,
+    c: np.ndarray,
+    w_out: np.ndarray | None = None,
+    phi_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One adapt-then-combine round on (..., N, M) estimate tables.
 
-    Row k is sum over l of c[l, k] * (d_l - u_l . w_k) * u_l: the c-weighted
-    neighbor innovations evaluated at node k's own reference estimate.
+    Adaptation: phi_k = leak * w_k + mu * sum over l of
+    c[l, k] * (d_l - u_l . w_k) * u_l, with leak = 1 - mu * gamma; the
+    combination then a-averages the intermediates. Leading axes are
+    independent batch elements and broadcast, so data shared by several
+    elements is passed once. Returns (combined estimates, intermediates),
+    written into ``w_out`` and ``phi_out`` when given.
     """
-    errors = d[:, None] - u @ w_table.T  # entry (l, k) = d_l - u_l . w_k
-    return (u.T @ (c * errors)).T
+    errors = d[..., :, None] - u @ w.swapaxes(-1, -2)  # entry (l, k) = d_l - u_l . w_k
+    innovation = (u.swapaxes(-1, -2) @ (c * errors)).swapaxes(-1, -2)
+    phi = np.add(leak * w, mu * innovation, out=phi_out)
+    return np.matmul(a.T, phi, out=w_out), phi
 
 
-def _atc_update(
+def _drive(
     w: np.ndarray,
     u: np.ndarray,
     d: np.ndarray,
-    mu: float,
-    gamma: float,
+    mu: float | np.ndarray,
+    leak: float | np.ndarray,
     a: np.ndarray,
     c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    phi = (1.0 - mu * gamma) * w + mu * _innovation(w, u, d, c)
-    return a.T @ phi, phi
-
-
-def _cta_update(
-    w: np.ndarray,
-    u: np.ndarray,
-    d: np.ndarray,
-    mu: float,
-    gamma: float,
-    a: np.ndarray,
-    c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    phi = a.T @ w
-    w_new = (1.0 - mu * gamma) * phi + mu * _innovation(phi, u, d, c)
-    return w_new, phi
+    w_rows: np.ndarray | None,
+    phi_rows: np.ndarray | None,
+) -> None:
+    """Run ``len(u)`` rounds from ``w``; round i writes its combined
+    estimates to ``w_rows[i]`` and its intermediates to ``phi_rows[i]``
+    (a fresh array per round where the rows are None)."""
+    w_rows = itertools.repeat(None) if w_rows is None else w_rows
+    phi_rows = itertools.repeat(None) if phi_rows is None else phi_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u_i, d_i, w_row, phi_row in zip(u, d, w_rows, phi_rows):
+            w, _ = _round(w, u_i, d_i, mu, leak, a, c, w_row, phi_row)
 
 
 def atc_step(
@@ -130,7 +165,8 @@ def atc_step(
     intermediates. Passing a topology additionally validates weight support.
     """
     _check_step_args(state, frame, weights, topology)
-    w_new, phi = _atc_update(state.w, frame.u, frame.d, spec.mu, spec.gamma, weights.a, weights.c)
+    leak = 1.0 - spec.mu * spec.gamma
+    w_new, phi = _round(state.w, frame.u, frame.d, spec.mu, leak, weights.a, weights.c)
     return NodeState(w=w_new, phi=phi)
 
 
@@ -145,11 +181,15 @@ def cta_step(
 
     Every node first a-averages neighbors' previous estimates into its
     intermediate, then adapts from that intermediate using the c-weighted
-    neighbor innovations evaluated at it.
+    neighbor innovations evaluated at it: the adaptation half of an ATC
+    round started from the combined table (whose own combination, the next
+    CTA round's, is discarded).
     """
     _check_step_args(state, frame, weights, topology)
-    w_new, phi = _cta_update(state.w, frame.u, frame.d, spec.mu, spec.gamma, weights.a, weights.c)
-    return NodeState(w=w_new, phi=phi)
+    combined = weights.a.T @ state.w
+    leak = 1.0 - spec.mu * spec.gamma
+    _, adapted = _round(combined, frame.u, frame.d, spec.mu, leak, weights.a, weights.c)
+    return NodeState(w=adapted, phi=combined)
 
 
 def _check_step_args(
@@ -170,45 +210,65 @@ def _check_step_args(
 
 
 def run_filter(
-    topology: Topology,
+    topology: Topology | None,
     weights: CombinationWeights,
-    spec: AlgorithmSpec,
-    source: FrameStream | Iterable[SampleFrame],
+    spec: AlgorithmSpec | BatchSpec,
+    source: FrameStream | Iterable[SampleFrame] | FrameBlock,
     horizon: int | None = None,
+    *,
+    out: np.ndarray | None = None,
+    phi_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Drive one algorithm over a source for ``horizon`` synchronous rounds.
 
     Returns the estimate snapshots as an array of shape (horizon + 1, N, M):
     index 0 is the all-zero initial table, index i the table after round i.
-    Non-finite states are returned as-is (overflow during divergence is
-    silenced, never masked); detection is the analysis layer's job. A
-    horizon of 0 returns only the initial snapshot. Deterministic given a
-    deterministic source.
+    Both orderings run the ATC recursion: its combined tables are the ATC
+    estimates and its intermediates the CTA estimates for the same
+    (mu, gamma), because a CTA round combines exactly what the previous ATC
+    round combined. Non-finite states are returned as-is (overflow during
+    divergence is silenced, never masked); detection is the analysis
+    layer's job. A horizon of 0 returns only the initial snapshot.
+    Deterministic given a deterministic source. Passing a topology
+    validates the weights' support.
+
+    Batched form: ``spec`` is a :class:`BatchSpec`, ``source`` a
+    :class:`FrameBlock` of T rounds, and ``out`` and ``phi_out`` are
+    (T + 1, *batch, N, M) buffers whose row 0 of ``out`` holds the
+    estimates the block starts from. Row i of ``out`` receives the combined
+    (ATC) tables after round i and row i of ``phi_out`` the intermediate
+    (CTA) tables; ``out`` is returned.
     """
     if horizon is not None and horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    weights.validate_support(topology)
-    n = topology.node_count
+    if topology is not None:
+        weights.validate_support(topology)
+    n = weights.node_count
     a, c = weights.a, weights.c
-    mu, gamma = spec.mu, spec.gamma
-    update = _atc_update if spec.ordering == "atc" else _cta_update
+    leak = 1.0 - spec.mu * spec.gamma
 
+    if isinstance(source, FrameBlock):
+        if not isinstance(spec, BatchSpec):
+            raise TypeError("a FrameBlock source needs a BatchSpec")
+        if out is None or phi_out is None or out.shape != phi_out.shape:
+            raise ValueError("a FrameBlock source needs out and phi_out buffers of one shape")
+        if out.shape[0] != len(source.u) + 1 or out.shape[-2] != n:
+            raise ValueError(f"buffers of shape {out.shape} do not fit {len(source.u)} rounds on {n} nodes")
+        _drive(out[0], source.u, source.d, spec.mu, leak, a, c, out[1:], phi_out[1:])
+        return out
+
+    keep_w = spec.ordering == "atc"
     if isinstance(source, FrameStream):
         if source.node_count != n:
             raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
         total = len(source) if horizon is None else horizon
         if total > len(source):
             raise ValueError(f"horizon {total} exceeds source length {len(source)}")
-        m = source.taps
-        out = np.empty((total + 1, n, m))
-        w = np.zeros((n, m))
-        out[0] = w
-        u_all, d_all = source.u, source.d
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(total):
-                w, _ = update(w, u_all[i], d_all[i], mu, gamma, a, c)
-                out[i + 1] = w
-        return out
+        snapshots = np.zeros((total + 1, n, source.taps))
+        rows = snapshots[1:]
+        u, d = source.u[:total], source.d[:total]
+        _drive(snapshots[0], u, d, spec.mu, leak, a, c, rows if keep_w else None, None if keep_w else rows)
+        return snapshots
 
     it = iter(source)
     try:
@@ -218,13 +278,11 @@ def run_filter(
     if first.u.shape[0] != n:
         raise ValueError(f"source has {first.u.shape[0]} nodes, topology has {n}")
     w = np.zeros_like(first.u)
-    snapshots = [w.copy()]
-    done = 0
+    snapshot_list = [w]
     with np.errstate(over="ignore", invalid="ignore"):
         for frame in itertools.chain([first], it):
-            if horizon is not None and done >= horizon:
+            if horizon is not None and len(snapshot_list) > horizon:
                 break
-            w, _ = update(w, frame.u, frame.d, mu, gamma, a, c)
-            snapshots.append(w.copy())
-            done += 1
-    return np.stack(snapshots)
+            w, phi = _round(w, frame.u, frame.d, spec.mu, leak, a, c)
+            snapshot_list.append(w if keep_w else phi)
+    return np.stack(snapshot_list)

@@ -113,11 +113,14 @@ class CombinationWeights:
         n = topology.node_count
         if self.node_count != n:
             raise ValueError("weight tables do not match the topology size")
-        for k in range(n):
-            for l in range(n):
-                if l not in topology.neighbors[k]:
-                    if self.a[l, k] != 0.0 or self.c[l, k] != 0.0:
-                        raise ValueError(f"nonzero weight on non-neighbor pair ({l}, {k})")
+        linked = np.zeros((n, n), dtype=bool)
+        for k, nbrs in enumerate(topology.neighbors):
+            linked[k, list(nbrs)] = True
+        # indexed [k, l]: the first offending pair in k-major, then l order
+        stray = ~linked & ((self.a != 0.0) | (self.c != 0.0)).T
+        if stray.any():
+            k, l = divmod(int(np.argmax(stray)), n)
+            raise ValueError(f"nonzero weight on non-neighbor pair ({l}, {k})")
 
 
 def build_ring_lattice(n: int, half_width: int) -> Topology:

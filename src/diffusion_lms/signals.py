@@ -127,11 +127,8 @@ def _resolve_noise_variance(
         if (var < 0.0).any() or not np.isfinite(var).all():
             raise ValueError("noise_variance entries must be finite and >= 0")
         return var
-    var = np.empty(n)
-    for k in range(n):
-        p = float(signal_power[k])
-        var[k] = 1.0 if p <= 0.0 else noise_variance_for_snr(p, snr_db)
-    return var
+    p = np.asarray(signal_power, dtype=float)
+    return np.where(p <= 0.0, 1.0, p / 10.0 ** (snr_db / 10.0))
 
 
 def _check_variances(variances: np.ndarray) -> np.ndarray:

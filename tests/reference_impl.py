@@ -1,13 +1,24 @@
-"""Independent per-node reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-These follow the plain diffusion LMS recursions literally: explicit loops
-over nodes, neighbor sums accumulated in ascending node order, no code
-shared with the production step functions.
+The step oracles follow the plain diffusion LMS recursions literally:
+explicit loops over nodes, neighbor sums accumulated in ascending node
+order, no code shared with the production step functions. The ensemble
+oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
+replaced, built on the unbatched filter and analysis calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation
+from diffusion_lms.experiment import (
+    EnsembleDivergence,
+    algorithm_spec,
+    build_setup,
+    make_stream,
+)
+from diffusion_lms.filters import run_filter
 
 
 def atc_dlms_step(w, u, d, mu, a, c, node_order=None):
@@ -78,3 +89,48 @@ def standalone_leaky_lms(u_seq, d_seq, mu, gamma):
         w = (1.0 - mu * gamma) * w + mu * err * u_seq[i]
         out.append(w.copy())
     return np.stack(out)
+
+
+def ensemble_reference(cfg):
+    """Ensemble learning curves computed one (trial, label) at a time.
+
+    Every trial's stream feeds each label's own unbatched run; a divergent
+    run is counted and skipped, and the others are summed in trial order in
+    the linear domain. Returns the same mapping as ``run_ensemble``.
+    """
+    setup = build_setup(cfg)
+    specs = {label: algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms}
+    acc_net = {label: None for label in cfg.algorithms}
+    acc_node = {label: None for label in cfg.algorithms}
+    kept = {label: 0 for label in cfg.algorithms}
+    first_failure = {}
+    for t in range(cfg.trials):
+        stream = make_stream(cfg, setup, cfg.base_seed + t)
+        for label in cfg.algorithms:
+            snapshots = run_filter(setup.topology, setup.weights, specs[label], stream)
+            report = detect_divergence(snapshots[1:])
+            if report.divergent:
+                first_failure.setdefault(label, (report.first_iteration, report.node))
+                continue
+            net, node = linear_deviation(snapshots[1:], setup.w_o)
+            if acc_net[label] is None:
+                acc_net[label], acc_node[label] = net, node
+            else:
+                acc_net[label] = acc_net[label] + net
+                acc_node[label] = acc_node[label] + node
+            kept[label] += 1
+
+    results = {}
+    for label in cfg.algorithms:
+        if kept[label] == 0:
+            it, node = first_failure[label]
+            results[label] = EnsembleDivergence(trials=cfg.trials, first_iteration=it, node=node)
+            continue
+        with np.errstate(divide="ignore"):
+            results[label] = MsdTrace(
+                per_iteration_db=10.0 * np.log10(acc_net[label] / kept[label]),
+                per_node_db=10.0 * np.log10(acc_node[label] / kept[label]),
+                trials=cfg.trials,
+                divergent_trials=cfg.trials - kept[label],
+            )
+    return results

@@ -66,6 +66,18 @@ class TestNetworkMsd:
         assert per_node.shape == (5, 4)
         assert np.allclose(net, per_node.mean(axis=1))
 
+    def test_batched_deviation_equals_per_element(self):
+        rng = np.random.default_rng(4)
+        w_o = rng.standard_normal(3)
+        snaps = rng.standard_normal((6, 2, 3, 20, 3))
+        net, per_node = linear_deviation(snaps, w_o)
+        assert net.shape == (6, 2, 3) and per_node.shape == (6, 2, 3, 20)
+        for j in range(2):
+            for p in range(3):
+                one_net, one_node = linear_deviation(snaps[:, j, p], w_o)
+                assert np.array_equal(net[:, j, p], one_net)
+                assert np.array_equal(per_node[:, j, p], one_node)
+
 
 class TestLeakyFixedPoint:
     def test_no_leak_recovers_truth(self):
@@ -176,6 +188,25 @@ class TestDetectDivergence:
         report = detect_divergence(snaps)
         assert report.divergent and report.first_iteration == 2 and report.node == 0
         assert not detect_divergence(snaps, threshold=1e7).divergent
+
+    def test_batched_stack_reports_each_element(self):
+        snaps = np.zeros((5, 2, 3, 4, 2))
+        snaps[3, 0, 1, 2, 0] = np.inf
+        snaps[1, 1, 2, 3, 1] = 5e6
+        snaps[4, 1, 2, 0, 0] = np.nan
+        report = detect_divergence(snaps)
+        assert report.divergent and report.first_iteration == 1 and report.node == 3
+        assert np.array_equal(report.first_iterations, [[-1, 3, -1], [-1, -1, 1]])
+        assert np.array_equal(report.nodes, [[-1, 2, -1], [-1, -1, 3]])
+        for j in range(2):
+            for p in range(3):
+                one = detect_divergence(snaps[:, j, p])
+                assert one.divergent == (report.first_iterations[j, p] >= 0)
+                if one.divergent:
+                    assert (one.first_iteration, one.node) == (report.first_iterations[j, p], report.nodes[j, p])
+        clean = detect_divergence(np.zeros((5, 2, 3, 4, 2)))
+        assert not clean.divergent and clean.first_iteration is None
+        assert (clean.first_iterations == -1).all() and clean.first_iterations.shape == (2, 3)
 
     def test_single_table_accepted(self):
         table = np.full((4, 2), np.inf)

@@ -107,6 +107,27 @@ class TestRun:
 
 
 class TestSweep:
+    def test_window_longer_than_sample_file_fails_before_any_ensemble(self, tmp_path, monkeypatch, capsys):
+        from diffusion_lms import experiment
+
+        samples = tmp_path / "short.txt"
+        samples.write_text("\n".join(["0.25", "-0.5"] * 4) + "\n")
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 6\nradius = 0.5\n\n[source]\nkind = delay_line\n"
+            f"sample_path = {samples}\n\n[run]\ntrials = 2\n"
+        )
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the window was checked")
+
+        monkeypatch.setattr(experiment, "run_ensemble", no_ensemble)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--param", "mu", "--grid", "0.05,0.1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "steady_window 200 exceeds trace length 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mu_sweep_files_and_tokens(self, small_config, tmp_path):
         out = tmp_path / "out"
         code = main(

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from reference_impl import ensemble_reference
+
 from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation, steady_state_msd
 from diffusion_lms.experiment import (
+    BLOCK_ROUNDS,
     EnsembleDivergence,
     ExperimentConfig,
     algorithm_spec,
     build_setup,
     denoise_speech,
+    _chunk_trials,
     make_stream,
     run_ensemble,
     sweep_leakage,
@@ -56,6 +62,58 @@ class TestConfigMaterialization:
         assert spec.ordering == "cta" and spec.gamma == 0.0
         with pytest.raises(ValueError):
             algorithm_spec("fancy_dlms", 0.08, 0.002)
+
+
+# 20 x 5 network: two trials per chunk; the horizon is not a multiple of the block
+ORACLE = ExperimentConfig(horizon=777, steady_window=50)
+
+
+def assert_same_results(got, want):
+    assert list(got) == list(want)
+    for label, ref in want.items():
+        res = got[label]
+        assert type(res) is type(ref), label
+        if isinstance(ref, EnsembleDivergence):
+            assert res == ref, label
+        else:
+            assert np.array_equal(res.per_iteration_db, ref.per_iteration_db), label
+            assert np.array_equal(res.per_node_db, ref.per_node_db), label
+            assert (res.trials, res.divergent_trials) == (ref.trials, ref.divergent_trials), label
+
+
+class TestBatchedEnsembleMatchesReference:
+    """The batched, chunked run versus one (trial, label) at a time."""
+
+    def test_oracle_config_splits_trials_into_blocks_and_chunks(self):
+        assert ORACLE.horizon % BLOCK_ROUNDS != 0
+        assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 2
+        assert _chunk_trials(1000, 20, 5, 2, 4) == 2
+
+    # mu 0.08 converges, at 2.15 and 2.2 some (trial, label) runs diverge
+    # (at 2.15 trial 4's CTA labels from round 310 while its ATC labels
+    # converge) and at 3.0 all do
+    @pytest.mark.parametrize("mu", [0.08, 2.15, 2.2, 3.0])
+    @pytest.mark.parametrize("trials", [1, 3, 5])
+    def test_exactly_equal(self, trials, mu):
+        cfg = replace(ORACLE, trials=trials, mu=mu)
+        assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
+
+    @pytest.mark.parametrize(
+        "algorithms", [("atc_dlms", "cta_leaky_dlms"), ("cta_dlms",), ("cta_leaky_dlms", "atc_dlms")]
+    )
+    def test_label_subsets_exactly_equal(self, algorithms):
+        cfg = replace(ORACLE, trials=3, mu=2.2, algorithms=algorithms)
+        assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
+
+    def test_zero_leakage_pairs_collapse(self):
+        cfg = replace(ORACLE, trials=3, gamma=0.0)
+        results = run_ensemble(cfg)
+        assert_same_results(results, ensemble_reference(cfg))
+        assert np.array_equal(results["atc_dlms"].per_iteration_db, results["atc_leaky_dlms"].per_iteration_db)
+
+    def test_delay_line_source_exactly_equal(self):
+        cfg = replace(ORACLE, trials=3, source="delay_line", horizon=321)
+        assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
 
 
 class TestRunEnsemble:

@@ -4,7 +4,16 @@ import pytest
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
 from diffusion_lms.analysis import network_msd_db
-from diffusion_lms.filters import AlgorithmSpec, NodeState, atc_step, cta_step, init_state, run_filter
+from diffusion_lms.filters import (
+    AlgorithmSpec,
+    BatchSpec,
+    FrameBlock,
+    NodeState,
+    atc_step,
+    cta_step,
+    init_state,
+    run_filter,
+)
 from diffusion_lms.network import (
     Topology,
     build_random_geometric,
@@ -255,3 +264,71 @@ class TestRunFilter:
         spec = AlgorithmSpec("atc", 5.0, 0.0)  # far beyond the stable range
         snaps = run_filter(topo, weights, spec, frames)
         assert not np.isfinite(snaps[-1]).all() or np.abs(snaps[-1]).max() > 1e6
+
+
+class TestSharedRecursion:
+    """ATC and CTA with one (mu, gamma) share one recursion."""
+
+    def setup_method(self):
+        self.topo = build_random_geometric(8, 0.5, 3)
+        self.weights = uniform_weights(self.topo)
+
+    def stream(self, seed, horizon=60):
+        return gaussian_source(np.linspace(0.2, 1.0, 8), default_lowpass_system(3), seed=seed, horizon=horizon)
+
+    def test_cta_snapshots_are_the_atc_intermediates(self):
+        stream = self.stream(4)
+        cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
+        state = init_state(8, 3)
+        for i, frame in enumerate(stream.frames(), start=1):
+            state = atc_step(state, frame, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
+            assert np.array_equal(cta[i], state.phi)
+            assert np.array_equal(self.weights.a.T @ cta[i], state.w)
+
+    def test_batched_blocks_equal_unbatched_runs(self):
+        # two trials x three (mu, gamma) pairs, the horizon split into blocks of 7 and 4
+        streams = [self.stream(11), self.stream(12)]
+        pairs = [(0.1, 0.0), (0.1, 0.02), (0.5, 0.0)]
+        mu = np.array([[[[p[0]]] for p in pairs]] * 2)
+        gamma = np.array([[[p[1]]] for p in pairs])
+        out = np.zeros((8, 2, 3, 8, 3))
+        phi_out = np.zeros_like(out)
+        estimates, intermediates = [out[0].copy()], [out[0].copy()]
+        for start, stop in ((0, 7), (7, 11)):
+            rows = stop - start + 1
+            block = FrameBlock(
+                u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
+                d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
+            )
+            got = run_filter(None, self.weights, BatchSpec(mu, gamma), block, out=out[:rows], phi_out=phi_out[:rows])
+            assert got.base is out
+            estimates.extend(out[1:rows].copy())
+            intermediates.extend(phi_out[1:rows].copy())
+            out[0] = out[rows - 1]
+        estimates, intermediates = np.stack(estimates), np.stack(intermediates)
+        for j, stream in enumerate(streams):
+            for p, (step, leak) in enumerate(pairs):
+                atc = run_filter(self.topo, self.weights, AlgorithmSpec("atc", step, leak), stream, horizon=11)
+                cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", step, leak), stream, horizon=11)
+                assert np.array_equal(estimates[:, j, p], atc)
+                assert np.array_equal(intermediates[1:, j, p], cta[1:])
+
+    def test_zero_step_holds_a_zeroed_element(self):
+        stream = self.stream(5, horizon=10)
+        block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
+        out = np.zeros((11, 2, 8, 3))
+        spec = BatchSpec(np.array([[[0.0]], [[0.2]]]), np.zeros((1, 1, 1)))
+        run_filter(None, self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
+        assert not out[:, 0].any()
+        assert out[-1, 1].any()
+
+    def test_block_buffers_must_fit(self):
+        stream = self.stream(5, horizon=10)
+        block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
+        spec = BatchSpec(np.full((1, 1, 1), 0.1), np.zeros((1, 1, 1)))
+        with pytest.raises(ValueError):
+            run_filter(None, self.weights, spec, block, out=np.zeros((10, 1, 8, 3)), phi_out=np.zeros((10, 1, 8, 3)))
+        with pytest.raises(ValueError):
+            run_filter(None, self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
+        with pytest.raises(TypeError):
+            run_filter(None, self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))

@@ -182,6 +182,19 @@ class TestWeights:
         with pytest.raises(ValueError, match="non-neighbor"):
             w.validate_support(topo)
 
+    def test_support_violation_names_first_pair_node_major(self):
+        # ring of 6: node 0 links to {5, 0, 1}, node 2 to {1, 2, 3}
+        topo = build_ring_lattice(6, 1)
+        a = uniform_weights(topo).a.copy()
+        c = a.copy()
+        a[3, 0], a[1, 0] = a[1, 0], 0.0  # node 0 weighs non-neighbor 3
+        c[4, 0], c[5, 0] = c[5, 0], 0.0  # and non-neighbor 4
+        c[0, 2], c[1, 2] = c[1, 2], 0.0  # node 2 weighs non-neighbor 0
+        w = CombinationWeights(a=a, c=c)
+        with pytest.raises(ValueError, match=r"^nonzero weight on non-neighbor pair \(3, 0\)$"):
+            w.validate_support(topo)
+        uniform_weights(topo).validate_support(topo)
+
     def test_tables_are_frozen(self):
         w = non_cooperative_weights(2)
         with pytest.raises(ValueError):

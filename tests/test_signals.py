@@ -5,6 +5,7 @@ import pytest
 
 from diffusion_lms.signals import (
     SampleFileError,
+    _resolve_noise_variance,
     default_lowpass_system,
     delay_line_source,
     gaussian_source,
@@ -54,6 +55,13 @@ class TestNoiseVarianceForSnr:
             noise_variance_for_snr(0.0, 0.0)
         with pytest.raises(ValueError):
             noise_variance_for_snr(-1.0, 0.0)
+
+    def test_per_node_resolution_is_the_scalar_rule_bitwise(self):
+        power = np.array([0.0, 0.1, 0.35 * 0.2, 1.0, 2.5e-3, 7.0, 0.0])
+        for snr_db in (0.0, -3.0, 10.0, 17.3):
+            got = _resolve_noise_variance(power, snr_db, None, power.size)
+            want = [1.0 if p <= 0.0 else noise_variance_for_snr(float(p), snr_db) for p in power]
+            assert np.array_equal(got, want)
 
 
 class TestGaussianSource:
