@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,8 +58,14 @@ def _write_outputs(
     out_dir: Path, files: dict[str, str | bytes], command: str, base_seed: int, cfg_text: str
 ) -> list[str]:
     """Write all prepared files plus the manifest; nothing touches disk
-    before every payload is ready."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    before every payload is ready.
+
+    Every file is first written into a temporary sibling of ``out_dir``,
+    named after it and the process id. Only then is any old manifest in
+    ``out_dir`` deleted and the files moved in, the manifest last. A
+    failure part way therefore leaves no manifest beside a mix of old and
+    new files, and the temporary directory is always removed.
+    """
     names = sorted(files)
     manifest = {
         "artifact": "diffusion-lms",
@@ -67,15 +75,28 @@ def _write_outputs(
         "config": cfg_text,
         "outputs": names,
     }
-    for name in names:
-        payload = files[name]
-        if isinstance(payload, bytes):
-            (out_dir / name).write_bytes(payload)
-        else:
-            (out_dir / name).write_text(payload, encoding="ascii")
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    out_dir = out_dir.resolve()
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.partial")
+    staging.mkdir()
+    try:
+        for name in names:
+            payload = files[name]
+            if isinstance(payload, bytes):
+                (staging / name).write_bytes(payload)
+            else:
+                (staging / name).write_text(payload, encoding="ascii")
+        (staging / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
+        )
+        out_dir.mkdir(exist_ok=True)
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        for name in names + [MANIFEST_NAME]:
+            os.replace(staging / name, out_dir / name)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    staging.rmdir()
     return names + [MANIFEST_NAME]
 
 

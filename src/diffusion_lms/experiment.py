@@ -288,11 +288,14 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
     chunk advances BLOCK_ROUNDS rounds at a time, and after every block the
     requested estimates are scanned for divergence and reduced to deviation
-    curves. A (trial, label) that diverges anywhere is dropped whole when
-    the chunk ends; a (trial, pair) whose labels have all diverged is held
-    at zero. Every chunk runs the whole horizon, so the cost of a run does
-    not depend on where or whether its trials diverge. The averages match
-    running every (trial, label) on its own exactly.
+    curves. Each label is judged on its own estimates (ATC labels on the
+    combined tables, CTA labels on the intermediates), so the labels of one
+    recursion can keep and drop different trials. A (trial, label) that
+    diverges anywhere is dropped whole when the chunk ends; a (trial, pair)
+    whose labels have all diverged is held at zero. Every chunk runs the
+    whole horizon, so the cost of a run does not depend on where or whether
+    its trials diverge. The averages match running every (trial, label) on
+    its own exactly.
     """
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")

@@ -118,14 +118,21 @@ def _round(
 
     Adaptation: phi_k = leak * w_k + mu * sum over l of
     c[l, k] * (d_l - u_l . w_k) * u_l, with leak = 1 - mu * gamma; the
-    combination then a-averages the intermediates. Leading axes are
-    independent batch elements and broadcast, so data shared by several
-    elements is passed once. Returns (combined estimates, intermediates),
-    written into ``w_out`` and ``phi_out`` when given.
+    combination then a-averages the intermediates. The weighted errors
+    form one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
+    built in place, so that its product with ``u`` is the (..., N, M)
+    innovation table. Leading axes are independent batch elements and
+    broadcast, so data shared by several elements is passed once. Returns
+    (combined estimates, intermediates), written into ``w_out`` and
+    ``phi_out`` when given.
     """
-    errors = d[..., :, None] - u @ w.swapaxes(-1, -2)  # entry (l, k) = d_l - u_l . w_k
-    innovation = (u.swapaxes(-1, -2) @ (c * errors)).swapaxes(-1, -2)
-    phi = np.add(leak * w, mu * innovation, out=phi_out)
+    errors = np.matmul(w, u.swapaxes(-1, -2))
+    np.subtract(d[..., None, :], errors, out=errors)
+    errors *= c.T
+    innovation = errors @ u
+    innovation *= mu
+    phi = np.multiply(w, leak, out=phi_out)
+    phi += innovation
     return np.matmul(a.T, phi, out=w_out), phi
 
 

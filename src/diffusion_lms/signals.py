@@ -167,9 +167,13 @@ def gaussian_source(
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((horizon, n, m)) * np.sqrt(variances)[None, :, None]
-    noise = rng.standard_normal((horizon, n)) * np.sqrt(sigma_v_sq)[None, :]
-    d = u @ w_o + noise
+    # scaled in place: no second regressor-sized array
+    u = rng.standard_normal((horizon, n, m))
+    u *= np.sqrt(variances)[None, :, None]
+    noise = rng.standard_normal((horizon, n))
+    noise *= np.sqrt(sigma_v_sq)[None, :]
+    d = u @ w_o
+    d += noise
     return FrameStream(u=u, d=d, noise=noise, noise_variance=sigma_v_sq)
 
 

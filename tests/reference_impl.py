@@ -1,6 +1,6 @@
 """Reference implementations used as test oracles.
 
-The step oracles follow the plain diffusion LMS recursions literally:
+The step oracles follow the (leaky) diffusion LMS recursions literally:
 explicit loops over nodes, neighbor sums accumulated in ascending node
 order, no code shared with the production step functions. The ensemble
 oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
@@ -21,10 +21,11 @@ from diffusion_lms.experiment import (
 from diffusion_lms.filters import run_filter
 
 
-def atc_dlms_step(w, u, d, mu, a, c, node_order=None):
-    """One plain adapt-then-combine round, node by node.
+def atc_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
+    """One adapt-then-combine round, node by node.
 
-    Adaptation: phi_k = w_k + mu * sum_l c[l,k] * (d_l - u_l . w_k) * u_l.
+    Adaptation: phi_k = leak * w_k + mu * sum_l c[l,k] * (d_l - u_l . w_k) * u_l,
+    with leak = 1 - mu * gamma (1 for the plain recursion, gamma = 0).
     Combination: w_k = sum_l a[l,k] * phi_l.
     ``node_order`` permutes the outer loop only; the inner sums always run
     in ascending l.
@@ -38,7 +39,7 @@ def atc_dlms_step(w, u, d, mu, a, c, node_order=None):
             if c[l, k] != 0.0:
                 err = d[l] - u[l] @ w[k]
                 acc = acc + c[l, k] * err * u[l]
-        phi[k] = w[k] + mu * acc
+        phi[k] = w[k] + mu * acc if gamma == 0.0 else (1.0 - mu * gamma) * w[k] + mu * acc
     w_new = np.zeros_like(w)
     for k in order:
         acc = np.zeros(m)
@@ -49,11 +50,12 @@ def atc_dlms_step(w, u, d, mu, a, c, node_order=None):
     return w_new, phi
 
 
-def cta_dlms_step(w, u, d, mu, a, c, node_order=None):
-    """One plain combine-then-adapt round, node by node.
+def cta_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
+    """One combine-then-adapt round, node by node.
 
     Combination: phi_k = sum_l a[l,k] * w_l.
-    Adaptation: w_k = phi_k + mu * sum_l c[l,k] * (d_l - u_l . phi_k) * u_l.
+    Adaptation: w_k = leak * phi_k + mu * sum_l c[l,k] * (d_l - u_l . phi_k) * u_l,
+    with leak = 1 - mu * gamma.
     """
     n, m = w.shape
     order = list(range(n)) if node_order is None else list(node_order)
@@ -71,7 +73,7 @@ def cta_dlms_step(w, u, d, mu, a, c, node_order=None):
             if c[l, k] != 0.0:
                 err = d[l] - u[l] @ phi[k]
                 acc = acc + c[l, k] * err * u[l]
-        w_new[k] = phi[k] + mu * acc
+        w_new[k] = phi[k] + mu * acc if gamma == 0.0 else (1.0 - mu * gamma) * phi[k] + mu * acc
     return w_new, phi
 
 

@@ -1,5 +1,7 @@
 import json
+import os
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,21 @@ def small_config(tmp_path):
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def fail_second_payload_write(monkeypatch):
+    """Make the second text write raise; returns the names written so far."""
+    real_write_text = Path.write_text
+    calls = []
+
+    def write_text(self, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return calls
 
 
 class TestRun:
@@ -93,6 +110,54 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)])
         assert code == EXIT_IO
         assert not out.exists()
+
+    def test_failed_write_leaves_no_manifest_and_no_staging(self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        calls = fail_second_payload_write(monkeypatch)
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_IO
+        assert len(calls) == 2
+        assert not (out / "manifest.json").exists()
+        assert {p.name for p in tmp_path.iterdir()} == {"small.cfg"}
+
+    def test_rerun_failing_while_staging_keeps_the_old_outputs(self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fail_second_payload_write(monkeypatch)
+        argv = ["run", "--config", str(small_config), "--out", str(out), "--seed", "9"]
+        assert main(argv) == EXIT_IO
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert {p.name for p in tmp_path.iterdir()} == {"small.cfg", "out"}
+
+    def test_rerun_failing_while_moving_in_leaves_no_manifest(self, small_config, tmp_path, monkeypatch):
+        from diffusion_lms import cli
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_OK
+        real_replace = os.replace
+        moved = []
+
+        def fail_on_second_move(src, dst):
+            moved.append(Path(dst).name)
+            if len(moved) == 2:
+                raise OSError("device busy")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fail_on_second_move)
+        argv = ["run", "--config", str(small_config), "--out", str(out), "--seed", "9"]
+        assert main(argv) == EXIT_IO
+        assert "manifest.json" not in moved
+        assert not (out / "manifest.json").exists()
+        assert {p.name for p in tmp_path.iterdir()} == {"small.cfg", "out"}
+
+    def test_rerun_replaces_the_outputs(self, small_config, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_OK
+        assert main(["run", "--config", str(small_config), "--out", str(out), "--seed", "9"]) == EXIT_OK
+        assert main(["run", "--config", str(small_config), "--out", str(fresh), "--seed", "9"]) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in fresh.iterdir()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
 
     def test_wholly_divergent_run_exits_3(self, tmp_path):
         cfg = tmp_path / "explode.cfg"

@@ -5,7 +5,14 @@ import pytest
 
 from reference_impl import ensemble_reference
 
-from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation, steady_state_msd
+from diffusion_lms.analysis import (
+    DIVERGENCE_THRESHOLD,
+    DivergenceReport,
+    MsdTrace,
+    detect_divergence,
+    linear_deviation,
+    steady_state_msd,
+)
 from diffusion_lms.experiment import (
     BLOCK_ROUNDS,
     EnsembleDivergence,
@@ -97,6 +104,24 @@ class TestBatchedEnsembleMatchesReference:
     def test_exactly_equal(self, trials, mu):
         cfg = replace(ORACLE, trials=trials, mu=mu)
         assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
+
+    def test_each_label_is_judged_on_its_own_estimates(self):
+        # trial 4 at mu 2.15 peaks just under the threshold in the shared
+        # recursion's combined (ATC) tables and above it in its intermediates
+        # (CTA), so the CTA labels drop one trial more than the ATC labels
+        cfg = replace(ORACLE, trials=5, mu=2.15)
+        results = run_ensemble(cfg)
+        assert_same_results(results, ensemble_reference(cfg))
+        dropped = {label: res.divergent_trials for label, res in results.items()}
+        assert dropped == {"atc_dlms": 1, "cta_dlms": 2, "atc_leaky_dlms": 1, "cta_leaky_dlms": 2}
+        setup = build_setup(cfg)
+        stream = make_stream(cfg, setup, cfg.base_seed + 4)
+        atc = run_filter(setup.topology, setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
+        cta = run_filter(setup.topology, setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
+        assert 0.99 * DIVERGENCE_THRESHOLD < np.abs(atc).max() <= DIVERGENCE_THRESHOLD
+        assert np.abs(cta).max() > DIVERGENCE_THRESHOLD
+        assert detect_divergence(atc[1:]) == DivergenceReport(divergent=False)
+        assert detect_divergence(cta[1:]).divergent
 
     @pytest.mark.parametrize(
         "algorithms", [("atc_dlms", "cta_leaky_dlms"), ("cta_dlms",), ("cta_leaky_dlms", "atc_dlms")]

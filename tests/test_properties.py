@@ -1,0 +1,199 @@
+"""Property tests: the fast paths against literal per-entry, per-node and
+per-round oracles on randomly drawn inputs.
+
+Hypothesis runs derandomized and without an example database, so every run
+of the suite draws the same examples.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_impl import atc_dlms_step, cta_dlms_step
+
+from diffusion_lms.analysis import detect_divergence, linear_deviation
+from diffusion_lms.filters import BatchSpec, FrameBlock, run_filter
+from diffusion_lms.network import (
+    CombinationWeights,
+    build_random_geometric,
+    build_ring_lattice,
+    load_edge_list,
+    save_edge_list,
+    uniform_weights,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+CRITERION_1_TOL = 1e-15  # max entry error of one round against the reference steps
+
+batch_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
+
+
+def divergence_oracle(arr, threshold):
+    """First (iteration, node) with an entry outside [-threshold, threshold]
+    (or NaN), per batch element, and the first in (iteration, element, node)
+    order overall, found one entry at a time."""
+    batch = arr.shape[1:-2]
+    first_iterations = np.full(batch, -1)
+    nodes = np.full(batch, -1)
+    first = None
+    for t in range(arr.shape[0]):
+        for b in np.ndindex(*batch):
+            for k in range(arr.shape[-2]):
+                if any(not abs(float(x)) <= threshold for x in arr[(t,) + b + (k,)]):
+                    if first_iterations[b] < 0:
+                        first_iterations[b], nodes[b] = t, k
+                    if first is None:
+                        first = (t, k)
+                    break
+    return first, first_iterations, nodes
+
+
+@PROPERTY
+@given(
+    steps=st.integers(1, 5),
+    batch=batch_shapes,
+    n=st.integers(1, 5),
+    m=st.integers(1, 4),
+    threshold=st.sampled_from([1e6, 1.0, 3.5]),
+    seed=st.integers(0, 2**32 - 1),
+    plants=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["+edge", "-edge", "+above", "-above", "+inf", "-inf", "nan"]),
+        ),
+        max_size=3,
+    ),
+)
+def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, threshold, seed, plants):
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(-threshold, threshold, (steps,) + batch + (n, m))
+    above = np.nextafter(threshold, np.inf)
+    values = {
+        "+edge": threshold,
+        "-edge": -threshold,
+        "+above": above,
+        "-above": -above,
+        "+inf": np.inf,
+        "-inf": -np.inf,
+        "nan": np.nan,
+    }
+    flat = arr.reshape(-1)
+    for index, kind in plants:
+        flat[index % flat.size] = values[kind]
+
+    first, first_iterations, nodes = divergence_oracle(arr, threshold)
+    report = detect_divergence(arr, threshold)
+    assert report.divergent == (first is not None)
+    assert (report.first_iteration, report.node) == (first if first else (None, None))
+    if batch:
+        assert np.array_equal(report.first_iterations, first_iterations)
+        assert np.array_equal(report.nodes, nodes)
+    else:
+        assert report.first_iterations is None and report.nodes is None
+    if steps == 1 and not batch:
+        table = detect_divergence(arr[0], threshold)
+        assert (table.divergent, table.first_iteration, table.node) == (
+            report.divergent,
+            report.first_iteration,
+            report.node,
+        )
+
+
+@PROPERTY
+@given(
+    steps=st.integers(1, 3),
+    batch=batch_shapes,
+    n=st.integers(1, 4),
+    m=st.integers(1, 20),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_deviation_matches_per_node_loop(steps, batch, n, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    snapshots = scale * rng.standard_normal((steps,) + batch + (n, m))
+    w_o = rng.standard_normal(m)
+    network, per_node = linear_deviation(snapshots, w_o)
+
+    want = np.empty(snapshots.shape[:-1])
+    for index in np.ndindex(*want.shape):
+        total = 0.0
+        for j in range(m):
+            dev = float(snapshots[index + (j,)]) - float(w_o[j])
+            total += dev * dev
+        want[index] = total
+    assert np.array_equal(per_node, want)
+    assert np.array_equal(network, want.mean(axis=-1))
+
+    for b in np.ndindex(*batch):
+        net_b, node_b = linear_deviation(snapshots[(slice(None),) + b], w_o)
+        assert np.array_equal(net_b, network[(slice(None),) + b])
+        assert np.array_equal(node_b, per_node[(slice(None),) + b])
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["ring", "geometric", "edge_list"]))
+    if kind == "ring":
+        topology = build_ring_lattice(n, draw(st.integers(0, (n - 1) // 2)))
+    elif kind == "geometric":
+        topology = build_random_geometric(n, draw(st.floats(0.05, 0.8)), draw(st.integers(0, 1000)))
+    else:
+        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.txt"
+            path.write_text("\n".join([str(n)] + [f"{k + 1} {l + 1}" for k, l in edges]) + "\n")
+            topology = load_edge_list(path)
+            save_edge_list(topology, path)
+            assert load_edge_list(path) == topology
+    weights = uniform_weights(topology)
+    if draw(st.booleans()):
+        # data shared differently from estimates: c keeps only the own data
+        weights = CombinationWeights(a=weights.a, c=np.eye(n))
+    return topology, weights
+
+
+@PROPERTY
+@given(
+    network=networks(),
+    m=st.integers(1, 8),
+    trials=st.integers(1, 2),
+    steps=st.lists(st.tuples(st.floats(0.01, 0.3), st.sampled_from([0.0, 0.002, 0.1, 1.5])), min_size=1, max_size=2),
+    rounds=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_run_filter_matches_reference_steps(network, m, trials, steps, rounds, seed):
+    # every round of every (trial, pair) against one reference step taken
+    # from the kernel's own previous tables, at criterion 1's tolerance
+    topology, weights = network
+    n = topology.node_count
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((rounds, trials, 1, n, m))
+    d = rng.standard_normal((rounds, trials, 1, n))
+    mu = np.tile(np.array([[[s[0]]] for s in steps]), (trials, 1, 1, 1))
+    gamma = np.array([[[s[1]]] for s in steps])
+    out = np.zeros((rounds + 1, trials, len(steps), n, m))
+    out[0] = rng.standard_normal(out.shape[1:])
+    phi_out = np.zeros_like(out)
+    run_filter(topology, weights, BatchSpec(mu, gamma), FrameBlock(u=u, d=d), out=out, phi_out=phi_out)
+
+    a, c = weights.a, weights.c
+    worst = 0.0
+    for i in range(1, rounds + 1):
+        for j in range(trials):
+            for p, (step, leak) in enumerate(steps):
+                u_i, d_i = u[i - 1, j, 0], d[i - 1, j, 0]
+                # ATC from the previous combined table
+                ref_w, ref_phi = atc_dlms_step(out[i - 1, j, p], u_i, d_i, step, a, c, gamma=leak)
+                worst = max(worst, np.abs(out[i, j, p] - ref_w).max(), np.abs(phi_out[i, j, p] - ref_phi).max())
+                if i >= 2:
+                    # CTA from the previous intermediate, which is its estimate
+                    ref_w, ref_phi = cta_dlms_step(phi_out[i - 1, j, p], u_i, d_i, step, a, c, gamma=leak)
+                    worst = max(
+                        worst, np.abs(phi_out[i, j, p] - ref_w).max(), np.abs(out[i - 1, j, p] - ref_phi).max()
+                    )
+    assert worst <= CRITERION_1_TOL

@@ -106,6 +106,20 @@ class TestGaussianSource:
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.noise, b.noise)
 
+    @pytest.mark.parametrize("seed", [17, 1234])
+    def test_stream_is_the_one_expression_draw_bitwise(self, seed):
+        # the stream as first written: draw, scale and sum in one expression each
+        variances = np.array([0.3, 0.6, 0.35])
+        w_o = default_lowpass_system(5)
+        s = gaussian_source(variances, w_o, seed=seed, horizon=300, snr_db=0.0)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((300, 3, 5)) * np.sqrt(variances)[None, :, None]
+        noise = rng.standard_normal((300, 3)) * np.sqrt(s.noise_variance)[None, :]
+        assert np.array_equal(s.noise_variance, variances * float(w_o @ w_o))
+        assert np.array_equal(s.u, u)
+        assert np.array_equal(s.noise, noise)
+        assert np.array_equal(s.d, u @ w_o + noise)
+
     def test_frames_view_matches_arrays(self):
         s = gaussian_source(np.array([0.4]), default_lowpass_system(2), seed=1, horizon=4)
         frames = list(s.frames())
