@@ -39,12 +39,29 @@ EXIT_IO = 4
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_CONFIG_NAME = "resolved_config.cfg"
+ARTIFACT = "diffusion-lms"
+# rows per ``%`` application: one whole-file format string would hold every
+# rendered row and its arguments at once
+SLAB_ROWS = 2048
 
 
-def _fmt(value: float) -> str:
-    if value == float("-inf"):
-        return "-inf"
-    return format(value, ".17g")
+def _csv(header: str, row: str, table: np.ndarray) -> str:
+    """``header`` then one ``row % values`` line per row of the 2-D ``table``.
+
+    One ``%`` renders a slab of SLAB_ROWS rows. ``%d`` takes an integral
+    float, and ``%.17g`` renders every float exactly like
+    ``format(value, ".17g")``, ``-inf``, ``inf``, ``nan`` and ``-0`` included.
+    """
+    parts = [header, "\n"]
+    for start in range(0, len(table), SLAB_ROWS):
+        slab = table[start : start + SLAB_ROWS]
+        parts.append((row * len(slab)) % tuple(slab.ravel().tolist()))
+    return "".join(parts)
+
+
+def _indexed(first: int, *columns: np.ndarray) -> np.ndarray:
+    """Rows of an index counted from ``first`` beside the given columns."""
+    return np.column_stack((np.arange(first, first + len(columns[0])), *columns))
 
 
 def _load_config(args: argparse.Namespace):
@@ -52,6 +69,25 @@ def _load_config(args: argparse.Namespace):
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)
     return cfg
+
+
+def _listed_outputs(manifest_path: Path) -> set[str]:
+    """The plain file names an existing manifest lists under ``outputs``;
+    none if there is no manifest or it is not one this program wrote."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+    except (FileNotFoundError, ValueError):
+        return set()
+    if not isinstance(manifest, dict) or manifest.get("artifact") != ARTIFACT:
+        return set()
+    listed = manifest.get("outputs")
+    if not isinstance(listed, list):
+        return set()
+    return {
+        name
+        for name in listed
+        if isinstance(name, str) and name not in ("", ".", "..", MANIFEST_NAME) and os.path.basename(name) == name
+    }
 
 
 def _write_outputs(
@@ -62,13 +98,15 @@ def _write_outputs(
 
     Every file is first written into a temporary sibling of ``out_dir``,
     named after it and the process id. Only then is any old manifest in
-    ``out_dir`` deleted and the files moved in, the manifest last. A
-    failure part way therefore leaves no manifest beside a mix of old and
-    new files, and the temporary directory is always removed.
+    ``out_dir`` deleted, with every file it lists that this run does not
+    write, and the files moved in, the manifest last. A failure part way
+    therefore leaves no manifest beside a mix of old and new files, and
+    the temporary directory is always removed. Files no manifest lists
+    are never touched.
     """
     names = sorted(files)
     manifest = {
-        "artifact": "diffusion-lms",
+        "artifact": ARTIFACT,
         "version": __version__,
         "command": command,
         "base_seed": base_seed,
@@ -90,7 +128,10 @@ def _write_outputs(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
         )
         out_dir.mkdir(exist_ok=True)
+        stale = _listed_outputs(out_dir / MANIFEST_NAME).difference(names)
         (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        for name in sorted(stale):
+            (out_dir / name).unlink(missing_ok=True)
         for name in names + [MANIFEST_NAME]:
             os.replace(staging / name, out_dir / name)
     except BaseException:
@@ -98,13 +139,6 @@ def _write_outputs(
         raise
     staging.rmdir()
     return names + [MANIFEST_NAME]
-
-
-def _trace_csv(trace: MsdTrace) -> str:
-    lines = ["iteration,msd_db"]
-    for i, value in enumerate(trace.per_iteration_db, start=1):
-        lines.append(f"{i},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -117,15 +151,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     files: dict[str, str] = {RESOLVED_CONFIG_NAME: cfg_text}
     for label, trace in traces.items():
-        files[f"trace_{label}.csv"] = _trace_csv(trace)
+        files[f"trace_{label}.csv"] = _csv(
+            "iteration,msd_db", "%d,%.17g\n", _indexed(1, trace.per_iteration_db)
+        )
     if traces:
         labels = [label for label in cfg.algorithms if label in traces]
-        lines = ["iteration," + ",".join(labels)]
-        length = len(next(iter(traces.values())).per_iteration_db)
-        for i in range(length):
-            row = [str(i + 1)] + [_fmt(traces[label].per_iteration_db[i]) for label in labels]
-            lines.append(",".join(row))
-        files["comparison.csv"] = "\n".join(lines) + "\n"
+        files["comparison.csv"] = _csv(
+            "iteration," + ",".join(labels),
+            "%d" + ",%.17g" * len(labels) + "\n",
+            _indexed(1, *(traces[label].per_iteration_db for label in labels)),
+        )
 
     written = _write_outputs(Path(args.out), files, "run", cfg.base_seed, cfg_text)
     for name in written:
@@ -163,10 +198,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg_text = format_config(cfg)
     files: dict[str, str] = {RESOLVED_CONFIG_NAME: cfg_text}
     for label, points in results.items():
-        lines = ["param,steady_state_db"]
-        for value, db in points:
-            lines.append(f"{_fmt(value)},{'divergent' if db is None else _fmt(db)}")
-        files[f"sweep_{args.param}_{label}.csv"] = "\n".join(lines) + "\n"
+        # a grid point whose every trial diverged holds the token "divergent"
+        rows = [(value, "divergent" if db is None else "%.17g" % db) for value, db in points]
+        table = np.array(rows, dtype=object)
+        files[f"sweep_{args.param}_{label}.csv"] = _csv("param,steady_state_db", "%.17g,%s\n", table)
 
     written = _write_outputs(Path(args.out), files, f"sweep_{args.param}", cfg.base_seed, cfg_text)
     for name in written:
@@ -181,14 +216,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     result = denoise_speech(cfg, args.node - 1)
 
     cfg_text = format_config(cfg)
-    lines = ["t,noisy,filtered,residual"]
-    for t in range(result.noisy.shape[0]):
-        lines.append(
-            f"{t},{_fmt(result.noisy[t])},{_fmt(result.filtered[t])},{_fmt(result.residual[t])}"
-        )
     files: dict[str, str | bytes] = {
         RESOLVED_CONFIG_NAME: cfg_text,
-        f"denoise_node{args.node}.csv": "\n".join(lines) + "\n",
+        f"denoise_node{args.node}.csv": _csv(
+            "t,noisy,filtered,residual",
+            "%d,%.17g,%.17g,%.17g\n",
+            _indexed(0, result.noisy, result.filtered, result.residual),
+        ),
     }
     if result.sample_rate is not None:
         for name, data in (

@@ -106,14 +106,17 @@ def init_state(n: int, m: int) -> NodeState:
 def _round(
     w: np.ndarray,
     u: np.ndarray,
-    d: np.ndarray,
+    u_t: np.ndarray,
+    d_col: np.ndarray,
     mu: float | np.ndarray,
     leak: float | np.ndarray,
-    a: np.ndarray,
-    c: np.ndarray,
-    w_out: np.ndarray | None = None,
-    phi_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    a_t: np.ndarray,
+    c_t: np.ndarray,
+    errors: np.ndarray,
+    innovation: np.ndarray,
+    w_out: np.ndarray,
+    phi_out: np.ndarray,
+) -> np.ndarray:
     """One adapt-then-combine round on (..., N, M) estimate tables.
 
     Adaptation: phi_k = leak * w_k + mu * sum over l of
@@ -122,18 +125,23 @@ def _round(
     form one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
     built in place, so that its product with ``u`` is the (..., N, M)
     innovation table. Leading axes are independent batch elements and
-    broadcast, so data shared by several elements is passed once. Returns
-    (combined estimates, intermediates), written into ``w_out`` and
-    ``phi_out`` when given.
+    broadcast, so data shared by several elements is passed once.
+
+    The operands come laid out for the round: ``u_t`` is ``u`` with its
+    last two axes swapped, ``d_col`` is ``d[..., None, :]``, ``a_t`` and
+    ``c_t`` are the transposed weight tables, and ``errors`` and
+    ``innovation`` are scratch buffers of the broadcast batch shape. The
+    intermediates are written to ``phi_out`` and the combined estimates,
+    which are returned, to ``w_out``; ``w_out`` may be ``w`` itself.
     """
-    errors = np.matmul(w, u.swapaxes(-1, -2))
-    np.subtract(d[..., None, :], errors, out=errors)
-    errors *= c.T
-    innovation = errors @ u
+    np.matmul(w, u_t, out=errors)
+    np.subtract(d_col, errors, out=errors)
+    errors *= c_t
+    np.matmul(errors, u, out=innovation)
     innovation *= mu
     phi = np.multiply(w, leak, out=phi_out)
     phi += innovation
-    return np.matmul(a.T, phi, out=w_out), phi
+    return np.matmul(a_t, phi, out=w_out)
 
 
 def _drive(
@@ -148,13 +156,19 @@ def _drive(
     phi_rows: np.ndarray | None,
 ) -> None:
     """Run ``len(u)`` rounds from ``w``; round i writes its combined
-    estimates to ``w_rows[i]`` and its intermediates to ``phi_rows[i]``
-    (a fresh array per round where the rows are None)."""
-    w_rows = itertools.repeat(None) if w_rows is None else w_rows
-    phi_rows = itertools.repeat(None) if phi_rows is None else phi_rows
+    estimates to ``w_rows[i]`` and its intermediates to ``phi_rows[i]``.
+    Where the rows are None, every round overwrites one scratch table
+    instead, so ``w`` itself is never written."""
+    n, m = w.shape[-2:]
+    batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
+    errors = np.empty(batch + (n, n))
+    innovation = np.empty(batch + (n, m))
+    w_rows = itertools.repeat(np.empty(batch + (n, m))) if w_rows is None else w_rows
+    phi_rows = itertools.repeat(np.empty(batch + (n, m))) if phi_rows is None else phi_rows
+    a_t, c_t = a.T, np.ascontiguousarray(c.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for u_i, d_i, w_row, phi_row in zip(u, d, w_rows, phi_rows):
-            w, _ = _round(w, u_i, d_i, mu, leak, a, c, w_row, phi_row)
+        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], w_rows, phi_rows):
+            w = _round(w, u_i, u_t, d_col, mu, leak, a_t, c_t, errors, innovation, w_row, phi_row)
 
 
 def atc_step(
@@ -172,9 +186,10 @@ def atc_step(
     intermediates. Passing a topology additionally validates weight support.
     """
     _check_step_args(state, frame, weights, topology)
+    w_new, phi = np.empty((2, 1) + state.w.shape)
     leak = 1.0 - spec.mu * spec.gamma
-    w_new, phi = _round(state.w, frame.u, frame.d, spec.mu, leak, weights.a, weights.c)
-    return NodeState(w=w_new, phi=phi)
+    _drive(state.w, frame.u[None], frame.d[None], spec.mu, leak, weights.a, weights.c, w_new, phi)
+    return NodeState(w=w_new[0], phi=phi[0])
 
 
 def cta_step(
@@ -194,9 +209,10 @@ def cta_step(
     """
     _check_step_args(state, frame, weights, topology)
     combined = weights.a.T @ state.w
+    adapted = np.empty((1,) + combined.shape)
     leak = 1.0 - spec.mu * spec.gamma
-    _, adapted = _round(combined, frame.u, frame.d, spec.mu, leak, weights.a, weights.c)
-    return NodeState(w=adapted, phi=combined)
+    _drive(combined, frame.u[None], frame.d[None], spec.mu, leak, weights.a, weights.c, None, adapted)
+    return NodeState(w=adapted[0], phi=combined)
 
 
 def _check_step_args(
@@ -264,32 +280,26 @@ def run_filter(
         _drive(out[0], source.u, source.d, spec.mu, leak, a, c, out[1:], phi_out[1:])
         return out
 
-    keep_w = spec.ordering == "atc"
     if isinstance(source, FrameStream):
         if source.node_count != n:
             raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
         total = len(source) if horizon is None else horizon
         if total > len(source):
             raise ValueError(f"horizon {total} exceeds source length {len(source)}")
-        snapshots = np.zeros((total + 1, n, source.taps))
-        rows = snapshots[1:]
         u, d = source.u[:total], source.d[:total]
-        _drive(snapshots[0], u, d, spec.mu, leak, a, c, rows if keep_w else None, None if keep_w else rows)
-        return snapshots
-
-    it = iter(source)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("source yielded no frames") from None
-    if first.u.shape[0] != n:
-        raise ValueError(f"source has {first.u.shape[0]} nodes, topology has {n}")
-    w = np.zeros_like(first.u)
-    snapshot_list = [w]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for frame in itertools.chain([first], it):
-            if horizon is not None and len(snapshot_list) > horizon:
-                break
-            w, phi = _round(w, frame.u, frame.d, spec.mu, leak, a, c)
-            snapshot_list.append(w if keep_w else phi)
-    return np.stack(snapshot_list)
+    else:
+        it = iter(source)
+        try:
+            first = next(it)
+        except StopIteration:
+            raise ValueError("source yielded no frames") from None
+        if first.u.shape[0] != n:
+            raise ValueError(f"source has {first.u.shape[0]} nodes, topology has {n}")
+        frames = list(itertools.islice(itertools.chain([first], it), horizon))
+        u = np.array([frame.u for frame in frames]).reshape((len(frames),) + first.u.shape)
+        d = np.array([frame.d for frame in frames]).reshape(len(frames), n)
+    snapshots = np.zeros((len(u) + 1,) + u.shape[1:])
+    rows = snapshots[1:]
+    keep_w = spec.ordering == "atc"
+    _drive(snapshots[0], u, d, spec.mu, leak, a, c, rows if keep_w else None, None if keep_w else rows)
+    return snapshots

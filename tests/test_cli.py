@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffusion_lms.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
+from diffusion_lms.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
+from diffusion_lms.config import parse_config
+from diffusion_lms.experiment import denoise_speech
 from diffusion_lms.signals import synthetic_speech, write_wav
 
 SMALL_CFG = """
@@ -33,6 +35,15 @@ def read_csv(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
+def literal_csv(header, first, *columns):
+    """The CSV text rendered one value at a time: an index counted from
+    ``first``, then ``format(value, ".17g")`` of every column entry."""
+    lines = [header]
+    for i, row in enumerate(zip(*columns), start=first):
+        lines.append(",".join([str(i)] + [format(float(v), ".17g") for v in row]))
+    return "\n".join(lines) + "\n"
+
+
 def fail_second_payload_write(monkeypatch):
     """Make the second text write raise; returns the names written so far."""
     real_write_text = Path.write_text
@@ -46,6 +57,21 @@ def fail_second_payload_write(monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", write_text)
     return calls
+
+
+class TestCsvSlabs:
+    SPECIAL = (float("-inf"), float("inf"), float("nan"), -0.0, 5e-324, 1e22)
+
+    @pytest.mark.parametrize("rows", [0, 1, SLAB_ROWS, SLAB_ROWS + 1])
+    def test_matches_per_value_format(self, rows):
+        # the special values in the first row and in the last, which for
+        # SLAB_ROWS + 1 rows is a slab of its own
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
+        table[:1] = self.SPECIAL
+        table[-1:] = self.SPECIAL[::-1]
+        got = _csv("t,a,b,c,d,e,f", "%d" + ",%.17g" * 6 + "\n", np.column_stack((np.arange(rows), table)))
+        assert got == literal_csv("t,a,b,c,d,e,f", 0, *table.T)
 
 
 class TestRun:
@@ -284,6 +310,39 @@ trials = 1
         for row in rows[:20]:
             noisy, filtered, residual = map(float, row[1:])
             assert np.isclose(noisy - filtered, residual)
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        cfg = self.speech_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "3"]) == EXIT_OK
+        result = denoise_speech(parse_config(cfg), 2)
+        want = literal_csv("t,noisy,filtered,residual", 0, result.noisy, result.filtered, result.residual)
+        assert (out / "denoise_node3.csv").read_bytes() == want.encode("ascii")
+
+    def test_rerun_into_a_run_directory_removes_the_stale_outputs(self, tmp_path):
+        cfg = self.speech_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert (out / "comparison.csv").exists()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "2"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["denoise_node2.csv", "resolved_config.cfg"]
+        assert sorted(p.name for p in out.iterdir()) == ["denoise_node2.csv", "manifest.json", "notes.txt", "resolved_config.cfg"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_files_no_manifest_lists_are_kept(self, tmp_path):
+        cfg = self.speech_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "comparison.csv").write_text("user data\n")
+        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "2"]) == EXIT_OK
+        assert (out / "comparison.csv").read_text() == "user data\n"
+        # a manifest of some other program is not trusted either
+        (out / "manifest.json").write_text(json.dumps({"artifact": "other", "outputs": ["comparison.csv"]}))
+        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "3"]) == EXIT_OK
+        assert (out / "comparison.csv").read_text() == "user data\n"
+        assert (out / "denoise_node2.csv").exists()
 
     def test_node_out_of_range_exits_2(self, tmp_path):
         cfg = self.speech_config(tmp_path)

@@ -332,3 +332,48 @@ class TestSharedRecursion:
             run_filter(None, self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
         with pytest.raises(TypeError):
             run_filter(None, self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))
+
+
+class TestRoundScratch:
+    """Every run_filter form against T successive single steps, exactly:
+    scratch shared across batch elements, or returned rows that alias
+    scratch, would break the equality."""
+
+    def setup_method(self):
+        self.topo = build_random_geometric(7, 0.5, 9)
+        self.weights = uniform_weights(self.topo)
+
+    def stream(self, seed, horizon=25):
+        return gaussian_source(np.linspace(0.2, 1.0, 7), default_lowpass_system(4), seed=seed, horizon=horizon)
+
+    def stepped(self, stream, mu, gamma):
+        """(ATC estimates, CTA estimates) after each round, from init_state."""
+        atc, cta = [init_state(7, 4)], [init_state(7, 4)]
+        for frame in stream.frames():
+            atc.append(atc_step(atc[-1], frame, AlgorithmSpec("atc", mu, gamma), self.weights))
+            cta.append(cta_step(cta[-1], frame, AlgorithmSpec("cta", mu, gamma), self.weights))
+        return np.stack([s.w for s in atc]), np.stack([s.w for s in cta])
+
+    def test_frame_stream_matches_steps(self):
+        stream = self.stream(21)
+        atc, cta = self.stepped(stream, 0.2, 0.01)
+        assert np.array_equal(run_filter(self.topo, self.weights, AlgorithmSpec("atc", 0.2, 0.01), stream), atc)
+        assert np.array_equal(run_filter(self.topo, self.weights, AlgorithmSpec("cta", 0.2, 0.01), stream), cta)
+
+    def test_frame_block_matches_steps(self):
+        # 2 trials x 2 pairs, a distinct step size in every element
+        streams = [self.stream(22), self.stream(23)]
+        mu = np.array([[0.1, 0.3], [0.15, 0.25]])
+        gamma = np.array([0.0, 0.05])
+        block = FrameBlock(
+            u=np.stack([s.u for s in streams], axis=1)[:, :, None],
+            d=np.stack([s.d for s in streams], axis=1)[:, :, None],
+        )
+        out = np.zeros((26, 2, 2, 7, 4))
+        phi_out = np.zeros_like(out)
+        run_filter(None, self.weights, BatchSpec(mu[..., None, None], gamma[:, None, None]), block, out=out, phi_out=phi_out)
+        for j, stream in enumerate(streams):
+            for p in range(2):
+                atc, cta = self.stepped(stream, mu[j, p], gamma[p])
+                assert np.array_equal(out[:, j, p], atc)
+                assert np.array_equal(phi_out[1:, j, p], cta[1:])

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from reference_impl import atc_dlms_step, cta_dlms_step
 
 from diffusion_lms.analysis import detect_divergence, linear_deviation
+from diffusion_lms.config import format_config, parse_config_text
+from diffusion_lms.experiment import ALGORITHM_LABELS, SOURCE_KINDS, WEIGHT_RULES, ExperimentConfig
 from diffusion_lms.filters import BatchSpec, FrameBlock, run_filter
 from diffusion_lms.network import (
     CombinationWeights,
@@ -197,3 +199,58 @@ def test_batched_run_filter_matches_reference_steps(network, m, trials, steps, r
                         worst, np.abs(phi_out[i, j, p] - ref_w).max(), np.abs(out[i - 1, j, p] - ref_phi).max()
                     )
     assert worst <= CRITERION_1_TOL
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a config value is one stripped line without comment or list separators
+paths = st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True)
+seeds = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def configs(draw):
+    """Valid resolved configs: every constraint the parser enforces holds."""
+    nodes = draw(st.integers(1, 40))
+    topology = draw(st.sampled_from(["ring_lattice", "random_geometric", "edge_list"]))
+    half_width = draw(st.integers(0, (nodes - 1) // 2 if topology == "ring_lattice" and nodes > 1 else 10))
+    taps = draw(st.integers(1, 16))
+    coefficients = draw(st.none() | st.lists(finite, min_size=taps, max_size=taps).map(tuple))
+    source = draw(st.sampled_from(SOURCE_KINDS))
+    sample_path = draw(st.just("synthetic") | paths)
+    horizon = draw(st.integers(1, 10**6))
+    # the window is checked against the horizon unless a sample file sets the length
+    window_cap = horizon if source == "white_gaussian" or sample_path == "synthetic" else 10**6
+    labels = draw(st.permutations(ALGORITHM_LABELS))
+    return ExperimentConfig(
+        nodes=nodes,
+        topology=topology,
+        radius=draw(positive),
+        half_width=half_width,
+        edge_list_path=draw(paths) if topology == "edge_list" else draw(st.none() | paths),
+        topology_seed=draw(seeds),
+        weights=draw(st.sampled_from(WEIGHT_RULES)),
+        taps=taps,
+        coefficients=coefficients,
+        snr_db=draw(st.floats(allow_nan=False)),
+        noise_variance=draw(st.none() | st.floats(min_value=0.0, allow_nan=False)),
+        regressor_variances=draw(st.none() | st.lists(positive, min_size=nodes, max_size=nodes).map(tuple)),
+        source=source,
+        sample_path=sample_path,
+        scale_exponent=draw(finite),
+        algorithms=tuple(labels[: draw(st.integers(1, len(labels)))]),
+        mu=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        gamma=draw(st.floats(min_value=0.0, allow_nan=False)),
+        trials=draw(st.integers(1, 10**4)),
+        horizon=horizon,
+        base_seed=draw(seeds),
+        steady_window=draw(st.integers(1, window_cap)),
+    )
+
+
+@PROPERTY
+@given(cfg=configs())
+def test_config_text_round_trips_exactly(cfg):
+    text = format_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert format_config(parse_config_text(text)) == text
