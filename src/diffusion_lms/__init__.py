@@ -13,7 +13,7 @@ from diffusion_lms.analysis import (
     MsdTrace,
     detect_divergence,
     leaky_fixed_point,
-    network_msd_db,
+    linear_deviation,
     steady_state_msd,
     step_size_upper_bound,
 )
@@ -25,7 +25,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec, NodeState, atc_step, cta_step, init_state, run_filter
+from diffusion_lms.filters import AlgorithmSpec, atc_step, cta_step, run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -38,7 +38,6 @@ from diffusion_lms.network import (
 )
 from diffusion_lms.signals import (
     FrameStream,
-    SampleFrame,
     default_lowpass_system,
     delay_line_source,
     gaussian_source,
@@ -54,8 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "FrameStream",
     "MsdTrace",
-    "NodeState",
-    "SampleFrame",
     "Topology",
     "atc_step",
     "build_random_geometric",
@@ -66,11 +63,10 @@ __all__ = [
     "denoise_speech",
     "detect_divergence",
     "gaussian_source",
-    "init_state",
     "leaky_fixed_point",
+    "linear_deviation",
     "load_edge_list",
     "load_samples",
-    "network_msd_db",
     "noise_variance_for_snr",
     "non_cooperative_weights",
     "run_ensemble",

@@ -4,7 +4,6 @@ bias fixed point, mean-stability step-size bounds, and steady-state readout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,8 +12,6 @@ __all__ = [
     "DIVERGENCE_THRESHOLD",
     "MsdTrace",
     "DivergenceReport",
-    "network_msd_db",
-    "msd_trace_db",
     "linear_deviation",
     "leaky_fixed_point",
     "step_size_upper_bound",
@@ -61,21 +58,6 @@ class DivergenceReport:
     nodes: np.ndarray | None = None
 
 
-def network_msd_db(w_table: np.ndarray, w_o: np.ndarray) -> float:
-    """Network mean-square deviation in dB.
-
-    10 * log10 of the node-averaged squared deviation between the estimate
-    table (N x M) and the true vector. Returns -inf when the deviation is
-    exactly zero.
-    """
-    dev = np.asarray(w_table, dtype=float) - np.asarray(w_o, dtype=float)
-    total = float((dev * dev).sum())
-    n = dev.shape[0]
-    if total == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(total / n)
-
-
 def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-domain deviation curves from a snapshot stack (T, ..., N, M).
 
@@ -93,13 +75,6 @@ def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> tuple[np.ndarray
     for j in range(1, dev.shape[-1]):
         per_node += dev[..., j]
     return per_node.mean(axis=-1), per_node
-
-
-def msd_trace_db(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
-    """Per-index network MSD in dB for a snapshot stack (T, N, M)."""
-    network, _ = linear_deviation(snapshots, w_o)
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(network)
 
 
 def leaky_fixed_point(r: np.ndarray, gamma: float, w_o: np.ndarray) -> np.ndarray:

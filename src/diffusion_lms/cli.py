@@ -116,6 +116,9 @@ def _write_outputs(
     out_dir = out_dir.resolve()
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.partial")
+    # only a process with this pid owns the name: a leftover is from one that was killed
+    if staging.exists():
+        shutil.rmtree(staging)
     staging.mkdir()
     try:
         for name in names:

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from diffusion_lms.network import CombinationWeights, Topology
-from diffusion_lms.signals import FrameStream, SampleFrame
+from diffusion_lms.signals import FrameStream
 
 __all__ = [
     "ORDERINGS",
     "AlgorithmSpec",
     "BatchSpec",
     "FrameBlock",
-    "NodeState",
-    "init_state",
     "atc_step",
     "cta_step",
     "run_filter",
@@ -56,24 +53,6 @@ class AlgorithmSpec:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Per-node estimates ``w`` and intermediate estimates ``phi``, each N x M."""
-
-    w: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if w.shape != phi.shape or w.ndim != 2:
-            raise ValueError("w and phi must share an (N, M) shape")
-        w.setflags(write=False)
-        phi.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "phi", phi)
-
-
-@dataclass(frozen=True)
 class BatchSpec:
     """Per-element step sizes and leakages of a batch of ATC recursions.
 
@@ -94,13 +73,6 @@ class FrameBlock:
 
     u: np.ndarray
     d: np.ndarray
-
-
-def init_state(n: int, m: int) -> NodeState:
-    """All-zero initial state."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got ({n}, {m})")
-    return NodeState(w=np.zeros((n, m)), phi=np.zeros((n, m)))
 
 
 def _round(
@@ -171,72 +143,58 @@ def _drive(
             w = _round(w, u_i, u_t, d_col, mu, leak, a_t, c_t, errors, innovation, w_row, phi_row)
 
 
+def _one_round(w: np.ndarray, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimate table ``w`` (N, M) and one round's regressors (N, M) and
+    measurements (N,) as float arrays, the data as a one-round block."""
+    w, u, d = (np.asarray(x, dtype=float) for x in (w, u, d))
+    if w.ndim != 2 or u.shape != w.shape or d.shape != w.shape[:1]:
+        raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit estimates {w.shape}")
+    return w, u[None], d[None]
+
+
 def atc_step(
-    state: NodeState,
-    frame: SampleFrame,
-    spec: AlgorithmSpec,
-    weights: CombinationWeights,
-    topology: Topology | None = None,
-) -> NodeState:
-    """One adapt-then-combine round.
+    w: np.ndarray, u: np.ndarray, d: np.ndarray, spec: AlgorithmSpec, weights: CombinationWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """One adapt-then-combine round from the estimates ``w`` (N, M), given
+    the round's regressors ``u`` (N, M) and measurements ``d`` (N,).
 
     Adaptation reads only the previous round's estimates: every node shrinks
     its own estimate by (1 - mu * gamma) and adds the c-weighted neighbor
     innovations; the combination phase then a-averages the fresh
-    intermediates. Passing a topology additionally validates weight support.
+    intermediates. Returns (new estimates, intermediates).
     """
-    _check_step_args(state, frame, weights, topology)
-    w_new, phi = np.empty((2, 1) + state.w.shape)
+    w, u, d = _one_round(w, u, d)
+    w_new, phi = np.empty((2, 1) + w.shape)
     leak = 1.0 - spec.mu * spec.gamma
-    _drive(state.w, frame.u[None], frame.d[None], spec.mu, leak, weights.a, weights.c, w_new, phi)
-    return NodeState(w=w_new[0], phi=phi[0])
+    _drive(w, u, d, spec.mu, leak, weights.a, weights.c, w_new, phi)
+    return w_new[0], phi[0]
 
 
 def cta_step(
-    state: NodeState,
-    frame: SampleFrame,
-    spec: AlgorithmSpec,
-    weights: CombinationWeights,
-    topology: Topology | None = None,
-) -> NodeState:
-    """One combine-then-adapt round.
+    w: np.ndarray, u: np.ndarray, d: np.ndarray, spec: AlgorithmSpec, weights: CombinationWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """One combine-then-adapt round from the estimates ``w`` (N, M), given
+    the round's regressors ``u`` (N, M) and measurements ``d`` (N,).
 
     Every node first a-averages neighbors' previous estimates into its
     intermediate, then adapts from that intermediate using the c-weighted
     neighbor innovations evaluated at it: the adaptation half of an ATC
     round started from the combined table (whose own combination, the next
-    CTA round's, is discarded).
+    CTA round's, is discarded). Returns (new estimates, combined table).
     """
-    _check_step_args(state, frame, weights, topology)
-    combined = weights.a.T @ state.w
+    w, u, d = _one_round(w, u, d)
+    combined = weights.a.T @ w
     adapted = np.empty((1,) + combined.shape)
     leak = 1.0 - spec.mu * spec.gamma
-    _drive(combined, frame.u[None], frame.d[None], spec.mu, leak, weights.a, weights.c, None, adapted)
-    return NodeState(w=adapted[0], phi=combined)
-
-
-def _check_step_args(
-    state: NodeState,
-    frame: SampleFrame,
-    weights: CombinationWeights,
-    topology: Topology | None,
-) -> None:
-    n, m = state.w.shape
-    if frame.u.shape != (n, m):
-        raise ValueError(f"frame regressors shape {frame.u.shape} does not match state {state.w.shape}")
-    if frame.d.shape != (n,):
-        raise ValueError(f"frame measurements shape {frame.d.shape} does not match {n} nodes")
-    if weights.node_count != n:
-        raise ValueError(f"weights are for {weights.node_count} nodes, state has {n}")
-    if topology is not None:
-        weights.validate_support(topology)
+    _drive(combined, u, d, spec.mu, leak, weights.a, weights.c, None, adapted)
+    return adapted[0], combined
 
 
 def run_filter(
     topology: Topology | None,
     weights: CombinationWeights,
     spec: AlgorithmSpec | BatchSpec,
-    source: FrameStream | Iterable[SampleFrame] | FrameBlock,
+    source: FrameStream | FrameBlock,
     horizon: int | None = None,
     *,
     out: np.ndarray | None = None,
@@ -280,24 +238,14 @@ def run_filter(
         _drive(out[0], source.u, source.d, spec.mu, leak, a, c, out[1:], phi_out[1:])
         return out
 
-    if isinstance(source, FrameStream):
-        if source.node_count != n:
-            raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
-        total = len(source) if horizon is None else horizon
-        if total > len(source):
-            raise ValueError(f"horizon {total} exceeds source length {len(source)}")
-        u, d = source.u[:total], source.d[:total]
-    else:
-        it = iter(source)
-        try:
-            first = next(it)
-        except StopIteration:
-            raise ValueError("source yielded no frames") from None
-        if first.u.shape[0] != n:
-            raise ValueError(f"source has {first.u.shape[0]} nodes, topology has {n}")
-        frames = list(itertools.islice(itertools.chain([first], it), horizon))
-        u = np.array([frame.u for frame in frames]).reshape((len(frames),) + first.u.shape)
-        d = np.array([frame.d for frame in frames]).reshape(len(frames), n)
+    if not isinstance(source, FrameStream):
+        raise TypeError(f"source must be a FrameStream or a FrameBlock, got {type(source).__name__}")
+    if source.node_count != n:
+        raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
+    total = len(source) if horizon is None else horizon
+    if total > len(source):
+        raise ValueError(f"horizon {total} exceeds source length {len(source)}")
+    u, d = source.u[:total], source.d[:total]
     snapshots = np.zeros((len(u) + 1,) + u.shape[1:])
     rows = snapshots[1:]
     keep_w = spec.ordering == "atc"

@@ -1,4 +1,4 @@
-"""Topologies, neighbor sets, and combination-weight tables.
+"""Topologies as boolean adjacency tables, and combination-weight tables.
 
 Nodes are indexed 0..n-1 throughout the API. The plain-text edge-list file
 format (and the CLI) use 1-based indices. Every node's neighborhood
@@ -30,43 +30,41 @@ STOCHASTIC_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected communication graph with self-inclusive neighborhoods."""
+    """Undirected communication graph with self-inclusive neighborhoods.
 
-    node_count: int
-    neighbors: tuple[frozenset[int], ...]
+    ``adjacency[k, l]`` is true when nodes k and l are linked: an N x N
+    boolean table, symmetric, with a true diagonal. The table is a
+    read-only copy of the one given.
+    """
+
+    adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.node_count
-        if n < 1:
-            raise ValueError(f"node_count must be >= 1, got {n}")
-        if len(self.neighbors) != n:
-            raise ValueError("need exactly one neighbor set per node")
-        for k, nbrs in enumerate(self.neighbors):
-            if k not in nbrs:
-                raise ValueError(f"node {k} is missing from its own neighbor set")
-            for l in nbrs:
-                if not 0 <= l < n:
-                    raise ValueError(f"neighbor {l} of node {k} is out of range")
-                if k not in self.neighbors[l]:
-                    raise ValueError(f"link {k}-{l} is not symmetric")
+        adj = np.array(self.adjacency, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
+            raise ValueError(f"adjacency must be a nonempty square table, got shape {adj.shape}")
+        unlinked = np.flatnonzero(~adj.diagonal())
+        if unlinked.size:
+            raise ValueError(f"node {unlinked[0]} is not linked to itself")
+        one_way = np.argwhere(adj != adj.T)
+        if one_way.size:
+            k, l = one_way[0]
+            raise ValueError(f"link {k}-{l} is not symmetric")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adjacency", adj)
 
-    def degree(self, k: int) -> int:
-        """Size of node k's neighborhood, itself included."""
-        return len(self.neighbors[k])
+    @property
+    def node_count(self) -> int:
+        return self.adjacency.shape[0]
 
     def is_connected(self) -> bool:
-        """Breadth-first reachability of every node from node 0."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return len(seen) == self.node_count
+        """Whether every node is reachable from node 0."""
+        reached = self.adjacency[0]
+        while True:
+            grown = self.adjacency[reached].any(axis=0)
+            if np.array_equal(grown, reached):
+                return bool(reached.all())
+            reached = grown
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,12 @@ class CombinationWeights:
         return self.a.shape[0]
 
     def validate_support(self, topology: Topology) -> None:
-        """Raise if any nonzero weight falls outside the neighbor sets."""
+        """Raise if any nonzero weight falls on an unlinked pair."""
         n = topology.node_count
         if self.node_count != n:
             raise ValueError("weight tables do not match the topology size")
-        linked = np.zeros((n, n), dtype=bool)
-        for k, nbrs in enumerate(topology.neighbors):
-            linked[k, list(nbrs)] = True
         # indexed [k, l]: the first offending pair in k-major, then l order
-        stray = ~linked & ((self.a != 0.0) | (self.c != 0.0)).T
+        stray = ~topology.adjacency & ((self.a != 0.0) | (self.c != 0.0)).T
         if stray.any():
             k, l = divmod(int(np.argmax(stray)), n)
             raise ValueError(f"nonzero weight on non-neighbor pair ({l}, {k})")
@@ -135,14 +130,12 @@ def build_ring_lattice(n: int, half_width: int) -> Topology:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     if 2 * half_width >= n and not (n == 1 and half_width == 0):
         raise ValueError(f"half_width {half_width} too large for n={n} (need 2*half_width < n)")
-    nbrs = []
-    for k in range(n):
-        s = {k}
-        for d in range(1, half_width + 1):
-            s.add((k + d) % n)
-            s.add((k - d) % n)
-        nbrs.append(frozenset(s))
-    return Topology(node_count=n, neighbors=tuple(nbrs))
+    adj = np.eye(n, dtype=bool)
+    nodes = np.arange(n)
+    for d in range(1, half_width + 1):
+        adj[nodes, (nodes + d) % n] = True
+        adj[nodes, (nodes - d) % n] = True
+    return Topology(adj)
 
 
 def build_random_geometric(n: int, radius: float, seed: int) -> Topology:
@@ -156,32 +149,28 @@ def build_random_geometric(n: int, radius: float, seed: int) -> Topology:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
     r = float(radius)
     while True:
-        adj = d2 <= r * r
-        nbrs = tuple(frozenset(np.nonzero(adj[k])[0].tolist()) | frozenset({k}) for k in range(n))
-        topo = Topology(node_count=n, neighbors=tuple(frozenset(s) for s in nbrs))
+        # the diagonal distances are 0, so every node links to itself
+        topo = Topology(d2 <= r * r)
         if topo.is_connected():
             return topo
         r *= 1.1
 
 
 def uniform_weights(topology: Topology) -> CombinationWeights:
-    """Uniform rule: every in-neighborhood weight is 1 / degree(k).
+    """Uniform rule: every in-neighborhood weight is 1 / n_k, where n_k is
+    the size of node k's neighborhood, itself included.
 
     Applied identically to the estimate table ``a`` and the data table ``c``.
     """
-    n = topology.node_count
-    a = np.zeros((n, n))
-    for k in range(n):
-        w = 1.0 / topology.degree(k)
-        for l in topology.neighbors[k]:
-            a[l, k] = w
+    adj = topology.adjacency
+    a = adj / adj.sum(axis=0)
     return CombinationWeights(a=a, c=a.copy())
 
 
@@ -200,10 +189,7 @@ def save_edge_list(topology: Topology, path: str | os.PathLike) -> None:
     """Write a topology as plain text: first line "N", then one "k l" line
     per undirected edge, 1-based, self-loops implicit."""
     lines = [str(topology.node_count)]
-    for k in range(topology.node_count):
-        for l in sorted(topology.neighbors[k]):
-            if l > k:
-                lines.append(f"{k + 1} {l + 1}")
+    lines += [f"{k + 1} {l + 1}" for k, l in np.argwhere(np.triu(topology.adjacency, 1))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -221,7 +207,7 @@ def load_edge_list(path: str | os.PathLike) -> Topology:
         raise ValueError(f"{path}: first line must be the node count") from exc
     if n < 1:
         raise ValueError(f"{path}: node count must be >= 1, got {n}")
-    nbrs = [{k} for k in range(n)]
+    adj = np.eye(n, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -232,6 +218,5 @@ def load_edge_list(path: str | os.PathLike) -> Topology:
             raise ValueError(f"{path}: malformed edge line {ln!r}") from exc
         if not (1 <= k <= n and 1 <= l <= n):
             raise ValueError(f"{path}: edge {ln!r} out of range for n={n}")
-        nbrs[k - 1].add(l - 1)
-        nbrs[l - 1].add(k - 1)
-    return Topology(node_count=n, neighbors=tuple(frozenset(s) for s in nbrs))
+        adj[k - 1, l - 1] = adj[l - 1, k - 1] = True
+    return Topology(adj)

@@ -13,13 +13,11 @@ import io
 import os
 import wave
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "SampleFileError",
-    "SampleFrame",
     "FrameStream",
     "LoadedSamples",
     "default_lowpass_system",
@@ -38,16 +36,6 @@ _PCM_SCALE = 32768.0
 
 class SampleFileError(ValueError):
     """Raised when a sample file is malformed or in an unsupported format."""
-
-
-@dataclass(frozen=True)
-class SampleFrame:
-    """One time instant: regressor rows ``u`` (N x M), measurements ``d`` (N,)
-    and the additive noise draws ``noise`` (N,) that produced them."""
-
-    u: np.ndarray
-    d: np.ndarray
-    noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,15 +64,6 @@ class FrameStream:
     @property
     def node_count(self) -> int:
         return self.u.shape[1]
-
-    @property
-    def taps(self) -> int:
-        return self.u.shape[2]
-
-    def frames(self) -> Iterator[SampleFrame]:
-        """Yield one SampleFrame per instant, in time order."""
-        for i in range(len(self)):
-            yield SampleFrame(u=self.u[i], d=self.d[i], noise=self.noise[i])
 
 
 def default_lowpass_system(m: int) -> np.ndarray:

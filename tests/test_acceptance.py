@@ -29,9 +29,9 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec, NodeState, atc_step, cta_step, run_filter
+from diffusion_lms.filters import AlgorithmSpec, atc_step, cta_step, run_filter
 from diffusion_lms.network import build_ring_lattice, uniform_weights
-from diffusion_lms.signals import SampleFrame, default_lowpass_system, gaussian_source
+from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
 EXAMPLE_1 = ExperimentConfig()  # 20 nodes, 0 dB SNR, mu 0.08, gamma 0.002, 50 trials
 
@@ -41,10 +41,11 @@ def report(name: str, ok: bool, elapsed: float, budget: float, detail: str = "")
     print(f"[{status}] {name}: {elapsed:.2f}s (budget {budget:.0f}s){' ' + detail if detail else ''}")
 
 
-def constant_frames(u_row: np.ndarray, w_o: np.ndarray, count: int) -> list[SampleFrame]:
-    u = np.array([u_row])
-    d = np.array([float(u_row @ w_o)])
-    return [SampleFrame(u=u, d=d, noise=np.zeros(1)) for _ in range(count)]
+def constant_frames(u_row: np.ndarray, w_o: np.ndarray, count: int) -> FrameStream:
+    """A noiseless single-node stream repeating one regressor row."""
+    u = np.tile(u_row, (count, 1, 1))
+    d = np.tile(float(u_row @ w_o), (count, 1))
+    return FrameStream(u=u, d=d, noise=np.zeros((count, 1)), noise_variance=np.zeros(1))
 
 
 def test_criterion_1_zero_leakage_reduction_identity():
@@ -64,17 +65,15 @@ def test_criterion_1_zero_leakage_reduction_identity():
         w = rng.standard_normal((n, m))
         u = rng.standard_normal((n, m))
         d = rng.standard_normal(n)
-        state = NodeState(w=w.copy(), phi=np.zeros_like(w))
-        frame = SampleFrame(u=u, d=d, noise=np.zeros(n))
         mu = float(rng.uniform(0.01, 0.3))
 
-        out = atc_step(state, frame, AlgorithmSpec("atc", mu, 0.0), weights)
+        out_w, out_phi = atc_step(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
         ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
-        worst = max(worst, np.abs(out.w - ref_w).max(), np.abs(out.phi - ref_phi).max())
+        worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
 
-        out = cta_step(state, frame, AlgorithmSpec("cta", mu, 0.0), weights)
+        out_w, out_phi = cta_step(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
         ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
-        worst = max(worst, np.abs(out.w - ref_w).max(), np.abs(out.phi - ref_phi).max())
+        worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
     elapsed = time.perf_counter() - start
     ok = worst <= tol and elapsed < budget
     report("criterion 1 reduction identity", ok, elapsed, budget, f"max entry error {worst:.2e}")

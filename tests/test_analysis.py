@@ -6,63 +6,70 @@ from diffusion_lms.analysis import (
     detect_divergence,
     leaky_fixed_point,
     linear_deviation,
-    msd_trace_db,
-    network_msd_db,
     steady_state_msd,
     step_size_upper_bound,
 )
 from diffusion_lms.filters import AlgorithmSpec, run_filter
 from diffusion_lms.network import build_ring_lattice, non_cooperative_weights, uniform_weights
-from diffusion_lms.signals import SampleFrame, default_lowpass_system, gaussian_source
+from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
 
 def constant_excitation_frames(u_row, w_o, count):
-    """Deterministic noiseless frames with a fixed regressor row."""
-    u = np.array([u_row])
-    d = np.array([float(u_row @ w_o)])
-    return [SampleFrame(u=u, d=d, noise=np.zeros(1)) for _ in range(count)]
+    """Deterministic noiseless single-node stream with a fixed regressor row."""
+    u = np.tile(u_row, (count, 1, 1))
+    d = np.tile(float(u_row @ w_o), (count, 1))
+    return FrameStream(u=u, d=d, noise=np.zeros((count, 1)), noise_variance=np.zeros(1))
+
+
+def network_msd(table, w_o):
+    """Linear-domain network MSD of one (N, M) estimate table."""
+    network, _ = linear_deviation(table[None], w_o)
+    return network[0]
 
 
 class TestNetworkMsd:
     def test_zero_deviation_is_minus_infinity(self):
         w_o = default_lowpass_system(4)
         table = np.tile(w_o, (7, 1))
-        assert network_msd_db(table, w_o) == float("-inf")
+        assert network_msd(table, w_o) == 0.0
+        with np.errstate(divide="ignore"):
+            assert 10.0 * np.log10(network_msd(table, w_o)) == float("-inf")
 
     def test_unit_deviation_is_zero_db(self):
         w_o = np.zeros(4)
         table = np.zeros((3, 4))
         table[:, 0] = 1.0  # every node deviates by exactly 1 in norm
-        assert network_msd_db(table, w_o) == 0.0
+        assert network_msd(table, w_o) == 1.0
 
     def test_two_node_hand_value(self):
         w_o = np.zeros(1)
         table = np.array([[0.1], [np.sqrt(0.03)]])  # squared deviations 0.01, 0.03
-        assert np.isclose(network_msd_db(table, w_o), 10 * np.log10(0.02))
+        assert np.isclose(network_msd(table, w_o), 0.02)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         w_o = rng.standard_normal(3)
         table = rng.standard_normal((6, 3))
         shuffled = table[rng.permutation(6)]
-        assert np.isclose(network_msd_db(table, w_o), network_msd_db(shuffled, w_o))
+        assert np.isclose(network_msd(table, w_o), network_msd(shuffled, w_o))
 
     def test_strictly_increasing_in_single_node_deviation(self):
         w_o = np.zeros(2)
         table = np.ones((4, 2)) * 0.1
-        base = network_msd_db(table, w_o)
+        base = network_msd(table, w_o)
         worse = table.copy()
         worse[2] *= 3.0
-        assert network_msd_db(worse, w_o) > base
+        assert network_msd(worse, w_o) > base
 
     def test_trace_helper_matches_scalar_metric(self):
+        # a stack reduces index by index as its tables do one at a time
         rng = np.random.default_rng(3)
         w_o = rng.standard_normal(3)
         snaps = rng.standard_normal((5, 4, 3))
-        trace = msd_trace_db(snaps, w_o)
-        for i in range(5):
-            assert np.isclose(trace[i], network_msd_db(snaps[i], w_o))
         net, per_node = linear_deviation(snaps, w_o)
+        for i in range(5):
+            assert net[i] == network_msd(snaps[i], w_o)
+            assert np.isclose(net[i], ((snaps[i] - w_o) ** 2).sum() / 4)
         assert per_node.shape == (5, 4)
         assert np.allclose(net, per_node.mean(axis=1))
 

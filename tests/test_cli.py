@@ -176,6 +176,17 @@ class TestRun:
         assert not (out / "manifest.json").exists()
         assert {p.name for p in tmp_path.iterdir()} == {"small.cfg", "out"}
 
+    def test_staging_left_by_a_killed_run_of_the_same_pid_is_cleared(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        stale = tmp_path / f".out.{os.getpid()}.partial"
+        stale.mkdir()
+        (stale / "trace_atc_dlms.csv").write_text("half written")
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
+        assert (out / "trace_atc_dlms.csv").read_text().startswith("iteration,msd_db\n")
+        assert {p.name for p in tmp_path.iterdir()} == {"small.cfg", "out"}
+
     def test_rerun_replaces_the_outputs(self, small_config, tmp_path):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_OK

@@ -3,15 +3,13 @@ import pytest
 
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
-from diffusion_lms.analysis import network_msd_db
+from diffusion_lms.analysis import linear_deviation
 from diffusion_lms.filters import (
     AlgorithmSpec,
     BatchSpec,
     FrameBlock,
-    NodeState,
     atc_step,
     cta_step,
-    init_state,
     run_filter,
 )
 from diffusion_lms.network import (
@@ -21,7 +19,7 @@ from diffusion_lms.network import (
     non_cooperative_weights,
     uniform_weights,
 )
-from diffusion_lms.signals import SampleFrame, default_lowpass_system, gaussian_source
+from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
 
 def single_node_setup():
@@ -42,45 +40,22 @@ class TestAlgorithmSpec:
             AlgorithmSpec(ordering="sideways", mu=0.1)
 
 
-class TestInitState:
-    def test_zero_tables(self):
-        state = init_state(1, 1)
-        assert np.array_equal(state.w, [[0.0]])
-        state = init_state(20, 5)
-        assert state.w.shape == (20, 5)
-        assert not state.w.any() and not state.phi.any()
-
-    def test_initial_msd_is_system_power(self):
-        w_o = default_lowpass_system(5)
-        state = init_state(20, 5)
-        expected = 10 * np.log10(float(w_o @ w_o))
-        assert np.isclose(network_msd_db(state.w, w_o), expected)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            init_state(0, 1)
-
-
 class TestScalarHandValues:
     def test_atc_leaky_scalar_round(self):
-        topo, weights = single_node_setup()
-        state = init_state(1, 1)
-        frame = SampleFrame(u=np.array([[1.0]]), d=np.array([1.0]), noise=np.zeros(1))
+        _, weights = single_node_setup()
         spec = AlgorithmSpec(ordering="atc", mu=0.5, gamma=0.2)
-        out = atc_step(state, frame, spec, weights, topo)
+        w, phi = atc_step(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0]), spec, weights)
         # (1 - 0.5*0.2)*0 + 0.5*1*(1 - 0) = 0.5, then combine over {self}
-        assert np.isclose(out.phi[0, 0], 0.5, atol=1e-15)
-        assert np.isclose(out.w[0, 0], 0.5, atol=1e-15)
+        assert np.isclose(phi[0, 0], 0.5, atol=1e-15)
+        assert np.isclose(w[0, 0], 0.5, atol=1e-15)
 
     def test_cta_leaky_scalar_round(self):
-        topo, weights = single_node_setup()
-        state = NodeState(w=np.array([[0.5]]), phi=np.zeros((1, 1)))
-        frame = SampleFrame(u=np.array([[1.0]]), d=np.array([1.0]), noise=np.zeros(1))
+        _, weights = single_node_setup()
         spec = AlgorithmSpec(ordering="cta", mu=0.5, gamma=0.2)
-        out = cta_step(state, frame, spec, weights, topo)
-        # phi = 0.5, then 0.9*0.5 + 0.5*(1 - 0.5) = 0.7
-        assert np.isclose(out.phi[0, 0], 0.5, atol=1e-15)
-        assert np.isclose(out.w[0, 0], 0.7, atol=1e-15)
+        w, combined = cta_step(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), spec, weights)
+        # combined = 0.5, then 0.9*0.5 + 0.5*(1 - 0.5) = 0.7
+        assert np.isclose(combined[0, 0], 0.5, atol=1e-15)
+        assert np.isclose(w[0, 0], 0.7, atol=1e-15)
 
 
 class TestRoundStructure:
@@ -90,60 +65,54 @@ class TestRoundStructure:
         self.rng = np.random.default_rng(0)
 
     def frame(self, n=6, m=3):
-        return SampleFrame(
-            u=self.rng.standard_normal((n, m)),
-            d=self.rng.standard_normal(n),
-            noise=np.zeros(n),
-        )
+        """One round's regressors and measurements."""
+        return self.rng.standard_normal((n, m)), self.rng.standard_normal(n)
 
     def test_zero_step_size_keeps_equal_states_fixed(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
-        state = NodeState(w=w.copy(), phi=np.zeros_like(w))
         spec = AlgorithmSpec(ordering="atc", mu=0.0, gamma=0.3)
-        out = atc_step(state, self.frame(), spec, self.weights, self.topo)
-        assert np.allclose(out.phi, w, atol=1e-15)
-        assert np.allclose(out.w, w, atol=1e-12)
+        w_new, phi = atc_step(w, *self.frame(), spec, self.weights)
+        assert np.allclose(phi, w, atol=1e-15)
+        assert np.allclose(w_new, w, atol=1e-12)
 
     def test_cta_fixed_point_of_pure_averaging(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
-        state = NodeState(w=w.copy(), phi=np.zeros_like(w))
         spec = AlgorithmSpec(ordering="cta", mu=0.0, gamma=0.0)
-        out = cta_step(state, self.frame(), spec, self.weights, self.topo)
-        assert np.allclose(out.w, w, atol=1e-12)
+        w_new, _ = cta_step(w, *self.frame(), spec, self.weights)
+        assert np.allclose(w_new, w, atol=1e-12)
 
     def test_consensus_on_truth_is_invariant_without_leak(self):
         w_o = self.rng.standard_normal(3)
         w = np.tile(w_o, (6, 1))
         u = self.rng.standard_normal((6, 3))
         d = u @ w_o  # noiseless measurements
-        frame = SampleFrame(u=u, d=d, noise=np.zeros(6))
         for ordering in ("atc", "cta"):
             spec = AlgorithmSpec(ordering=ordering, mu=0.4, gamma=0.0)
             step = atc_step if ordering == "atc" else cta_step
-            out = step(NodeState(w=w.copy(), phi=np.zeros_like(w)), frame, spec, self.weights)
-            assert np.allclose(out.w, w, atol=1e-12)
+            w_new, _ = step(w, u, d, spec, self.weights)
+            assert np.allclose(w_new, w, atol=1e-12)
 
     def test_leak_contracts_norm_without_excitation(self):
         # complete graph on 4 nodes: degree 4 keeps uniform weights exact
-        nbrs = tuple(frozenset(range(4)) for _ in range(4))
-        topo = Topology(node_count=4, neighbors=nbrs)
-        weights = uniform_weights(topo)
+        weights = uniform_weights(Topology(np.ones((4, 4), dtype=bool)))
         spec = AlgorithmSpec(ordering="atc", mu=0.1, gamma=0.5)
         w = np.tile(self.rng.standard_normal(3), (4, 1))
-        state = NodeState(w=w, phi=np.zeros_like(w))
-        frame = SampleFrame(u=np.zeros((4, 3)), d=np.zeros(4), noise=np.zeros(4))
         for _ in range(50):
-            out = atc_step(state, frame, spec, weights, topo)
-            ratio = np.linalg.norm(out.w) / np.linalg.norm(state.w)
+            w_new, _ = atc_step(w, np.zeros((4, 3)), np.zeros(4), spec, weights)
+            ratio = np.linalg.norm(w_new) / np.linalg.norm(w)
             assert np.isclose(ratio, 1.0 - spec.mu * spec.gamma, rtol=1e-12)
-            state = out
+            w = w_new
 
     def test_shape_mismatch_rejected(self):
-        state = init_state(6, 3)
-        bad = SampleFrame(u=np.zeros((5, 3)), d=np.zeros(5), noise=np.zeros(5))
-        spec = AlgorithmSpec(ordering="atc", mu=0.1)
-        with pytest.raises(ValueError):
-            atc_step(state, bad, spec, self.weights)
+        w = np.zeros((6, 3))
+        for step, ordering in ((atc_step, "atc"), (cta_step, "cta")):
+            spec = AlgorithmSpec(ordering=ordering, mu=0.1)
+            with pytest.raises(ValueError):
+                step(w, np.zeros((5, 3)), np.zeros(5), spec, self.weights)
+            with pytest.raises(ValueError):
+                step(w, np.zeros((6, 3)), np.zeros(1), spec, self.weights)
+            with pytest.raises(ValueError):
+                step(w, np.zeros((6, 4)), np.zeros(6), spec, self.weights)
 
 
 class TestAgainstReference:
@@ -162,17 +131,15 @@ class TestAgainstReference:
 
     def test_plain_reduction_matches_reference(self):
         for topo, weights, w, u, d in self.cases():
-            frame = SampleFrame(u=u, d=d, noise=np.zeros_like(d))
-            state = NodeState(w=w.copy(), phi=np.zeros_like(w))
             mu = 0.07
             ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out = atc_step(state, frame, AlgorithmSpec("atc", mu, 0.0), weights)
-            assert np.abs(out.w - ref_w).max() <= 1e-15
-            assert np.abs(out.phi - ref_phi).max() <= 1e-15
+            out_w, out_phi = atc_step(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
+            assert np.abs(out_w - ref_w).max() <= 1e-15
+            assert np.abs(out_phi - ref_phi).max() <= 1e-15
             ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out = cta_step(state, frame, AlgorithmSpec("cta", mu, 0.0), weights)
-            assert np.abs(out.w - ref_w).max() <= 1e-15
-            assert np.abs(out.phi - ref_phi).max() <= 1e-15
+            out_w, out_phi = cta_step(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
+            assert np.abs(out_w - ref_w).max() <= 1e-15
+            assert np.abs(out_phi - ref_phi).max() <= 1e-15
 
     def test_node_update_order_is_immaterial(self):
         for topo, weights, w, u, d in self.cases():
@@ -189,15 +156,11 @@ class TestReductions:
     def test_non_cooperative_atc_equals_cta(self):
         rng = np.random.default_rng(5)
         weights = non_cooperative_weights(4)
-        topo = build_ring_lattice(4, 0)
         w = rng.standard_normal((4, 3))
-        frame = SampleFrame(u=rng.standard_normal((4, 3)), d=rng.standard_normal(4), noise=np.zeros(4))
-        spec_a = AlgorithmSpec("atc", 0.2, 0.1)
-        spec_c = AlgorithmSpec("cta", 0.2, 0.1)
-        state = NodeState(w=w, phi=np.zeros_like(w))
-        out_a = atc_step(state, frame, spec_a, weights, topo)
-        out_c = cta_step(state, frame, spec_c, weights, topo)
-        assert np.array_equal(out_a.w, out_c.w)
+        u, d = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        out_a, _ = atc_step(w, u, d, AlgorithmSpec("atc", 0.2, 0.1), weights)
+        out_c, _ = cta_step(w, u, d, AlgorithmSpec("cta", 0.2, 0.1), weights)
+        assert np.array_equal(out_a, out_c)
 
     def test_non_cooperative_matches_standalone_filters(self):
         # identity weights collapse diffusion to independent filters per node
@@ -231,14 +194,19 @@ class TestRunFilter:
         assert snaps.shape == (1, 1, 2)
         assert not snaps.any()
 
-    def test_frame_iterable_matches_stream_fast_path(self):
-        topo = build_random_geometric(5, 0.6, 1)
-        weights = uniform_weights(topo)
-        stream = gaussian_source(np.full(5, 0.5), default_lowpass_system(3), seed=7, horizon=40)
-        spec = AlgorithmSpec("cta", 0.1, 0.01)
-        fast = run_filter(topo, weights, spec, stream)
-        slow = run_filter(topo, weights, spec, stream.frames())
-        assert np.array_equal(fast, slow)
+    def test_initial_deviation_is_system_power(self):
+        topo = build_ring_lattice(20, 2)
+        w_o = default_lowpass_system(5)
+        stream = gaussian_source(np.full(20, 0.5), w_o, seed=0, horizon=3)
+        snaps = run_filter(topo, uniform_weights(topo), AlgorithmSpec("atc", 0.1), stream, horizon=0)
+        network, _ = linear_deviation(snaps, w_o)
+        assert np.isclose(network[0], float(w_o @ w_o))
+
+    def test_only_streams_and_blocks_are_sources(self):
+        topo, weights = single_node_setup()
+        stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
+        with pytest.raises(TypeError):
+            run_filter(topo, weights, AlgorithmSpec("atc", 0.1), list(zip(stream.u, stream.d)))
 
     def test_horizon_beyond_stream_rejected(self):
         topo, weights = single_node_setup()
@@ -257,12 +225,10 @@ class TestRunFilter:
 
     def test_divergence_is_not_masked(self):
         topo, weights = single_node_setup()
-        w_o = np.array([1.0])
-        frames = [
-            SampleFrame(u=np.array([[1.0]]), d=np.array([1.0]), noise=np.zeros(1)) for _ in range(400)
-        ]
+        ones = np.ones((400, 1))
+        stream = FrameStream(u=ones[..., None], d=ones, noise=np.zeros((400, 1)), noise_variance=np.zeros(1))
         spec = AlgorithmSpec("atc", 5.0, 0.0)  # far beyond the stable range
-        snaps = run_filter(topo, weights, spec, frames)
+        snaps = run_filter(topo, weights, spec, stream)
         assert not np.isfinite(snaps[-1]).all() or np.abs(snaps[-1]).max() > 1e6
 
 
@@ -279,11 +245,11 @@ class TestSharedRecursion:
     def test_cta_snapshots_are_the_atc_intermediates(self):
         stream = self.stream(4)
         cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
-        state = init_state(8, 3)
-        for i, frame in enumerate(stream.frames(), start=1):
-            state = atc_step(state, frame, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
-            assert np.array_equal(cta[i], state.phi)
-            assert np.array_equal(self.weights.a.T @ cta[i], state.w)
+        w = np.zeros((8, 3))
+        for i, (u, d) in enumerate(zip(stream.u, stream.d), start=1):
+            w, phi = atc_step(w, u, d, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
+            assert np.array_equal(cta[i], phi)
+            assert np.array_equal(self.weights.a.T @ cta[i], w)
 
     def test_batched_blocks_equal_unbatched_runs(self):
         # two trials x three (mu, gamma) pairs, the horizon split into blocks of 7 and 4
@@ -347,12 +313,12 @@ class TestRoundScratch:
         return gaussian_source(np.linspace(0.2, 1.0, 7), default_lowpass_system(4), seed=seed, horizon=horizon)
 
     def stepped(self, stream, mu, gamma):
-        """(ATC estimates, CTA estimates) after each round, from init_state."""
-        atc, cta = [init_state(7, 4)], [init_state(7, 4)]
-        for frame in stream.frames():
-            atc.append(atc_step(atc[-1], frame, AlgorithmSpec("atc", mu, gamma), self.weights))
-            cta.append(cta_step(cta[-1], frame, AlgorithmSpec("cta", mu, gamma), self.weights))
-        return np.stack([s.w for s in atc]), np.stack([s.w for s in cta])
+        """(ATC estimates, CTA estimates) after each round, from all-zero tables."""
+        atc, cta = [np.zeros((7, 4))], [np.zeros((7, 4))]
+        for u, d in zip(stream.u, stream.d):
+            atc.append(atc_step(atc[-1], u, d, AlgorithmSpec("atc", mu, gamma), self.weights)[0])
+            cta.append(cta_step(cta[-1], u, d, AlgorithmSpec("cta", mu, gamma), self.weights)[0])
+        return np.stack(atc), np.stack(cta)
 
     def test_frame_stream_matches_steps(self):
         stream = self.stream(21)

@@ -13,6 +13,14 @@ from diffusion_lms.network import (
     uniform_weights,
 )
 
+# the path 0 - 1 - 2
+PATH3 = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+
+
+def neighbors(topo, k):
+    """Node k's neighborhood, itself included, read off its adjacency row."""
+    return set(np.flatnonzero(topo.adjacency[k]).tolist())
+
 
 def bfs_connected(topo):
     # independent connectivity oracle
@@ -20,7 +28,7 @@ def bfs_connected(topo):
     queue = [0]
     while queue:
         v = queue.pop(0)
-        for nxt in topo.neighbors[v]:
+        for nxt in neighbors(topo, v):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -30,24 +38,23 @@ def bfs_connected(topo):
 class TestRingLattice:
     def test_zero_half_width_isolates_nodes(self):
         topo = build_ring_lattice(5, 0)
-        assert all(topo.neighbors[k] == frozenset({k}) for k in range(5))
-        assert all(topo.degree(k) == 1 for k in range(5))
+        assert np.array_equal(topo.adjacency, np.eye(5, dtype=bool))
 
     def test_adjacent_ring(self):
         topo = build_ring_lattice(5, 1)
-        assert topo.neighbors[0] == frozenset({4, 0, 1})
-        assert topo.degree(0) == 3
+        assert neighbors(topo, 0) == {4, 0, 1}
+        assert topo.adjacency[:, 0].sum() == 3
 
     def test_wide_ring_matches_exhaustive_adjacency(self):
         n, h = 20, 2
         topo = build_ring_lattice(n, h)
         for k in range(n):
             expected = {(k + d) % n for d in range(-h, h + 1)}
-            assert topo.neighbors[k] == frozenset(expected)
-            assert topo.degree(k) == 2 * h + 1
+            assert neighbors(topo, k) == expected
+            assert len(expected) == 2 * h + 1
         for k in range(n):
-            for l in topo.neighbors[k]:
-                assert k in topo.neighbors[l]
+            for l in neighbors(topo, k):
+                assert k in neighbors(topo, l)
 
     def test_rejects_overlapping_half_width(self):
         with pytest.raises(ValueError):
@@ -57,32 +64,37 @@ class TestRingLattice:
 
     def test_single_node(self):
         topo = build_ring_lattice(1, 0)
-        assert topo.neighbors == (frozenset({0}),)
+        assert np.array_equal(topo.adjacency, [[True]])
 
 
 class TestRandomGeometric:
     def test_single_node(self):
         topo = build_random_geometric(1, 0.2, 0)
-        assert topo.neighbors[0] == frozenset({0})
+        assert np.array_equal(topo.adjacency, [[True]])
 
     def test_pair_with_large_radius_fully_connected(self):
         topo = build_random_geometric(2, 1.5, 7)
-        assert topo.neighbors[0] == frozenset({0, 1})
-        assert topo.neighbors[1] == frozenset({0, 1})
+        assert topo.adjacency.all()
 
     def test_twenty_nodes_connected_with_sane_degrees(self):
         topo = build_random_geometric(20, 0.35, 42)
         assert bfs_connected(topo)
-        degrees = [topo.degree(k) for k in range(20)]
-        assert min(degrees) >= 2
-        assert max(degrees) <= 20
+        degrees = topo.adjacency.sum(axis=0)
+        assert degrees.min() >= 2
+        assert degrees.max() <= 20
 
     def test_deterministic_in_seed(self):
         a = build_random_geometric(20, 0.35, 42)
         b = build_random_geometric(20, 0.35, 42)
-        assert a == b
+        assert np.array_equal(a.adjacency, b.adjacency)
         c = build_random_geometric(20, 0.35, 43)
-        assert a != c
+        assert not np.array_equal(a.adjacency, c.adjacency)
+
+    def test_rejects_non_positive_or_nan_radius(self):
+        # a NaN radius links no pair, not even a node to itself, and never grows
+        for radius in (0.0, -0.3, float("nan")):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                build_random_geometric(5, radius, 0)
 
     def test_disconnected_draw_is_repaired(self):
         # tiny radius forces the growth loop; the result must be connected
@@ -92,16 +104,39 @@ class TestRandomGeometric:
 
 class TestTopologyInvariants:
     def test_rejects_missing_self_loop(self):
-        with pytest.raises(ValueError, match="own neighbor set"):
-            Topology(node_count=2, neighbors=(frozenset({1}), frozenset({1})))
+        adj = np.ones((3, 3), dtype=bool)
+        adj[1, 1] = False
+        with pytest.raises(ValueError, match=r"^node 1 is not linked to itself$"):
+            Topology(adj)
 
     def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            Topology(node_count=2, neighbors=(frozenset({0, 1}), frozenset({1})))
+        adj = np.eye(3, dtype=bool)
+        adj[0, 2] = True
+        with pytest.raises(ValueError, match=r"^link 0-2 is not symmetric$"):
+            Topology(adj)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Topology(node_count=2, neighbors=(frozenset({0, 5}), frozenset({1})))
+    def test_rejects_non_square_or_empty(self):
+        for shape in ((2, 3), (0, 0), (3,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="nonempty square"):
+                Topology(np.ones(shape, dtype=bool))
+
+    def test_is_connected_matches_breadth_first_search(self):
+        two_pairs = np.zeros((4, 4), dtype=bool)
+        two_pairs[:2, :2] = two_pairs[2:, 2:] = True
+        tail = np.eye(4, dtype=bool)
+        tail[:3, :3] = PATH3  # node 3 is isolated
+        for adj in (two_pairs, tail, PATH3, np.eye(1, dtype=bool), np.eye(5, dtype=bool)):
+            assert Topology(adj).is_connected() == bfs_connected(Topology(adj))
+        assert build_ring_lattice(9, 1).is_connected()
+        assert not Topology(tail).is_connected()
+
+    def test_adjacency_is_a_read_only_copy(self):
+        given = np.eye(3, dtype=bool)
+        topo = Topology(given)
+        given[0, 1] = given[1, 0] = True
+        assert np.array_equal(topo.adjacency, np.eye(3, dtype=bool))
+        with pytest.raises(ValueError):
+            topo.adjacency[0, 1] = True
 
 
 class TestWeights:
@@ -113,20 +148,13 @@ class TestWeights:
 
     def test_degree_four_neighborhood_weight(self):
         # star of 3 spokes: center node 0 has degree 4 counting itself
-        nbrs = (
-            frozenset({0, 1, 2, 3}),
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({0, 3}),
-        )
-        topo = Topology(node_count=4, neighbors=nbrs)
-        w = uniform_weights(topo)
-        assert np.allclose(w.a[list(nbrs[0]), 0], 0.25)
+        adj = np.eye(4, dtype=bool)
+        adj[0, 1:] = adj[1:, 0] = True
+        w = uniform_weights(Topology(adj))
+        assert np.allclose(w.a[:, 0], 0.25)
 
     def test_three_node_path_column(self):
-        nbrs = (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
-        topo = Topology(node_count=3, neighbors=nbrs)
-        w = uniform_weights(topo)
+        w = uniform_weights(Topology(PATH3))
         assert np.allclose(w.a[:, 1], [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(w.c[:, 1], [1 / 3, 1 / 3, 1 / 3])
 
@@ -152,10 +180,11 @@ class TestWeights:
             assert np.abs(table.sum(axis=0) - 1.0).max() <= STOCHASTIC_TOL
             assert (table >= 0.0).all()
         for k in range(topo.node_count):
+            degree = len(neighbors(topo, k))
             for l in range(topo.node_count):
-                if l not in topo.neighbors[k]:
-                    assert w.a[l, k] == 0.0
-                    assert w.c[l, k] == 0.0
+                expected = 1.0 / degree if l in neighbors(topo, k) else 0.0
+                assert w.a[l, k] == expected
+                assert w.c[l, k] == expected
         w.validate_support(topo)
 
     def test_uniform_on_regular_graph_is_doubly_stochastic(self):
@@ -206,11 +235,10 @@ class TestEdgeList:
         topo = build_random_geometric(9, 0.4, 11)
         path = tmp_path / "graph.txt"
         save_edge_list(topo, path)
-        assert load_edge_list(path) == topo
+        assert np.array_equal(load_edge_list(path).adjacency, topo.adjacency)
 
     def test_file_format_is_one_based(self, tmp_path):
-        nbrs = (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2}))
-        topo = Topology(node_count=3, neighbors=nbrs)
+        topo = Topology(PATH3)
         path = tmp_path / "path.txt"
         save_edge_list(topo, path)
         assert path.read_text() == "3\n1 2\n2 3\n"

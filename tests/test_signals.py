@@ -120,13 +120,6 @@ class TestGaussianSource:
         assert np.array_equal(s.noise, noise)
         assert np.array_equal(s.d, u @ w_o + noise)
 
-    def test_frames_view_matches_arrays(self):
-        s = gaussian_source(np.array([0.4]), default_lowpass_system(2), seed=1, horizon=4)
-        frames = list(s.frames())
-        assert len(frames) == 4
-        assert np.array_equal(frames[2].u, s.u[2])
-        assert np.array_equal(frames[2].d, s.d[2])
-
     def test_rejects_bad_variances(self):
         with pytest.raises(ValueError):
             gaussian_source(np.array([0.0]), default_lowpass_system(2), seed=0, horizon=5)
