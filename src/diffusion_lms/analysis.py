@@ -30,14 +30,12 @@ class MsdTrace:
 
     ``per_iteration_db[i]`` is the network MSD in dB after round i + 1,
     averaged in the linear domain over the non-divergent trials and then
-    converted to dB. ``per_node_db`` holds the analogous per-node deviation
-    curves, shape (horizon, N). Divergent trials are excluded from the
-    averages and counted. Exactly-zero deviation appears as the -inf
-    sentinel, never as a floor value.
+    converted to dB. Divergent trials are excluded from the average and
+    counted. Exactly-zero deviation appears as the -inf sentinel, never as
+    a floor value.
     """
 
     per_iteration_db: np.ndarray
-    per_node_db: np.ndarray | None
     trials: int
     divergent_trials: int
 
@@ -58,13 +56,11 @@ class DivergenceReport:
     nodes: np.ndarray | None = None
 
 
-def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-domain deviation curves from a snapshot stack (T, ..., N, M).
-
-    Returns (network, per_node): network[i] is the node-averaged squared
-    deviation at index i, per_node[i, k] node k's squared deviation. Axes
-    between the first and the node axis are independent batch elements
-    and are kept in both results.
+def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+    """Linear-domain network deviation curve from a snapshot stack
+    (T, ..., N, M): entry i is the node-averaged squared deviation at index
+    i. Axes between the first and the node axis are independent batch
+    elements and are kept.
     """
     dev = snapshots - np.asarray(w_o, dtype=float)
     dev *= dev
@@ -74,7 +70,7 @@ def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> tuple[np.ndarray
     per_node = dev[..., 0].copy()
     for j in range(1, dev.shape[-1]):
         per_node += dev[..., j]
-    return per_node.mean(axis=-1), per_node
+    return per_node.mean(axis=-1)
 
 
 def leaky_fixed_point(r: np.ndarray, gamma: float, w_o: np.ndarray) -> np.ndarray:

@@ -146,10 +146,10 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> ExperimentConfig:
             )
     if len(set(cfg.algorithms)) != len(cfg.algorithms):
         raise ConfigError("algorithms: duplicate labels")
-    if cfg.mu <= 0.0:
-        raise ConfigError(f"mu: must be positive, got {cfg.mu}")
-    if cfg.gamma < 0.0:
-        raise ConfigError(f"gamma: must be >= 0, got {cfg.gamma}")
+    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
+        raise ConfigError(f"mu: must be finite and positive, got {cfg.mu}")
+    if not (math.isfinite(cfg.gamma) and cfg.gamma >= 0.0):
+        raise ConfigError(f"gamma: must be finite and >= 0, got {cfg.gamma}")
     if cfg.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
     if cfg.horizon < 1:

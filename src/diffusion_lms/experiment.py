@@ -9,6 +9,7 @@ and counted, never silently folded in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,18 +285,18 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     combined tables are the ATC estimates and its intermediates the CTA
     estimates, so the run holds one ATC recursion per distinct (mu, gamma)
     pair. Trials run in chunks, each batched over (trial, pair) and sized
-    so that its streams, deviation curves and block buffers fit in
+    so that its streams, network deviation curves and block buffers fit in
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
     chunk advances BLOCK_ROUNDS rounds at a time, and after every block the
-    requested estimates are scanned for divergence and reduced to deviation
-    curves. Each label is judged on its own estimates (ATC labels on the
-    combined tables, CTA labels on the intermediates), so the labels of one
-    recursion can keep and drop different trials. A (trial, label) that
-    diverges anywhere is dropped whole when the chunk ends; a (trial, pair)
-    whose labels have all diverged is held at zero. Every chunk runs the
-    whole horizon, so the cost of a run does not depend on where or whether
-    its trials diverge. The averages match running every (trial, label) on
-    its own exactly.
+    requested estimates are scanned for divergence and reduced to one
+    network deviation curve per label. Each label is judged on its own
+    estimates (ATC labels on the combined tables, CTA labels on the
+    intermediates), so the labels of one recursion can keep and drop
+    different trials. A (trial, label) that diverges anywhere is dropped
+    whole when the chunk ends; a (trial, pair) whose labels have all
+    diverged is held at zero. Every chunk runs the whole horizon, so the
+    cost of a run does not depend on where or whether its trials diverge.
+    The averages match running every (trial, label) on its own exactly.
     """
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
@@ -313,10 +314,8 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     n = setup.topology.node_count
     chunk = min(cfg.trials, _chunk_trials(horizon, n, setup.w_o.size, len(pairs), len(slots)))
     acc_net = np.zeros((len(slots), horizon))
-    acc_node = np.zeros((len(slots), horizon, n))
     # the chunk's deviation curves, reused by every chunk
     net = np.empty((horizon, chunk, len(slots)))
-    node = np.empty((horizon, chunk, len(slots), n))
     kept = [0] * len(slots)
     first_failure: dict[int, tuple[int, int]] = {}
     for start in range(0, cfg.trials, chunk):
@@ -327,7 +326,6 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
             pairs,
             slots,
             net[:, : len(trials)],
-            node[:, : len(trials)],
         )
         # trial order, so that the sums do not depend on the chunking
         for j in range(len(trials)):
@@ -336,7 +334,6 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
                     first_failure.setdefault(s, (int(first_it[j, s]), int(first_node[j, s])))
                 else:
                     acc_net[s] += net[:, j, s]
-                    acc_node[s] += node[:, j, s]
                     kept[s] += 1
 
     results: dict[str, MsdTrace | EnsembleDivergence] = {}
@@ -347,10 +344,8 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
             continue
         with np.errstate(divide="ignore"):
             net_db = 10.0 * np.log10(acc_net[s] / kept[s])
-            node_db = 10.0 * np.log10(acc_node[s] / kept[s])
         results[label] = MsdTrace(
             per_iteration_db=net_db,
-            per_node_db=node_db,
             trials=cfg.trials,
             divergent_trials=cfg.trials - kept[s],
         )
@@ -359,11 +354,9 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
 
 def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int) -> int:
     """Trials per chunk under CHUNK_BYTES. A trial holds its stream (u, d
-    and noise), one network and one per-node deviation curve per label,
-    and its rows of the two block buffers."""
-    per_trial = 8 * (
-        horizon * n * (m + 2) + labels * horizon * (n + 1) + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
-    )
+    and noise), one network deviation curve per label, and its rows of the
+    two block buffers."""
+    per_trial = 8 * (horizon * n * (m + 2) + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m)
     return max(1, CHUNK_BYTES // per_trial)
 
 
@@ -373,15 +366,13 @@ def _run_chunk(
     pairs: list[tuple[float, float]],
     slots: list[tuple[int, int]],
     net: np.ndarray,
-    node: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one chunk of trials, batched over (trial, pair).
 
-    Fills the linear network and per-node deviation curves ``net`` and
-    ``node``, shapes (horizon, trials, labels) and (horizon, trials, labels,
-    N), and returns per (trial, label) the first divergent round
-    and node (-1 where none). Curve rows of a (trial, label) that diverged
-    are not meaningful.
+    Fills ``net``, shape (horizon, trials, labels), with the linear network
+    deviation curves, and returns per (trial, label) the first divergent
+    round and node (-1 where none). Curve rows of a (trial, label) that
+    diverged are not meaningful.
     """
     horizon, n, m = streams[0].u.shape
     shape = (len(streams), len(pairs), n, m)
@@ -417,7 +408,7 @@ def _run_chunk(
             first_it[fresh] = start + report.first_iterations[fresh]
             first_node[fresh] = report.nodes[fresh]
         with np.errstate(over="ignore", invalid="ignore"):
-            net[start:stop], node[start:stop] = linear_deviation(snapshots, setup.w_o)
+            net[start:stop] = linear_deviation(snapshots, setup.w_o)
         estimates[0] = estimates[rows - 1]
         # a (trial, pair) is frozen once every label it feeds has diverged
         live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
@@ -454,8 +445,8 @@ def sweep_step_size(
     A grid point where the algorithm's every trial diverged is reported as
     None, never as a number.
     """
-    if any(v <= 0.0 for v in mu_grid):
-        raise ValueError("mu grid values must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in mu_grid):
+        raise ValueError(f"mu grid values must be finite and positive, got {mu_grid}")
     return _sweep(cfg, "mu", tuple(mu_grid))
 
 
@@ -464,8 +455,8 @@ def sweep_leakage(
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
     """Steady-state MSD versus leakage coefficient; gamma = 0 entries
     coincide with plain diffusion LMS."""
-    if any(v < 0.0 for v in gamma_grid):
-        raise ValueError("gamma grid values must be >= 0")
+    if not all(math.isfinite(v) and v >= 0.0 for v in gamma_grid):
+        raise ValueError(f"gamma grid values must be finite and >= 0, got {gamma_grid}")
     return _sweep(cfg, "gamma", tuple(gamma_grid))
 
 

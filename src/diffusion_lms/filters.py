@@ -195,23 +195,22 @@ def run_filter(
     weights: CombinationWeights,
     spec: AlgorithmSpec | BatchSpec,
     source: FrameStream | FrameBlock,
-    horizon: int | None = None,
     *,
     out: np.ndarray | None = None,
     phi_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Drive one algorithm over a source for ``horizon`` synchronous rounds.
+    """Drive one algorithm over every round of a source.
 
-    Returns the estimate snapshots as an array of shape (horizon + 1, N, M):
-    index 0 is the all-zero initial table, index i the table after round i.
-    Both orderings run the ATC recursion: its combined tables are the ATC
-    estimates and its intermediates the CTA estimates for the same
-    (mu, gamma), because a CTA round combines exactly what the previous ATC
-    round combined. Non-finite states are returned as-is (overflow during
-    divergence is silenced, never masked); detection is the analysis
-    layer's job. A horizon of 0 returns only the initial snapshot.
-    Deterministic given a deterministic source. Passing a topology
-    validates the weights' support.
+    Returns the estimate snapshots as an array of shape (T + 1, N, M) for a
+    T-round source: index 0 is the all-zero initial table, index i the
+    table after round i. Both orderings run the ATC recursion: its combined
+    tables are the ATC estimates and its intermediates the CTA estimates
+    for the same (mu, gamma), because a CTA round combines exactly what the
+    previous ATC round combined. Non-finite states are returned as-is
+    (overflow during divergence is silenced, never masked); detection is
+    the analysis layer's job. A source of 0 rounds gives only the initial
+    snapshot. Deterministic given a deterministic source. Passing a
+    topology validates the weights' support.
 
     Batched form: ``spec`` is a :class:`BatchSpec`, ``source`` a
     :class:`FrameBlock` of T rounds, and ``out`` and ``phi_out`` are
@@ -220,8 +219,6 @@ def run_filter(
     (ATC) tables after round i and row i of ``phi_out`` the intermediate
     (CTA) tables; ``out`` is returned.
     """
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if topology is not None:
         weights.validate_support(topology)
     n = weights.node_count
@@ -242,12 +239,8 @@ def run_filter(
         raise TypeError(f"source must be a FrameStream or a FrameBlock, got {type(source).__name__}")
     if source.node_count != n:
         raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
-    total = len(source) if horizon is None else horizon
-    if total > len(source):
-        raise ValueError(f"horizon {total} exceeds source length {len(source)}")
-    u, d = source.u[:total], source.d[:total]
-    snapshots = np.zeros((len(u) + 1,) + u.shape[1:])
+    snapshots = np.zeros((len(source) + 1,) + source.u.shape[1:])
     rows = snapshots[1:]
-    keep_w = spec.ordering == "atc"
-    _drive(snapshots[0], u, d, spec.mu, leak, a, c, rows if keep_w else None, None if keep_w else rows)
+    w_rows, phi_rows = (rows, None) if spec.ordering == "atc" else (None, rows)
+    _drive(snapshots[0], source.u, source.d, spec.mu, leak, a, c, w_rows, phi_rows)
     return snapshots

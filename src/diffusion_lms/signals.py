@@ -26,7 +26,6 @@ __all__ = [
     "delay_line_source",
     "load_samples",
     "wav_bytes",
-    "write_wav",
     "synthetic_speech",
 ]
 
@@ -266,12 +265,6 @@ def wav_bytes(data: np.ndarray, sample_rate: int) -> bytes:
         wf.setframerate(int(sample_rate))
         wf.writeframes(pcm.tobytes())
     return buf.getvalue()
-
-
-def write_wav(path: str | os.PathLike, data: np.ndarray, sample_rate: int) -> None:
-    """Write a mono 16-bit PCM WAV file (see :func:`wav_bytes`)."""
-    with open(path, "wb") as fh:
-        fh.write(wav_bytes(data, sample_rate))
 
 
 def synthetic_speech(length: int, seed: int | np.random.SeedSequence) -> np.ndarray:

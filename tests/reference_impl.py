@@ -103,7 +103,6 @@ def ensemble_reference(cfg):
     setup = build_setup(cfg)
     specs = {label: algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms}
     acc_net = {label: None for label in cfg.algorithms}
-    acc_node = {label: None for label in cfg.algorithms}
     kept = {label: 0 for label in cfg.algorithms}
     first_failure = {}
     for t in range(cfg.trials):
@@ -114,12 +113,8 @@ def ensemble_reference(cfg):
             if report.divergent:
                 first_failure.setdefault(label, (report.first_iteration, report.node))
                 continue
-            net, node = linear_deviation(snapshots[1:], setup.w_o)
-            if acc_net[label] is None:
-                acc_net[label], acc_node[label] = net, node
-            else:
-                acc_net[label] = acc_net[label] + net
-                acc_node[label] = acc_node[label] + node
+            net = linear_deviation(snapshots[1:], setup.w_o)
+            acc_net[label] = net if acc_net[label] is None else acc_net[label] + net
             kept[label] += 1
 
     results = {}
@@ -131,7 +126,6 @@ def ensemble_reference(cfg):
         with np.errstate(divide="ignore"):
             results[label] = MsdTrace(
                 per_iteration_db=10.0 * np.log10(acc_net[label] / kept[label]),
-                per_node_db=10.0 * np.log10(acc_node[label] / kept[label]),
                 trials=cfg.trials,
                 divergent_trials=cfg.trials - kept[label],
             )

@@ -23,8 +23,7 @@ def constant_excitation_frames(u_row, w_o, count):
 
 def network_msd(table, w_o):
     """Linear-domain network MSD of one (N, M) estimate table."""
-    network, _ = linear_deviation(table[None], w_o)
-    return network[0]
+    return linear_deviation(table[None], w_o)[0]
 
 
 class TestNetworkMsd:
@@ -66,24 +65,21 @@ class TestNetworkMsd:
         rng = np.random.default_rng(3)
         w_o = rng.standard_normal(3)
         snaps = rng.standard_normal((5, 4, 3))
-        net, per_node = linear_deviation(snaps, w_o)
+        net = linear_deviation(snaps, w_o)
+        assert net.shape == (5,)
         for i in range(5):
             assert net[i] == network_msd(snaps[i], w_o)
             assert np.isclose(net[i], ((snaps[i] - w_o) ** 2).sum() / 4)
-        assert per_node.shape == (5, 4)
-        assert np.allclose(net, per_node.mean(axis=1))
 
     def test_batched_deviation_equals_per_element(self):
         rng = np.random.default_rng(4)
         w_o = rng.standard_normal(3)
         snaps = rng.standard_normal((6, 2, 3, 20, 3))
-        net, per_node = linear_deviation(snaps, w_o)
-        assert net.shape == (6, 2, 3) and per_node.shape == (6, 2, 3, 20)
+        net = linear_deviation(snaps, w_o)
+        assert net.shape == (6, 2, 3)
         for j in range(2):
             for p in range(3):
-                one_net, one_node = linear_deviation(snaps[:, j, p], w_o)
-                assert np.array_equal(net[:, j, p], one_net)
-                assert np.array_equal(per_node[:, j, p], one_node)
+                assert np.array_equal(net[:, j, p], linear_deviation(snaps[:, j, p], w_o))
 
 
 class TestLeakyFixedPoint:
@@ -240,7 +236,6 @@ class TestSteadyState:
     def test_accepts_msd_trace_objects(self):
         trace = MsdTrace(
             per_iteration_db=np.array([-10.0, -12.0, -12.0]),
-            per_node_db=None,
             trials=3,
             divergent_trials=0,
         )

@@ -9,7 +9,7 @@ import pytest
 from diffusion_lms.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
 from diffusion_lms.config import parse_config
 from diffusion_lms.experiment import denoise_speech
-from diffusion_lms.signals import synthetic_speech, write_wav
+from diffusion_lms.signals import synthetic_speech, wav_bytes
 
 SMALL_CFG = """
 [network]
@@ -230,6 +230,21 @@ class TestSweep:
         assert "steady_window 200 exceeds trace length 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param", ["mu", "gamma"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_grid_fails_before_any_ensemble(self, small_config, tmp_path, monkeypatch, capsys, param, bad):
+        from diffusion_lms import experiment
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the grid was checked")
+
+        monkeypatch.setattr(experiment, "run_ensemble", no_ensemble)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(small_config), "--out", str(out), "--param", param, "--grid", f"0.08,{bad}"]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{param} grid values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mu_sweep_files_and_tokens(self, small_config, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -391,7 +406,7 @@ trials = 1
 
     def test_wav_input_produces_wav_outputs(self, tmp_path):
         wav_in = tmp_path / "speech.wav"
-        write_wav(wav_in, 0.8 * synthetic_speech(500, 3), 8000)
+        wav_in.write_bytes(wav_bytes(0.8 * synthetic_speech(500, 3), 8000))
         cfg = tmp_path / "wav.cfg"
         cfg.write_text(
             f"[network]\nnodes = 4\nradius = 0.6\n\n[source]\nkind = delay_line\n"

@@ -79,6 +79,10 @@ class TestRejections:
             ("[model]\nnoise_variance = -0.5\n", "noise_variance"),
             ("[model]\nregressor_variances = 1.0, 2.0\n", "regressor_variances"),
             ("[run]\ngamma = -0.1\n", "gamma"),
+            ("[run]\nmu = inf\n", "mu"),
+            ("[run]\ngamma = inf\n", "gamma"),
+            ("[run]\nmu = nan\n", "mu"),
+            ("[run]\ngamma = nan\n", "gamma"),
             ("[run]\ntrials = 0\n", "trials"),
             ("[run]\nhorizon = 0\n", "horizon"),
             ("[run]\nalgorithms = warp_dlms\n", "algorithms"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,11 @@ from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_
 def single_node_setup():
     topo = build_ring_lattice(1, 0)
     return topo, uniform_weights(topo)
+
+
+def first_rounds(stream, k):
+    """The stream cut to its first k rounds."""
+    return replace(stream, u=stream.u[:k], d=stream.d[:k], noise=stream.noise[:k])
 
 
 class TestAlgorithmSpec:
@@ -190,7 +197,7 @@ class TestRunFilter:
     def test_zero_horizon_returns_initial_snapshot(self):
         topo, weights = single_node_setup()
         stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
-        snaps = run_filter(topo, weights, AlgorithmSpec("atc", 0.1), stream, horizon=0)
+        snaps = run_filter(topo, weights, AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
         assert snaps.shape == (1, 1, 2)
         assert not snaps.any()
 
@@ -198,8 +205,8 @@ class TestRunFilter:
         topo = build_ring_lattice(20, 2)
         w_o = default_lowpass_system(5)
         stream = gaussian_source(np.full(20, 0.5), w_o, seed=0, horizon=3)
-        snaps = run_filter(topo, uniform_weights(topo), AlgorithmSpec("atc", 0.1), stream, horizon=0)
-        network, _ = linear_deviation(snaps, w_o)
+        snaps = run_filter(topo, uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
+        network = linear_deviation(snaps, w_o)
         assert np.isclose(network[0], float(w_o @ w_o))
 
     def test_only_streams_and_blocks_are_sources(self):
@@ -207,12 +214,6 @@ class TestRunFilter:
         stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
         with pytest.raises(TypeError):
             run_filter(topo, weights, AlgorithmSpec("atc", 0.1), list(zip(stream.u, stream.d)))
-
-    def test_horizon_beyond_stream_rejected(self):
-        topo, weights = single_node_setup()
-        stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
-        with pytest.raises(ValueError):
-            run_filter(topo, weights, AlgorithmSpec("atc", 0.1), stream, horizon=6)
 
     def test_noiseless_single_node_converges_to_truth(self):
         topo, weights = single_node_setup()
@@ -273,9 +274,10 @@ class TestSharedRecursion:
             out[0] = out[rows - 1]
         estimates, intermediates = np.stack(estimates), np.stack(intermediates)
         for j, stream in enumerate(streams):
+            stream = first_rounds(stream, 11)
             for p, (step, leak) in enumerate(pairs):
-                atc = run_filter(self.topo, self.weights, AlgorithmSpec("atc", step, leak), stream, horizon=11)
-                cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", step, leak), stream, horizon=11)
+                atc = run_filter(self.topo, self.weights, AlgorithmSpec("atc", step, leak), stream)
+                cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", step, leak), stream)
                 assert np.array_equal(estimates[:, j, p], atc)
                 assert np.array_equal(intermediates[1:, j, p], cta[1:])
 

@@ -12,7 +12,7 @@ from diffusion_lms.signals import (
     load_samples,
     noise_variance_for_snr,
     synthetic_speech,
-    write_wav,
+    wav_bytes,
 )
 
 
@@ -230,7 +230,7 @@ class TestLoadSamples:
         rng = np.random.default_rng(1)
         data = np.round(rng.uniform(-0.9, 0.9, 128) * 32768) / 32768
         path = tmp_path / "rt.wav"
-        write_wav(path, data, 16000)
+        path.write_bytes(wav_bytes(data, 16000))
         loaded = load_samples(path)
         assert np.array_equal(loaded.data, data)
         assert loaded.sample_rate == 16000
