@@ -10,6 +10,7 @@ leakage coefficient to zero recovers plain diffusion LMS exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,10 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,11 @@ class SampleFileError(ValueError):
 
 @dataclass(frozen=True)
 class FrameStream:
-    """Materialized measurement stream over a fixed horizon.
+    """Measurement stream over a fixed horizon; every array is read-only.
 
     Attributes:
-        u: regressors, shape (T, N, M).
+        u: regressors, shape (T, N, M); either an array of its own or a
+            strided view of a smaller table (see :func:`delay_line_source`).
         d: measurements, shape (T, N), with d = u @ w_o + noise.
         noise: the noise draws, shape (T, N).
         noise_variance: resolved per-node noise variance, shape (N,).
@@ -173,6 +174,13 @@ def delay_line_source(
     empirical power of the noiseless response u . w_o over the whole
     sequence (see :func:`_resolve_noise_variance` for silent inputs), or
     fixed by ``noise_variance``. One stream instant per input sample.
+
+    Layout: the stream holds one (N, T + M - 1) table whose row k is the
+    time-reversed samples times node k's scale, followed by M - 1 zeros.
+    ``u`` is a read-only (T, N, M) view of it: u[i, k] is M consecutive
+    entries of row k, unit stride over the taps, so each round's (N, M)
+    slice is a strided matrix that BLAS reads directly. The values are the
+    products a full table would hold; no (T, N, M) array is built.
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -185,20 +193,21 @@ def delay_line_source(
     n = variances.shape[0]
     horizon = samples.size
 
-    padded = np.concatenate([np.zeros(m - 1), samples])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, m)[:horizon]
-    base = windows[:, ::-1]  # row i = [s(i), s(i-1), ..., s(i-M+1)]
+    # u[i, k] = table[k, T-1-i : T-1-i+M]
+    reversed_padded = np.concatenate([samples[::-1], np.zeros(m - 1)])
     scale = np.sqrt(variances) ** scale_exponent
-    u = base[:, None, :] * scale[None, :, None]
+    table = scale[:, None] * reversed_padded
+    u = np.lib.stride_tricks.sliding_window_view(table, m, axis=1).swapaxes(0, 1)[::-1]
 
     clean = u @ w_o
     signal_power = (clean * clean).mean(axis=0)
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((horizon, n)) * np.sqrt(sigma_v_sq)[None, :]
-    d = clean + noise
-    return FrameStream(u=np.ascontiguousarray(u), d=d, noise=noise, noise_variance=sigma_v_sq)
+    noise = rng.standard_normal((horizon, n))
+    noise *= np.sqrt(sigma_v_sq)[None, :]
+    clean += noise  # now the measurements d
+    return FrameStream(u=u, d=clean, noise=noise, noise_variance=sigma_v_sq)
 
 
 @dataclass(frozen=True)

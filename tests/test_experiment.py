@@ -212,6 +212,18 @@ class TestRunEnsemble:
             assert failure.trials == 3
             assert failure.first_iteration is not None and failure.node is not None
 
+    @pytest.mark.parametrize("field", ["mu", "gamma"])
+    def test_non_finite_step_or_leakage_fails_before_any_stream(self, monkeypatch, field):
+        from diffusion_lms import experiment
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was built before the algorithm was checked")
+
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
+        cfg = ExperimentConfig(nodes=6, radius=0.6, trials=2, horizon=120, steady_window=20, **{field: np.inf})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            run_ensemble(cfg)
+
     def test_steady_state_estimate_stabilizes_with_trial_count(self):
         # desk-scale check that more trials only refine the steady-state
         # readout at the expected 1/sqrt(trials) rate

@@ -5,10 +5,12 @@ Hypothesis runs derandomized and without an example database, so every run
 of the suite draws the same examples.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from diffusion_lms.network import (
     save_edge_list,
     uniform_weights,
 )
+from diffusion_lms.signals import delay_line_source
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 CRITERION_1_TOL = 1e-15  # max entry error of one round against the reference steps
@@ -131,6 +134,36 @@ def test_linear_deviation_matches_per_node_loop(steps, batch, n, m, scale, seed)
     for b in np.ndindex(*batch):
         net_b = linear_deviation(snapshots[(slice(None),) + b], w_o)
         assert np.array_equal(net_b, network[(slice(None),) + b])
+
+
+@st.composite
+def delay_line_inputs(draw):
+    samples = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+    m = draw(st.integers(1, len(samples)))
+    variances = draw(st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=6))
+    w_o = draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+    exponent = draw(st.sampled_from([1.0, 2.0]))
+    return np.array(samples), np.array(variances), np.array(w_o), exponent
+
+
+@PROPERTY
+@given(inputs=delay_line_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_delay_line_regressors_match_per_entry_loop(inputs, seed):
+    samples, variances, w_o, exponent = inputs
+    stream = delay_line_source(samples, variances, w_o, seed=seed, scale_exponent=exponent)
+
+    horizon, n, m = samples.size, variances.size, w_o.size
+    want = np.empty((horizon, n, m))
+    for i in range(horizon):
+        for k in range(n):
+            scale = math.sqrt(float(variances[k])) ** exponent
+            for j in range(m):
+                want[i, k, j] = float(samples[i - j]) * scale if i >= j else 0.0
+    assert stream.u.shape == want.shape
+    assert np.ascontiguousarray(stream.u).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        stream.u[0, 0, 0] = 1.0
+    assert (stream.u @ w_o + stream.noise).tobytes() == stream.d.tobytes()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import tracemalloc
 import wave
 
 import numpy as np
@@ -187,6 +188,21 @@ class TestDelayLineSource:
             delay_line_source(np.array([]), np.array([1.0]), w_o, seed=0)
         with pytest.raises(ValueError):
             delay_line_source(np.ones(3), np.array([1.0]), w_o, seed=0)
+
+
+def test_delay_line_source_builds_no_full_regressor_table():
+    horizon, n, m = 48_000, 20, 5
+    samples = synthetic_speech(horizon, 1)
+    variances = np.linspace(0.2, 1.2, n)
+    w_o = default_lowpass_system(m)
+    tracemalloc.start()
+    try:
+        stream = delay_line_source(samples, variances, w_o, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.u.shape == (horizon, n, m)
+    assert peak < 8 * horizon * n * m  # one (T, N, M) float table: 38.4 MB
 
 
 class TestLoadSamples:
