@@ -25,7 +25,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec, atc_step, cta_step, run_filter
+from diffusion_lms.filters import AlgorithmSpec, run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -54,10 +54,8 @@ __all__ = [
     "FrameStream",
     "MsdTrace",
     "Topology",
-    "atc_step",
     "build_random_geometric",
     "build_ring_lattice",
-    "cta_step",
     "default_lowpass_system",
     "delay_line_source",
     "denoise_speech",

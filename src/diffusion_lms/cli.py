@@ -1,9 +1,10 @@
 """Command-line front end: run, sweep, denoise, validate.
 
-Exit codes: 0 success, 2 config error, 3 runtime divergence, 4 I/O error.
-All numbers are serialized with 17 significant digits, so reruns of the
-same config produce byte-identical files. Node indices on the command line
-are 1-based, matching the edge-list file format.
+Exit codes: 0 success, 2 config error, 3 runtime divergence, 4 I/O error,
+5 data error (a malformed sample file). All numbers are serialized with 17
+significant digits, so reruns of the same config produce byte-identical
+files. Node indices and iterations on the command line and in messages are
+1-based, matching the edge-list file format and the trace CSVs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.signals import wav_bytes
+from diffusion_lms.signals import SampleFileError, wav_bytes
 
 __all__ = ["main"]
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
+EXIT_DATA = 5
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_CONFIG_NAME = "resolved_config.cfg"
@@ -178,7 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for label, failure in failures.items():
             print(
                 f"error: {label}: all {failure.trials} trials diverged"
-                f" (first at iteration {failure.first_iteration}, node {failure.node})",
+                f" (first at iteration {failure.first_iteration + 1}, node {failure.node + 1})",
                 file=sys.stderr,
             )
         return EXIT_DIVERGENCE
@@ -295,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SampleFileError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -394,7 +394,6 @@ def _run_chunk(
             d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
         )
         run_filter(
-            None,
             setup.weights,
             BatchSpec(mu, gamma),
             block,
@@ -470,12 +469,13 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     if cfg.source != "delay_line":
         raise ValueError("denoising requires a delay_line source")
     setup = build_setup(cfg)
+    setup.weights.validate_support(setup.topology)
     if not 0 <= node < setup.topology.node_count:
         raise ValueError(f"node {node} out of range for {setup.topology.node_count} nodes")
     samples, sample_rate = _delay_line_samples(cfg)
     stream = make_stream(cfg, setup, cfg.base_seed, samples=samples)
     spec = algorithm_spec(cfg.algorithms[0], cfg.mu, cfg.gamma)
-    snapshots = run_filter(setup.topology, setup.weights, spec, stream)
+    snapshots = run_filter(setup.weights, spec, stream)
 
     u_node = stream.u[:, node, :]
     w_node = snapshots[1:, node, :]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffusion_lms.network import CombinationWeights, Topology
+from diffusion_lms.network import CombinationWeights
 from diffusion_lms.signals import FrameStream
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "AlgorithmSpec",
     "BatchSpec",
     "FrameBlock",
-    "atc_step",
-    "cta_step",
     "run_filter",
 ]
 
@@ -144,55 +142,7 @@ def _drive(
             w = _round(w, u_i, u_t, d_col, mu, leak, a_t, c_t, errors, innovation, w_row, phi_row)
 
 
-def _one_round(w: np.ndarray, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The estimate table ``w`` (N, M) and one round's regressors (N, M) and
-    measurements (N,) as float arrays, the data as a one-round block."""
-    w, u, d = (np.asarray(x, dtype=float) for x in (w, u, d))
-    if w.ndim != 2 or u.shape != w.shape or d.shape != w.shape[:1]:
-        raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit estimates {w.shape}")
-    return w, u[None], d[None]
-
-
-def atc_step(
-    w: np.ndarray, u: np.ndarray, d: np.ndarray, spec: AlgorithmSpec, weights: CombinationWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """One adapt-then-combine round from the estimates ``w`` (N, M), given
-    the round's regressors ``u`` (N, M) and measurements ``d`` (N,).
-
-    Adaptation reads only the previous round's estimates: every node shrinks
-    its own estimate by (1 - mu * gamma) and adds the c-weighted neighbor
-    innovations; the combination phase then a-averages the fresh
-    intermediates. Returns (new estimates, intermediates).
-    """
-    w, u, d = _one_round(w, u, d)
-    w_new, phi = np.empty((2, 1) + w.shape)
-    leak = 1.0 - spec.mu * spec.gamma
-    _drive(w, u, d, spec.mu, leak, weights.a, weights.c, w_new, phi)
-    return w_new[0], phi[0]
-
-
-def cta_step(
-    w: np.ndarray, u: np.ndarray, d: np.ndarray, spec: AlgorithmSpec, weights: CombinationWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """One combine-then-adapt round from the estimates ``w`` (N, M), given
-    the round's regressors ``u`` (N, M) and measurements ``d`` (N,).
-
-    Every node first a-averages neighbors' previous estimates into its
-    intermediate, then adapts from that intermediate using the c-weighted
-    neighbor innovations evaluated at it: the adaptation half of an ATC
-    round started from the combined table (whose own combination, the next
-    CTA round's, is discarded). Returns (new estimates, combined table).
-    """
-    w, u, d = _one_round(w, u, d)
-    combined = weights.a.T @ w
-    adapted = np.empty((1,) + combined.shape)
-    leak = 1.0 - spec.mu * spec.gamma
-    _drive(combined, u, d, spec.mu, leak, weights.a, weights.c, None, adapted)
-    return adapted[0], combined
-
-
 def run_filter(
-    topology: Topology | None,
     weights: CombinationWeights,
     spec: AlgorithmSpec | BatchSpec,
     source: FrameStream | FrameBlock,
@@ -210,8 +160,9 @@ def run_filter(
     previous ATC round combined. Non-finite states are returned as-is
     (overflow during divergence is silenced, never masked); detection is
     the analysis layer's job. A source of 0 rounds gives only the initial
-    snapshot. Deterministic given a deterministic source. Passing a
-    topology validates the weights' support.
+    snapshot. Deterministic given a deterministic source. The weights'
+    support is not checked here; ``weights.validate_support(topology)``
+    does that once per setup.
 
     Batched form: ``spec`` is a :class:`BatchSpec`, ``source`` a
     :class:`FrameBlock` of T rounds, and ``out`` and ``phi_out`` are
@@ -220,8 +171,6 @@ def run_filter(
     (ATC) tables after round i and row i of ``phi_out`` the intermediate
     (CTA) tables; ``out`` is returned.
     """
-    if topology is not None:
-        weights.validate_support(topology)
     n = weights.node_count
     a, c = weights.a, weights.c
     leak = 1.0 - spec.mu * spec.gamma
@@ -233,13 +182,15 @@ def run_filter(
             raise ValueError("a FrameBlock source needs out and phi_out buffers of one shape")
         if out.shape[0] != len(source.u) + 1 or out.shape[-2] != n:
             raise ValueError(f"buffers of shape {out.shape} do not fit {len(source.u)} rounds on {n} nodes")
+        if source.u.shape[-2:] != out.shape[-2:] or source.d.shape[-1:] != (n,):
+            raise ValueError(f"regressors {source.u.shape} and measurements {source.d.shape} do not fit {out.shape}")
         _drive(out[0], source.u, source.d, spec.mu, leak, a, c, out[1:], phi_out[1:])
         return out
 
     if not isinstance(source, FrameStream):
         raise TypeError(f"source must be a FrameStream or a FrameBlock, got {type(source).__name__}")
     if source.node_count != n:
-        raise ValueError(f"source has {source.node_count} nodes, topology has {n}")
+        raise ValueError(f"source has {source.node_count} nodes, weights have {n}")
     snapshots = np.zeros((len(source) + 1,) + source.u.shape[1:])
     rows = snapshots[1:]
     w_rows, phi_rows = (rows, None) if spec.ordering == "atc" else (None, rows)

@@ -2,7 +2,7 @@
 
 The step oracles follow the (leaky) diffusion LMS recursions literally:
 explicit loops over nodes, neighbor sums accumulated in ascending node
-order, no code shared with the production step functions. The ensemble
+order, no code shared with the production kernel. The ensemble
 oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
 replaced, built on the unbatched filter and analysis calls.
 """
@@ -108,7 +108,7 @@ def ensemble_reference(cfg):
     for t in range(cfg.trials):
         stream = make_stream(cfg, setup, cfg.base_seed + t)
         for label in cfg.algorithms:
-            snapshots = run_filter(setup.topology, setup.weights, specs[label], stream)
+            snapshots = run_filter(setup.weights, specs[label], stream)
             report = detect_divergence(snapshots[1:])
             if report.divergent:
                 first_failure.setdefault(label, (report.first_iteration, report.node))

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from kernel_rounds import one_round
 from reference_impl import atc_dlms_step, cta_dlms_step
 
 from diffusion_lms.analysis import (
@@ -29,7 +30,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec, atc_step, cta_step, run_filter
+from diffusion_lms.filters import AlgorithmSpec, run_filter
 from diffusion_lms.network import build_ring_lattice, uniform_weights
 from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
@@ -67,11 +68,11 @@ def test_criterion_1_zero_leakage_reduction_identity():
         d = rng.standard_normal(n)
         mu = float(rng.uniform(0.01, 0.3))
 
-        out_w, out_phi = atc_step(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
+        out_w, out_phi = one_round(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
         ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
         worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
 
-        out_w, out_phi = cta_step(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
+        out_w, out_phi = one_round(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
         ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
         worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
     elapsed = time.perf_counter() - start
@@ -97,8 +98,8 @@ def test_criterion_2_single_node_oracles():
     stream = gaussian_source(
         np.array([sigma_sq]), w_o, seed=2024, horizon=10_000, noise_variance=0.0
     )
-    run_a = run_filter(topo, weights, AlgorithmSpec("atc", mu, 0.0), stream)
-    run_c = run_filter(topo, weights, AlgorithmSpec("cta", mu, 0.0), stream)
+    run_a = run_filter(weights, AlgorithmSpec("atc", mu, 0.0), stream)
+    run_c = run_filter(weights, AlgorithmSpec("cta", mu, 0.0), stream)
     plain_err = np.abs(run_a[-1, 0] - w_o).max()
     orderings_match = np.array_equal(run_a, run_c)
 
@@ -106,8 +107,8 @@ def test_criterion_2_single_node_oracles():
     # run converges to the biased solution the analysis oracle predicts
     u_row = np.full(5, np.sqrt(sigma_sq))
     frames = constant_frames(u_row, w_o, 4000)
-    leak_a = run_filter(topo, weights, AlgorithmSpec("atc", mu, gamma), frames)
-    leak_c = run_filter(topo, weights, AlgorithmSpec("cta", mu, gamma), frames)
+    leak_a = run_filter(weights, AlgorithmSpec("atc", mu, gamma), frames)
+    leak_c = run_filter(weights, AlgorithmSpec("cta", mu, gamma), frames)
     target = leaky_fixed_point(np.outer(u_row, u_row), gamma, w_o)
     leaky_err = np.abs(leak_a[-1, 0] - target).max()
     orderings_match = orderings_match and np.array_equal(leak_a, leak_c)
@@ -143,7 +144,7 @@ def test_criterion_3_stability_bound_bisection():
         bound = step_size_upper_bound(sigma_sq, 1, gamma)
         frames = constant_frames(np.array([np.sqrt(sigma_sq)]), w_o, 2000)
 
-        snaps = run_filter(topo, weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
+        snaps = run_filter(weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
         target = leaky_fixed_point(sigma_sq * np.eye(1), gamma, w_o)
         converged = (
             not detect_divergence(snaps).divergent
@@ -152,7 +153,7 @@ def test_criterion_3_stability_bound_bisection():
         if not converged:
             failures.append((sigma_sq, gamma, "0.9x did not converge"))
 
-        snaps = run_filter(topo, weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
+        snaps = run_filter(weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
         if not detect_divergence(snaps).divergent:
             failures.append((sigma_sq, gamma, "1.5x not flagged"))
     elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffusion_lms.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
+from diffusion_lms.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
 from diffusion_lms.config import parse_config
 from diffusion_lms.experiment import denoise_speech
 from diffusion_lms.signals import synthetic_speech, wav_bytes
@@ -196,7 +196,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(p.name for p in out.iterdir()) == sorted(manifest["outputs"] + ["manifest.json"])
 
-    def test_wholly_divergent_run_exits_3(self, tmp_path):
+    def test_wholly_divergent_run_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "explode.cfg"
         cfg.write_text(
             "[network]\nnodes = 6\nradius = 0.5\n\n"
@@ -206,6 +206,20 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGENCE
         names = {p.name for p in out.iterdir()}
         assert names == {"resolved_config.cfg", "manifest.json"}
+        # the library reports round 25 and node 0, counted from 0; the CLI counts
+        # both from 1, like the trace CSVs' iterations and the --node option
+        err = capsys.readouterr().err
+        assert "error: atc_dlms: all 2 trials diverged (first at iteration 26, node 1)" in err
+
+    def test_malformed_sample_file_exits_5_without_outputs(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0.25\nabc\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[network]\nnodes = 6\nradius = 0.5\n\n[source]\nkind = delay_line\nsample_path = {samples}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {samples}:2: not a decimal sample: 'abc'\n"
+        assert not out.exists()
 
 
 class TestSweep:

@@ -115,8 +115,8 @@ class TestBatchedEnsembleMatchesReference:
         assert dropped == {"atc_dlms": 1, "cta_dlms": 2, "atc_leaky_dlms": 1, "cta_leaky_dlms": 2}
         setup = build_setup(cfg)
         stream = make_stream(cfg, setup, cfg.base_seed + 4)
-        atc = run_filter(setup.topology, setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
-        cta = run_filter(setup.topology, setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
+        atc = run_filter(setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
+        cta = run_filter(setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
         assert 0.99 * DIVERGENCE_THRESHOLD < np.abs(atc).max() <= DIVERGENCE_THRESHOLD
         assert np.abs(cta).max() > DIVERGENCE_THRESHOLD
         assert detect_divergence(atc[1:]) == DivergenceReport(divergent=False)
@@ -176,7 +176,7 @@ class TestRunEnsemble:
         acc = np.zeros(cfg.horizon)
         for t in range(cfg.trials):
             stream = make_stream(cfg, setup, cfg.base_seed + t)
-            snaps = run_filter(setup.topology, setup.weights, spec, stream)
+            snaps = run_filter(setup.weights, spec, stream)
             acc += linear_deviation(snaps[1:], setup.w_o)
         expected = 10 * np.log10(acc / cfg.trials)
         assert np.allclose(trace.per_iteration_db, expected, atol=0.0)
@@ -195,7 +195,7 @@ class TestRunEnsemble:
             acc, kept = np.zeros(cfg.horizon), 0
             for t in range(cfg.trials):
                 stream = make_stream(cfg, setup, cfg.base_seed + t)
-                snaps = run_filter(setup.topology, setup.weights, spec, stream)
+                snaps = run_filter(setup.weights, spec, stream)
                 if detect_divergence(snaps[1:]).divergent:
                     continue
                 acc += linear_deviation(snaps[1:], setup.w_o)

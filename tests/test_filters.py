@@ -3,17 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernel_rounds import one_round
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
 from diffusion_lms.analysis import linear_deviation
-from diffusion_lms.filters import (
-    AlgorithmSpec,
-    BatchSpec,
-    FrameBlock,
-    atc_step,
-    cta_step,
-    run_filter,
-)
+from diffusion_lms.filters import AlgorithmSpec, BatchSpec, FrameBlock, run_filter
 from diffusion_lms.network import (
     Topology,
     build_random_geometric,
@@ -24,9 +18,8 @@ from diffusion_lms.network import (
 from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
 
-def single_node_setup():
-    topo = build_ring_lattice(1, 0)
-    return topo, uniform_weights(topo)
+def single_node_weights():
+    return uniform_weights(build_ring_lattice(1, 0))
 
 
 def first_rounds(stream, k):
@@ -49,17 +42,17 @@ class TestAlgorithmSpec:
 
 class TestScalarHandValues:
     def test_atc_leaky_scalar_round(self):
-        _, weights = single_node_setup()
+        weights = single_node_weights()
         spec = AlgorithmSpec(ordering="atc", mu=0.5, gamma=0.2)
-        w, phi = atc_step(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0]), spec, weights)
+        w, phi = one_round(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0]), spec, weights)
         # (1 - 0.5*0.2)*0 + 0.5*1*(1 - 0) = 0.5, then combine over {self}
         assert np.isclose(phi[0, 0], 0.5, atol=1e-15)
         assert np.isclose(w[0, 0], 0.5, atol=1e-15)
 
     def test_cta_leaky_scalar_round(self):
-        _, weights = single_node_setup()
+        weights = single_node_weights()
         spec = AlgorithmSpec(ordering="cta", mu=0.5, gamma=0.2)
-        w, combined = cta_step(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), spec, weights)
+        w, combined = one_round(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), spec, weights)
         # combined = 0.5, then 0.9*0.5 + 0.5*(1 - 0.5) = 0.7
         assert np.isclose(combined[0, 0], 0.5, atol=1e-15)
         assert np.isclose(w[0, 0], 0.7, atol=1e-15)
@@ -67,8 +60,7 @@ class TestScalarHandValues:
 
 class TestRoundStructure:
     def setup_method(self):
-        self.topo = build_random_geometric(6, 0.5, 2)
-        self.weights = uniform_weights(self.topo)
+        self.weights = uniform_weights(build_random_geometric(6, 0.5, 2))
         self.rng = np.random.default_rng(0)
 
     def frame(self, n=6, m=3):
@@ -78,14 +70,14 @@ class TestRoundStructure:
     def test_zero_step_size_keeps_equal_states_fixed(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
         spec = AlgorithmSpec(ordering="atc", mu=0.0, gamma=0.3)
-        w_new, phi = atc_step(w, *self.frame(), spec, self.weights)
+        w_new, phi = one_round(w, *self.frame(), spec, self.weights)
         assert np.allclose(phi, w, atol=1e-15)
         assert np.allclose(w_new, w, atol=1e-12)
 
     def test_cta_fixed_point_of_pure_averaging(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
         spec = AlgorithmSpec(ordering="cta", mu=0.0, gamma=0.0)
-        w_new, _ = cta_step(w, *self.frame(), spec, self.weights)
+        w_new, _ = one_round(w, *self.frame(), spec, self.weights)
         assert np.allclose(w_new, w, atol=1e-12)
 
     def test_consensus_on_truth_is_invariant_without_leak(self):
@@ -94,9 +86,7 @@ class TestRoundStructure:
         u = self.rng.standard_normal((6, 3))
         d = u @ w_o  # noiseless measurements
         for ordering in ("atc", "cta"):
-            spec = AlgorithmSpec(ordering=ordering, mu=0.4, gamma=0.0)
-            step = atc_step if ordering == "atc" else cta_step
-            w_new, _ = step(w, u, d, spec, self.weights)
+            w_new, _ = one_round(w, u, d, AlgorithmSpec(ordering=ordering, mu=0.4, gamma=0.0), self.weights)
             assert np.allclose(w_new, w, atol=1e-12)
 
     def test_leak_contracts_norm_without_excitation(self):
@@ -105,25 +95,26 @@ class TestRoundStructure:
         spec = AlgorithmSpec(ordering="atc", mu=0.1, gamma=0.5)
         w = np.tile(self.rng.standard_normal(3), (4, 1))
         for _ in range(50):
-            w_new, _ = atc_step(w, np.zeros((4, 3)), np.zeros(4), spec, weights)
+            w_new, _ = one_round(w, np.zeros((4, 3)), np.zeros(4), spec, weights)
             ratio = np.linalg.norm(w_new) / np.linalg.norm(w)
             assert np.isclose(ratio, 1.0 - spec.mu * spec.gamma, rtol=1e-12)
             w = w_new
 
     def test_shape_mismatch_rejected(self):
-        w = np.zeros((6, 3))
-        for step, ordering in ((atc_step, "atc"), (cta_step, "cta")):
-            spec = AlgorithmSpec(ordering=ordering, mu=0.1)
+        # a measurement axis of 1 would broadcast one measurement to every node
+        spec = BatchSpec(np.full((1, 1, 1), 0.1), np.zeros((1, 1, 1)))
+        out = np.zeros((2, 1, 6, 3))
+        for u, d in ((np.zeros((5, 3)), np.zeros(5)), (np.zeros((6, 3)), np.zeros(1)), (np.zeros((6, 4)), np.zeros(6))):
+            block = FrameBlock(u=u[None, None], d=d[None, None])
             with pytest.raises(ValueError):
-                step(w, np.zeros((5, 3)), np.zeros(5), spec, self.weights)
-            with pytest.raises(ValueError):
-                step(w, np.zeros((6, 3)), np.zeros(1), spec, self.weights)
-            with pytest.raises(ValueError):
-                step(w, np.zeros((6, 4)), np.zeros(6), spec, self.weights)
+                run_filter(self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
+        stream = gaussian_source(np.full(5, 0.5), np.ones(3), seed=0, horizon=4)
+        with pytest.raises(ValueError, match="source has 5 nodes, weights have 6"):
+            run_filter(self.weights, AlgorithmSpec("atc", 0.1), stream)
 
 
 class TestAgainstReference:
-    """Production steps versus the independently coded per-node recursions."""
+    """Kernel rounds versus the independently coded per-node recursions."""
 
     def cases(self):
         rng = np.random.default_rng(99)
@@ -140,11 +131,11 @@ class TestAgainstReference:
         for topo, weights, w, u, d in self.cases():
             mu = 0.07
             ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = atc_step(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
+            out_w, out_phi = one_round(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
             ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = cta_step(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
+            out_w, out_phi = one_round(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
 
@@ -165,39 +156,38 @@ class TestReductions:
         weights = non_cooperative_weights(4)
         w = rng.standard_normal((4, 3))
         u, d = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        out_a, _ = atc_step(w, u, d, AlgorithmSpec("atc", 0.2, 0.1), weights)
-        out_c, _ = cta_step(w, u, d, AlgorithmSpec("cta", 0.2, 0.1), weights)
+        out_a, _ = one_round(w, u, d, AlgorithmSpec("atc", 0.2, 0.1), weights)
+        out_c, _ = one_round(w, u, d, AlgorithmSpec("cta", 0.2, 0.1), weights)
         assert np.array_equal(out_a, out_c)
 
     def test_non_cooperative_matches_standalone_filters(self):
         # identity weights collapse diffusion to independent filters per node
         n, m, steps = 4, 3, 200
-        topo = build_ring_lattice(n, 0)
         weights = non_cooperative_weights(n)
         w_o = np.linspace(0.1, 0.4, m)
         stream = gaussian_source(np.full(n, 0.5), w_o, seed=12, horizon=steps, snr_db=10.0)
         for gamma in (0.0, 0.01):
             spec = AlgorithmSpec("atc", 0.1, gamma)
-            snaps = run_filter(topo, weights, spec, stream)
+            snaps = run_filter(weights, spec, stream)
             for k in range(n):
                 ref = standalone_leaky_lms(stream.u[:, k, :], stream.d[:, k], 0.1, gamma)
                 assert np.abs(snaps[:, k, :] - ref).max() <= 1e-13
 
     def test_single_node_orderings_coincide(self):
-        topo, weights = single_node_setup()
+        weights = single_node_weights()
         stream = gaussian_source(np.array([0.35]), default_lowpass_system(5), seed=3, horizon=300)
         spec_a = AlgorithmSpec("atc", 0.05, 0.002)
         spec_c = AlgorithmSpec("cta", 0.05, 0.002)
-        run_a = run_filter(topo, weights, spec_a, stream)
-        run_c = run_filter(topo, weights, spec_c, stream)
+        run_a = run_filter(weights, spec_a, stream)
+        run_c = run_filter(weights, spec_c, stream)
         assert np.array_equal(run_a, run_c)
 
 
 class TestRunFilter:
     def test_zero_horizon_returns_initial_snapshot(self):
-        topo, weights = single_node_setup()
+        weights = single_node_weights()
         stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
-        snaps = run_filter(topo, weights, AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
+        snaps = run_filter(weights, AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
         assert snaps.shape == (1, 1, 2)
         assert not snaps.any()
 
@@ -205,31 +195,31 @@ class TestRunFilter:
         topo = build_ring_lattice(20, 2)
         w_o = default_lowpass_system(5)
         stream = gaussian_source(np.full(20, 0.5), w_o, seed=0, horizon=3)
-        snaps = run_filter(topo, uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
+        snaps = run_filter(uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
         network = linear_deviation(snaps, w_o)
         assert np.isclose(network[0], float(w_o @ w_o))
 
     def test_only_streams_and_blocks_are_sources(self):
-        topo, weights = single_node_setup()
+        weights = single_node_weights()
         stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
         with pytest.raises(TypeError):
-            run_filter(topo, weights, AlgorithmSpec("atc", 0.1), list(zip(stream.u, stream.d)))
+            run_filter(weights, AlgorithmSpec("atc", 0.1), list(zip(stream.u, stream.d)))
 
     def test_noiseless_single_node_converges_to_truth(self):
-        topo, weights = single_node_setup()
+        weights = single_node_weights()
         w_o = default_lowpass_system(5)
         sigma_sq = 0.35
         mu = 2.0 / sigma_sq / 50.0
         stream = gaussian_source(np.array([sigma_sq]), w_o, seed=21, horizon=10_000, noise_variance=0.0)
-        snaps = run_filter(topo, weights, AlgorithmSpec("atc", mu, 0.0), stream)
+        snaps = run_filter(weights, AlgorithmSpec("atc", mu, 0.0), stream)
         assert np.abs(snaps[-1, 0] - w_o).max() < 1e-6
 
     def test_divergence_is_not_masked(self):
-        topo, weights = single_node_setup()
+        weights = single_node_weights()
         ones = np.ones((400, 1))
         stream = FrameStream(u=ones[..., None], d=ones, noise=np.zeros((400, 1)), noise_variance=np.zeros(1))
         spec = AlgorithmSpec("atc", 5.0, 0.0)  # far beyond the stable range
-        snaps = run_filter(topo, weights, spec, stream)
+        snaps = run_filter(weights, spec, stream)
         assert not np.isfinite(snaps[-1]).all() or np.abs(snaps[-1]).max() > 1e6
 
 
@@ -237,18 +227,17 @@ class TestSharedRecursion:
     """ATC and CTA with one (mu, gamma) share one recursion."""
 
     def setup_method(self):
-        self.topo = build_random_geometric(8, 0.5, 3)
-        self.weights = uniform_weights(self.topo)
+        self.weights = uniform_weights(build_random_geometric(8, 0.5, 3))
 
     def stream(self, seed, horizon=60):
         return gaussian_source(np.linspace(0.2, 1.0, 8), default_lowpass_system(3), seed=seed, horizon=horizon)
 
     def test_cta_snapshots_are_the_atc_intermediates(self):
         stream = self.stream(4)
-        cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
+        cta = run_filter(self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
         w = np.zeros((8, 3))
         for i, (u, d) in enumerate(zip(stream.u, stream.d), start=1):
-            w, phi = atc_step(w, u, d, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
+            w, phi = one_round(w, u, d, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
             assert np.array_equal(cta[i], phi)
             assert np.array_equal(self.weights.a.T @ cta[i], w)
 
@@ -267,7 +256,7 @@ class TestSharedRecursion:
                 u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
                 d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
             )
-            got = run_filter(None, self.weights, BatchSpec(mu, gamma), block, out=out[:rows], phi_out=phi_out[:rows])
+            got = run_filter(self.weights, BatchSpec(mu, gamma), block, out=out[:rows], phi_out=phi_out[:rows])
             assert got.base is out
             estimates.extend(out[1:rows].copy())
             intermediates.extend(phi_out[1:rows].copy())
@@ -276,8 +265,8 @@ class TestSharedRecursion:
         for j, stream in enumerate(streams):
             stream = first_rounds(stream, 11)
             for p, (step, leak) in enumerate(pairs):
-                atc = run_filter(self.topo, self.weights, AlgorithmSpec("atc", step, leak), stream)
-                cta = run_filter(self.topo, self.weights, AlgorithmSpec("cta", step, leak), stream)
+                atc = run_filter(self.weights, AlgorithmSpec("atc", step, leak), stream)
+                cta = run_filter(self.weights, AlgorithmSpec("cta", step, leak), stream)
                 assert np.array_equal(estimates[:, j, p], atc)
                 assert np.array_equal(intermediates[1:, j, p], cta[1:])
 
@@ -286,7 +275,7 @@ class TestSharedRecursion:
         block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
         out = np.zeros((11, 2, 8, 3))
         spec = BatchSpec(np.array([[[0.0]], [[0.2]]]), np.zeros((1, 1, 1)))
-        run_filter(None, self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
+        run_filter(self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
         assert not out[:, 0].any()
         assert out[-1, 1].any()
 
@@ -295,11 +284,11 @@ class TestSharedRecursion:
         block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
         spec = BatchSpec(np.full((1, 1, 1), 0.1), np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
-            run_filter(None, self.weights, spec, block, out=np.zeros((10, 1, 8, 3)), phi_out=np.zeros((10, 1, 8, 3)))
+            run_filter(self.weights, spec, block, out=np.zeros((10, 1, 8, 3)), phi_out=np.zeros((10, 1, 8, 3)))
         with pytest.raises(ValueError):
-            run_filter(None, self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
+            run_filter(self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
         with pytest.raises(TypeError):
-            run_filter(None, self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))
+            run_filter(self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))
 
 
 class TestRoundScratch:
@@ -308,8 +297,7 @@ class TestRoundScratch:
     scratch, would break the equality."""
 
     def setup_method(self):
-        self.topo = build_random_geometric(7, 0.5, 9)
-        self.weights = uniform_weights(self.topo)
+        self.weights = uniform_weights(build_random_geometric(7, 0.5, 9))
 
     def stream(self, seed, horizon=25):
         return gaussian_source(np.linspace(0.2, 1.0, 7), default_lowpass_system(4), seed=seed, horizon=horizon)
@@ -318,15 +306,15 @@ class TestRoundScratch:
         """(ATC estimates, CTA estimates) after each round, from all-zero tables."""
         atc, cta = [np.zeros((7, 4))], [np.zeros((7, 4))]
         for u, d in zip(stream.u, stream.d):
-            atc.append(atc_step(atc[-1], u, d, AlgorithmSpec("atc", mu, gamma), self.weights)[0])
-            cta.append(cta_step(cta[-1], u, d, AlgorithmSpec("cta", mu, gamma), self.weights)[0])
+            atc.append(one_round(atc[-1], u, d, AlgorithmSpec("atc", mu, gamma), self.weights)[0])
+            cta.append(one_round(cta[-1], u, d, AlgorithmSpec("cta", mu, gamma), self.weights)[0])
         return np.stack(atc), np.stack(cta)
 
     def test_frame_stream_matches_steps(self):
         stream = self.stream(21)
         atc, cta = self.stepped(stream, 0.2, 0.01)
-        assert np.array_equal(run_filter(self.topo, self.weights, AlgorithmSpec("atc", 0.2, 0.01), stream), atc)
-        assert np.array_equal(run_filter(self.topo, self.weights, AlgorithmSpec("cta", 0.2, 0.01), stream), cta)
+        assert np.array_equal(run_filter(self.weights, AlgorithmSpec("atc", 0.2, 0.01), stream), atc)
+        assert np.array_equal(run_filter(self.weights, AlgorithmSpec("cta", 0.2, 0.01), stream), cta)
 
     def test_frame_block_matches_steps(self):
         # 2 trials x 2 pairs, a distinct step size in every element
@@ -339,7 +327,7 @@ class TestRoundScratch:
         )
         out = np.zeros((26, 2, 2, 7, 4))
         phi_out = np.zeros_like(out)
-        run_filter(None, self.weights, BatchSpec(mu[..., None, None], gamma[:, None, None]), block, out=out, phi_out=phi_out)
+        run_filter(self.weights, BatchSpec(mu[..., None, None], gamma[:, None, None]), block, out=out, phi_out=phi_out)
         for j, stream in enumerate(streams):
             for p in range(2):
                 atc, cta = self.stepped(stream, mu[j, p], gamma[p])

@@ -212,7 +212,7 @@ def test_batched_run_filter_matches_reference_steps(network, m, trials, steps, r
     out = np.zeros((rounds + 1, trials, len(steps), n, m))
     out[0] = rng.standard_normal(out.shape[1:])
     phi_out = np.zeros_like(out)
-    run_filter(topology, weights, BatchSpec(mu, gamma), FrameBlock(u=u, d=d), out=out, phi_out=phi_out)
+    run_filter(weights, BatchSpec(mu, gamma), FrameBlock(u=u, d=d), out=out, phi_out=phi_out)
 
     a, c = weights.a, weights.c
     worst = 0.0
