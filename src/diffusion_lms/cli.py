@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, denoise, validate.
 
-Exit codes: 0 success, 2 config error, 3 runtime divergence, 4 I/O error,
-5 data error (a malformed sample file). All numbers are serialized with 17
+Exit codes: 0 success, 1 internal error (a bug; Python prints the
+traceback), 2 config error, 3 runtime divergence, 4 I/O error, 5 data error
+(a malformed sample or edge-list file). All numbers are serialized with 17
 significant digits, so reruns of the same config produce byte-identical
 files. Node indices and iterations on the command line and in messages are
 1-based, matching the edge-list file format and the trace CSVs.
@@ -29,7 +30,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.signals import SampleFileError, wav_bytes
+from diffusion_lms.signals import DataFileError, wav_bytes
 
 __all__ = ["main"]
 
@@ -128,7 +129,7 @@ def _write_outputs(
             if isinstance(payload, bytes):
                 (staging / name).write_bytes(payload)
             else:
-                (staging / name).write_text(payload, encoding="ascii")
+                (staging / name).write_text(payload, encoding="utf-8")
         (staging / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
         )
@@ -193,8 +194,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"--grid: not a numeric list: {args.grid!r}") from None
-    if not grid:
-        raise ConfigError("--grid: must list at least one value")
     if args.param == "mu":
         results = sweep_step_size(cfg, grid)
     else:
@@ -297,12 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SampleFileError as exc:
+    except DataFileError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

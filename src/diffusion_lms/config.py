@@ -2,32 +2,23 @@
 ``[section]`` headers, ``#`` comments.
 
 Every key is optional; an empty file resolves to the headline defaults
-(mu 0.08, gamma 0.002, 50 trials, horizon 1000, 0 dB SNR). Unknown sections
-or keys are hard errors, as are type or constraint violations, each naming
-the offending key. ``format_config`` emits the fully resolved config with
-17-significant-digit floats so that parse(format(cfg)) == cfg exactly.
+(mu 0.08, gamma 0.002, 50 trials, horizon 1000, 0 dB SNR), and ``taps``
+defaults to the length of ``coefficients`` when only they are given.
+Unknown sections or keys are hard errors, as are type violations, each
+naming the offending key; the constraints are ``ExperimentConfig``'s own.
+``format_config`` emits the fully resolved config with 17-significant-digit
+floats so that parse(format(cfg)) == cfg exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
-from dataclasses import fields, replace
+from dataclasses import fields
 
-from diffusion_lms.experiment import (
-    ALGORITHM_LABELS,
-    SOURCE_KINDS,
-    TOPOLOGY_KINDS,
-    WEIGHT_RULES,
-    ExperimentConfig,
-)
+from diffusion_lms.experiment import ConfigError, ExperimentConfig
 
 __all__ = ["ConfigError", "parse_config", "parse_config_text", "format_config"]
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config: unknown key, bad type, or bad constraint."""
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -39,12 +30,13 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if math.isnan(value):
-        raise ConfigError(f"{key}: NaN is not a valid value")
-    return value
+
+
+def _parse_str(key: str, raw: str) -> str:
+    return raw.strip()
 
 
 def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
@@ -61,23 +53,16 @@ def _parse_str_list(key: str, raw: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def _parse_enum(key: str, raw: str, allowed: tuple[str, ...]) -> str:
-    value = raw.strip()
-    if value not in allowed:
-        raise ConfigError(f"{key}: must be one of {', '.join(allowed)}; got {value!r}")
-    return value
-
-
 # section -> key -> (config field, parser)
 _SCHEMA = {
     "network": {
         "nodes": ("nodes", _parse_int),
-        "topology": ("topology", lambda k, v: _parse_enum(k, v, TOPOLOGY_KINDS)),
+        "topology": ("topology", _parse_str),
         "radius": ("radius", _parse_float),
         "half_width": ("half_width", _parse_int),
         "edge_list_path": ("edge_list_path", lambda k, v: v.strip() or None),
         "topology_seed": ("topology_seed", _parse_int),
-        "weights": ("weights", lambda k, v: _parse_enum(k, v, WEIGHT_RULES)),
+        "weights": ("weights", _parse_str),
     },
     "model": {
         "taps": ("taps", _parse_int),
@@ -87,8 +72,8 @@ _SCHEMA = {
         "regressor_variances": ("regressor_variances", _parse_float_list),
     },
     "source": {
-        "kind": ("source", lambda k, v: _parse_enum(k, v, SOURCE_KINDS)),
-        "sample_path": ("sample_path", lambda k, v: v.strip()),
+        "kind": ("source", _parse_str),
+        "sample_path": ("sample_path", _parse_str),
         "scale_exponent": ("scale_exponent", _parse_float),
     },
     "run": {
@@ -101,67 +86,6 @@ _SCHEMA = {
         "steady_window": ("steady_window", _parse_int),
     },
 }
-
-
-def _validate(cfg: ExperimentConfig, explicit: set[str]) -> ExperimentConfig:
-    if cfg.nodes < 1:
-        raise ConfigError(f"nodes: must be >= 1, got {cfg.nodes}")
-    if cfg.radius <= 0.0:
-        raise ConfigError(f"radius: must be positive, got {cfg.radius}")
-    if cfg.half_width < 0:
-        raise ConfigError(f"half_width: must be >= 0, got {cfg.half_width}")
-    if cfg.topology == "ring_lattice" and 2 * cfg.half_width >= cfg.nodes and cfg.nodes > 1:
-        raise ConfigError(
-            f"half_width: {cfg.half_width} too large for {cfg.nodes} nodes (need 2*half_width < nodes)"
-        )
-    if cfg.topology == "edge_list" and not cfg.edge_list_path:
-        raise ConfigError("edge_list_path: required when topology = edge_list")
-    if cfg.taps < 1:
-        raise ConfigError(f"taps: must be >= 1, got {cfg.taps}")
-    if cfg.coefficients is not None:
-        if any(not math.isfinite(v) for v in cfg.coefficients):
-            raise ConfigError("coefficients: entries must be finite")
-        if "taps" in explicit and cfg.taps != len(cfg.coefficients):
-            raise ConfigError(
-                f"coefficients: {len(cfg.coefficients)} entries contradict taps = {cfg.taps}"
-            )
-        cfg = replace(cfg, taps=len(cfg.coefficients))
-    if cfg.noise_variance is not None and cfg.noise_variance < 0.0:
-        raise ConfigError(f"noise_variance: must be >= 0, got {cfg.noise_variance}")
-    if cfg.regressor_variances is not None:
-        if len(cfg.regressor_variances) != cfg.nodes:
-            raise ConfigError(
-                f"regressor_variances: {len(cfg.regressor_variances)} entries for {cfg.nodes} nodes"
-            )
-        if any(v <= 0.0 or not math.isfinite(v) for v in cfg.regressor_variances):
-            raise ConfigError("regressor_variances: entries must be finite and positive")
-    if not math.isfinite(cfg.scale_exponent):
-        raise ConfigError(f"scale_exponent: must be finite, got {cfg.scale_exponent}")
-    if not cfg.algorithms:
-        raise ConfigError("algorithms: need at least one label")
-    for label in cfg.algorithms:
-        if label not in ALGORITHM_LABELS:
-            raise ConfigError(
-                f"algorithms: unknown label {label!r} (choose from {', '.join(ALGORITHM_LABELS)})"
-            )
-    if len(set(cfg.algorithms)) != len(cfg.algorithms):
-        raise ConfigError("algorithms: duplicate labels")
-    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
-        raise ConfigError(f"mu: must be finite and positive, got {cfg.mu}")
-    if not (math.isfinite(cfg.gamma) and cfg.gamma >= 0.0):
-        raise ConfigError(f"gamma: must be finite and >= 0, got {cfg.gamma}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
-    if cfg.horizon < 1:
-        raise ConfigError(f"horizon: must be >= 1, got {cfg.horizon}")
-    if cfg.steady_window < 1:
-        raise ConfigError(f"steady_window: must be >= 1, got {cfg.steady_window}")
-    uses_config_horizon = cfg.source == "white_gaussian" or cfg.sample_path == "synthetic"
-    if uses_config_horizon and cfg.steady_window > cfg.horizon:
-        raise ConfigError(
-            f"steady_window: {cfg.steady_window} exceeds horizon {cfg.horizon}"
-        )
-    return cfg
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -179,7 +103,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{origin}: {exc}") from exc
 
     values: dict[str, object] = {}
-    explicit: set[str] = set()
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
@@ -188,15 +111,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field, parse = _SCHEMA[section][key]
             values[field] = parse(key, raw)
-            explicit.add(key)
-    cfg = ExperimentConfig(**values)
-    return _validate(cfg, explicit)
+    if "coefficients" in values:
+        values.setdefault("taps", len(values["coefficients"]))
+    return ExperimentConfig(**values)
 
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     """Read and resolve a config file; missing keys take the defaults."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config_text(text, origin=str(path))
 
 

@@ -31,6 +31,7 @@ from diffusion_lms.network import (
     uniform_weights,
 )
 from diffusion_lms.signals import (
+    DataFileError,
     FrameStream,
     default_lowpass_system,
     delay_line_source,
@@ -42,6 +43,7 @@ from diffusion_lms.signals import (
 __all__ = [
     "ALGORITHM_LABELS",
     "SYNTHETIC_SAMPLE_PATH",
+    "ConfigError",
     "ExperimentConfig",
     "ExperimentSetup",
     "EnsembleDivergence",
@@ -77,11 +79,20 @@ CHUNK_BYTES = 4 * 2**20
 BLOCK_ROUNDS = 50
 
 
+class ConfigError(ValueError):
+    """Invalid experiment config: unknown key, bad type, or bad constraint."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description; defaults give the headline
     Gaussian-input comparison (20 nodes, 0 dB SNR, mu 0.08, gamma 0.002,
-    50 trials, horizon 1000)."""
+    50 trials, horizon 1000).
+
+    Construction checks every field and raises ConfigError, whose message
+    starts with the offending key, so a config that exists is one that can
+    run. Only a sample or edge-list file is left to be checked when read.
+    """
 
     # network
     nodes: int = 20
@@ -109,6 +120,65 @@ class ExperimentConfig:
     horizon: int = 1000
     base_seed: int = 1234
     steady_window: int = 200
+
+    def __post_init__(self) -> None:
+        for key, allowed in (("topology", TOPOLOGY_KINDS), ("weights", WEIGHT_RULES), ("source", SOURCE_KINDS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"{key}: must be one of {', '.join(allowed)}; got {value!r}")
+        for key in ("nodes", "taps", "trials", "horizon", "steady_window"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        # numpy seeds its generators from non-negative integers only
+        for key in ("topology_seed", "base_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {getattr(self, key)}")
+        for key in ("snr_db", "scale_exponent"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key}: must be finite, got {getattr(self, key)}")
+        for key in ("noise_variance", "mu", "gamma"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{key}: must be finite and >= 0, got {value}")
+        if not self.radius > 0.0:
+            raise ConfigError(f"radius: must be positive, got {self.radius}")
+        if self.half_width < 0:
+            raise ConfigError(f"half_width: must be >= 0, got {self.half_width}")
+        if self.topology == "ring_lattice" and 2 * self.half_width >= self.nodes:
+            raise ConfigError(
+                f"half_width: {self.half_width} too large for {self.nodes} nodes (need 2*half_width < nodes)"
+            )
+        if self.topology == "edge_list" and not self.edge_list_path:
+            raise ConfigError("edge_list_path: required when topology = edge_list")
+        if not self.sample_path:
+            raise ConfigError("sample_path: must name a file or synthetic")
+        if self.coefficients is not None:
+            if any(not math.isfinite(v) for v in self.coefficients):
+                raise ConfigError("coefficients: entries must be finite")
+            if len(self.coefficients) != self.taps:
+                raise ConfigError(
+                    f"coefficients: {len(self.coefficients)} entries contradict taps = {self.taps}"
+                )
+        if self.regressor_variances is not None:
+            if len(self.regressor_variances) != self.nodes:
+                raise ConfigError(
+                    f"regressor_variances: {len(self.regressor_variances)} entries for {self.nodes} nodes"
+                )
+            if any(not (math.isfinite(v) and v > 0.0) for v in self.regressor_variances):
+                raise ConfigError("regressor_variances: entries must be finite and positive")
+        if not self.algorithms:
+            raise ConfigError("algorithms: need at least one label")
+        for label in self.algorithms:
+            if label not in ALGORITHM_LABELS:
+                raise ConfigError(
+                    f"algorithms: unknown label {label!r} (choose from {', '.join(ALGORITHM_LABELS)})"
+                )
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError("algorithms: duplicate labels")
+        # a sample file sets its own length, checked when it is read
+        uses_config_horizon = self.source == "white_gaussian" or self.sample_path == SYNTHETIC_SAMPLE_PATH
+        if uses_config_horizon and self.steady_window > self.horizon:
+            raise ConfigError(f"steady_window: {self.steady_window} exceeds horizon {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -161,33 +231,22 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
         return build_ring_lattice(cfg.nodes, cfg.half_width)
     if cfg.topology == "random_geometric":
         return build_random_geometric(cfg.nodes, cfg.radius, cfg.topology_seed)
-    if cfg.topology == "edge_list":
-        if not cfg.edge_list_path:
-            raise ValueError("edge_list topology requires edge_list_path")
-        topo = load_edge_list(cfg.edge_list_path)
-        if topo.node_count != cfg.nodes:
-            raise ValueError(
-                f"edge list has {topo.node_count} nodes, config says {cfg.nodes}"
-            )
-        return topo
-    raise ValueError(f"unknown topology kind {cfg.topology!r}")
+    topo = load_edge_list(cfg.edge_list_path)
+    if topo.node_count != cfg.nodes:
+        raise ConfigError(f"nodes: {cfg.nodes}, but edge list {cfg.edge_list_path} has {topo.node_count} nodes")
+    return topo
 
 
 def build_weights(cfg: ExperimentConfig, topology: Topology) -> CombinationWeights:
     if cfg.weights == "uniform":
         return uniform_weights(topology)
-    if cfg.weights == "non_cooperative":
-        return non_cooperative_weights(topology.node_count)
-    raise ValueError(f"unknown weight rule {cfg.weights!r}")
+    return non_cooperative_weights(topology.node_count)
 
 
 def resolve_system(cfg: ExperimentConfig) -> np.ndarray:
     """The unknown vector: explicit coefficients or the moving-average default."""
     if cfg.coefficients is not None:
-        w_o = np.asarray(cfg.coefficients, dtype=float)
-        if w_o.ndim != 1 or w_o.size == 0 or not np.isfinite(w_o).all():
-            raise ValueError("coefficients must be a nonempty finite vector")
-        return w_o
+        return np.asarray(cfg.coefficients, dtype=float)
     return default_lowpass_system(cfg.taps)
 
 
@@ -199,14 +258,7 @@ def resolve_variances(cfg: ExperimentConfig) -> np.ndarray:
     collides with the per-trial stream seeds base_seed + t.
     """
     if cfg.regressor_variances is not None:
-        var = np.asarray(cfg.regressor_variances, dtype=float)
-        if var.shape != (cfg.nodes,):
-            raise ValueError(
-                f"regressor_variances has {var.size} entries for {cfg.nodes} nodes"
-            )
-        if (var <= 0.0).any() or not np.isfinite(var).all():
-            raise ValueError("regressor_variances must be finite and positive")
-        return var
+        return np.asarray(cfg.regressor_variances, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(1,)))
     var = rng.uniform(VARIANCE_RANGE[0], VARIANCE_RANGE[1], cfg.nodes)
     if cfg.nodes == 20:
@@ -231,6 +283,8 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
         seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(2,))
         return synthetic_speech(cfg.horizon, seed), None
     loaded = load_samples(cfg.sample_path)
+    if loaded.data.size < cfg.taps:
+        raise DataFileError(f"{cfg.sample_path}: {loaded.data.size} samples, fewer than taps = {cfg.taps}")
     return loaded.data, loaded.sample_rate
 
 
@@ -238,7 +292,7 @@ def _trace_length(cfg: ExperimentConfig) -> int:
     """Rounds per trial: the sample count of a delay-line input file, else
     the configured horizon (the synthetic signal is generated at it)."""
     if cfg.source == "delay_line" and cfg.sample_path != SYNTHETIC_SAMPLE_PATH:
-        return load_samples(cfg.sample_path).data.size
+        return _delay_line_samples(cfg)[0].size
     return cfg.horizon
 
 
@@ -258,19 +312,17 @@ def make_stream(
             snr_db=cfg.snr_db,
             noise_variance=cfg.noise_variance,
         )
-    if cfg.source == "delay_line":
-        if samples is None:
-            samples = _delay_line_samples(cfg)[0]
-        return delay_line_source(
-            samples,
-            setup.variances,
-            setup.w_o,
-            seed=seed,
-            snr_db=cfg.snr_db,
-            noise_variance=cfg.noise_variance,
-            scale_exponent=cfg.scale_exponent,
-        )
-    raise ValueError(f"unknown source kind {cfg.source!r}")
+    if samples is None:
+        samples = _delay_line_samples(cfg)[0]
+    return delay_line_source(
+        samples,
+        setup.variances,
+        setup.w_o,
+        seed=seed,
+        snr_db=cfg.snr_db,
+        noise_variance=cfg.noise_variance,
+        scale_exponent=cfg.scale_exponent,
+    )
 
 
 def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergence]:
@@ -298,10 +350,6 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     cost of a run does not depend on where or whether its trials diverge.
     The averages match running every (trial, label) on its own exactly.
     """
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
-    if not cfg.algorithms:
-        raise ValueError("need at least one algorithm label")
     setup = build_setup(cfg)
     setup.weights.validate_support(setup.topology)
     specs = [algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms]
@@ -420,10 +468,10 @@ def _sweep(
     cfg: ExperimentConfig, field: str, grid: tuple[float, ...]
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
     if len(grid) == 0:
-        raise ValueError("sweep grid must be nonempty")
+        raise ConfigError("sweep grid must be nonempty")
     length = _trace_length(cfg)
     if cfg.steady_window > length:
-        raise ValueError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
+        raise ConfigError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})
@@ -445,7 +493,7 @@ def sweep_step_size(
     None, never as a number.
     """
     if not all(math.isfinite(v) and v > 0.0 for v in mu_grid):
-        raise ValueError(f"mu grid values must be finite and positive, got {mu_grid}")
+        raise ConfigError(f"mu grid values must be finite and positive, got {mu_grid}")
     return _sweep(cfg, "mu", tuple(mu_grid))
 
 
@@ -455,7 +503,7 @@ def sweep_leakage(
     """Steady-state MSD versus leakage coefficient; gamma = 0 entries
     coincide with plain diffusion LMS."""
     if not all(math.isfinite(v) and v >= 0.0 for v in gamma_grid):
-        raise ValueError(f"gamma grid values must be finite and >= 0, got {gamma_grid}")
+        raise ConfigError(f"gamma grid values must be finite and >= 0, got {gamma_grid}")
     return _sweep(cfg, "gamma", tuple(gamma_grid))
 
 
@@ -467,7 +515,7 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     base_seed (no ensemble).
     """
     if cfg.source != "delay_line":
-        raise ValueError("denoising requires a delay_line source")
+        raise ConfigError(f"source: denoising requires a delay_line source, got {cfg.source}")
     setup = build_setup(cfg)
     setup.weights.validate_support(setup.topology)
     if not 0 <= node < setup.topology.node_count:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from diffusion_lms.signals import DataFileError
+
 __all__ = [
     "STOCHASTIC_TOL",
     "Topology",
@@ -128,7 +130,7 @@ def build_ring_lattice(n: int, half_width: int) -> Topology:
         raise ValueError(f"n must be >= 1, got {n}")
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    if 2 * half_width >= n and not (n == 1 and half_width == 0):
+    if 2 * half_width >= n:
         raise ValueError(f"half_width {half_width} too large for n={n} (need 2*half_width < n)")
     adj = np.eye(n, dtype=bool)
     nodes = np.arange(n)
@@ -195,28 +197,30 @@ def save_edge_list(topology: Topology, path: str | os.PathLike) -> None:
 
 
 def load_edge_list(path: str | os.PathLike) -> Topology:
-    """Read the edge-list format written by :func:`save_edge_list`."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Read the edge-list format written by :func:`save_edge_list`; a
+    malformed file raises DataFileError."""
+    # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         raw = [ln.strip() for ln in fh]
     lines = [ln for ln in raw if ln]
     if not lines:
-        raise ValueError(f"{path}: empty edge-list file")
+        raise DataFileError(f"{path}: empty edge-list file")
     try:
         n = int(lines[0])
     except ValueError as exc:
-        raise ValueError(f"{path}: first line must be the node count") from exc
+        raise DataFileError(f"{path}: first line must be the node count") from exc
     if n < 1:
-        raise ValueError(f"{path}: node count must be >= 1, got {n}")
+        raise DataFileError(f"{path}: node count must be >= 1, got {n}")
     adj = np.eye(n, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: malformed edge line {ln!r}")
+            raise DataFileError(f"{path}: malformed edge line {ln!r}")
         try:
             k, l = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"{path}: malformed edge line {ln!r}") from exc
+            raise DataFileError(f"{path}: malformed edge line {ln!r}") from exc
         if not (1 <= k <= n and 1 <= l <= n):
-            raise ValueError(f"{path}: edge {ln!r} out of range for n={n}")
+            raise DataFileError(f"{path}: edge {ln!r} out of range for n={n}")
         adj[k - 1, l - 1] = adj[l - 1, k - 1] = True
     return Topology(adj)

@@ -10,6 +10,7 @@ shared scalar sample sequence (speech-style input).
 from __future__ import annotations
 
 import io
+import math
 import os
 import wave
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SampleFileError",
+    "DataFileError",
     "FrameStream",
     "LoadedSamples",
     "default_lowpass_system",
@@ -33,8 +34,9 @@ __all__ = [
 _PCM_SCALE = 32768.0
 
 
-class SampleFileError(ValueError):
-    """Raised when a sample file is malformed or in an unsupported format."""
+class DataFileError(ValueError):
+    """Raised when an input file (samples or an edge list) is malformed or
+    in an unsupported format."""
 
 
 @dataclass(frozen=True)
@@ -222,30 +224,38 @@ def _load_wav(path: str | os.PathLike) -> LoadedSamples:
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getnchannels() != 1:
-                raise SampleFileError(f"{path}: multi-channel WAV is not supported")
+                raise DataFileError(f"{path}: multi-channel WAV is not supported")
             if wf.getcomptype() != "NONE":
-                raise SampleFileError(f"{path}: only uncompressed PCM WAV is supported")
+                raise DataFileError(f"{path}: only uncompressed PCM WAV is supported")
             if wf.getsampwidth() != 2:
-                raise SampleFileError(f"{path}: only 16-bit PCM WAV is supported")
+                raise DataFileError(f"{path}: only 16-bit PCM WAV is supported")
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
-        raise SampleFileError(f"{path}: malformed WAV file ({exc})") from exc
+        raise DataFileError(f"{path}: malformed WAV file ({exc})") from exc
+    except EOFError as exc:
+        raise DataFileError(f"{path}: malformed WAV file (ends inside its header)") from exc
+    if len(raw) % 2:
+        raise DataFileError(f"{path}: malformed WAV file (ends inside a sample)")
     data = np.frombuffer(raw, dtype="<i2").astype(float) / _PCM_SCALE
     return LoadedSamples(data=data, sample_rate=rate)
 
 
 def _load_text(path: str | os.PathLike) -> LoadedSamples:
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                values.append(float(stripped))
-            except ValueError as exc:
-                raise SampleFileError(f"{path}:{lineno}: not a decimal sample: {stripped!r}") from exc
+                value = float(stripped)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataFileError(f"{path}:{lineno}: not a decimal sample: {stripped!r}")
+            values.append(value)
     return LoadedSamples(data=np.array(values, dtype=float), sample_rate=None)
 
 
@@ -253,8 +263,8 @@ def load_samples(path: str | os.PathLike) -> LoadedSamples:
     """Load a mono sample sequence from a 16-bit PCM WAV or a text file.
 
     WAV samples are normalized by 32768 into [-1, 1). Text files hold one
-    decimal sample per line; lines starting with "#" are ignored. The WAV
-    sample rate is preserved for output purposes only.
+    finite decimal sample per line; lines starting with "#" are ignored.
+    The WAV sample rate is preserved for output purposes only.
     """
     with open(path, "rb") as fh:
         head = fh.read(12)

@@ -213,13 +213,68 @@ class TestRun:
 
     def test_malformed_sample_file_exits_5_without_outputs(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
-        samples.write_text("0.25\nabc\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[network]\nnodes = 6\nradius = 0.5\n\n[source]\nkind = delay_line\nsample_path = {samples}\n")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"data error: {samples}:2: not a decimal sample: 'abc'\n"
+        for content, problem in (
+            ("0.25\nabc\n", ":2: not a decimal sample: 'abc'"),
+            ("0.25\ninf\n", ":2: not a decimal sample: 'inf'"),
+            ("", ": 0 samples, fewer than taps = 5"),
+            ("0.25\n-0.5\n", ": 2 samples, fewer than taps = 5"),
+        ):
+            samples.write_text(content)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == f"data error: {samples}{problem}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content,code,message",
+        [
+            ("6\n1 x\n", EXIT_DATA, "data error: {path}: malformed edge line '1 x'"),
+            ("5\n1 2\n", EXIT_CONFIG, "config error: nodes: 6, but edge list {path} has 5 nodes"),
+        ],
+        ids=["malformed", "node_count"],
+    )
+    def test_bad_edge_list_exits_before_any_stream(self, tmp_path, monkeypatch, capsys, content, code, message):
+        from diffusion_lms import experiment
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was built before the edge list was checked")
+
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
+        edges = tmp_path / "net.txt"
+        edges.write_text(content)
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(f"[network]\nnodes = 6\ntopology = edge_list\nedge_list_path = {edges}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message.format(path=edges) + "\n"
         assert not out.exists()
+
+    def test_non_ascii_path_is_echoed_as_utf8(self, tmp_path):
+        samples = tmp_path / "caf\u00e9.txt"
+        samples.write_text("\n".join(["0.25", "-0.5"] * 20) + "\n")
+        cfg = tmp_path / "utf8.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 4\nradius = 0.6\n\n[source]\nkind = delay_line\nsample_path = {samples}\n\n"
+            "[run]\ntrials = 1\nsteady_window = 10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert parse_config(out / "resolved_config.cfg") == parse_config(cfg)
+
+    def test_unexpected_error_is_reported_as_a_bug(self, small_config, tmp_path, monkeypatch, capsys):
+        from diffusion_lms import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run_ensemble", broken)
+        # no handler claims it: the traceback reaches the user and Python exits 1
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["run", "--config", str(small_config), "--out", str(tmp_path / "out")])
+        assert "config error" not in capsys.readouterr().err
 
 
 class TestSweep:
@@ -301,19 +356,21 @@ class TestSweep:
         _, plain_rows = read_csv(out / "sweep_gamma_atc_dlms.csv")
         assert abs(float(leaky_rows[0][1]) - float(plain_rows[0][1])) < 1e-12
 
-    def test_empty_grid_is_usage_error(self, small_config, tmp_path):
+    def test_empty_grid_is_usage_error(self, small_config, tmp_path, capsys):
         code = main(
             ["sweep", "--config", str(small_config), "--out", str(tmp_path / "o"),
              "--param", "mu", "--grid", " , "]
         )
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: sweep grid must be nonempty\n"
 
-    def test_bad_grid_value_is_usage_error(self, small_config, tmp_path):
+    def test_bad_grid_value_is_usage_error(self, small_config, tmp_path, capsys):
         code = main(
             ["sweep", "--config", str(small_config), "--out", str(tmp_path / "o"),
              "--param", "mu", "--grid", "0.1,huge"]
         )
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --grid: not a numeric list: '0.1,huge'\n"
 
 
 class TestDenoise:
@@ -383,6 +440,13 @@ trials = 1
         assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "3"]) == EXIT_OK
         assert (out / "comparison.csv").read_text() == "user data\n"
         assert (out / "denoise_node2.csv").exists()
+
+    def test_white_gaussian_config_exits_2(self, small_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", str(small_config), "--out", str(out), "--node", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: source: denoising requires a delay_line source, got white_gaussian\n"
+        assert not out.exists()
 
     def test_node_out_of_range_exits_2(self, tmp_path):
         cfg = self.speech_config(tmp_path)

@@ -3,6 +3,46 @@ import pytest
 from diffusion_lms.config import ConfigError, format_config, parse_config, parse_config_text
 from diffusion_lms.experiment import ExperimentConfig
 
+# each fault as a config snippet, the key its message starts with, and the
+# same fault as ExperimentConfig arguments
+REJECTED = [
+    ("[network]\nnodes = 0\n", "nodes", dict(nodes=0)),
+    ("[network]\nradius = 0\n", "radius", dict(radius=0.0)),
+    (
+        "[network]\ntopology = ring_lattice\nnodes = 4\nhalf_width = 2\n",
+        "half_width",
+        dict(topology="ring_lattice", nodes=4, half_width=2),
+    ),
+    (
+        "[network]\ntopology = ring_lattice\nnodes = 1\nhalf_width = 1\n",
+        "half_width",
+        dict(topology="ring_lattice", nodes=1, half_width=1),
+    ),
+    ("[network]\ntopology = edge_list\n", "edge_list_path", dict(topology="edge_list")),
+    ("[network]\ntopology = star\n", "topology", dict(topology="star")),
+    ("[source]\nkind = wav\n", "source", dict(source="wav")),
+    ("[source]\nsample_path =\n", "sample_path", dict(sample_path="")),
+    ("[network]\ntopology_seed = -1\n", "topology_seed", dict(topology_seed=-1)),
+    ("[model]\ntaps = 0\n", "taps", dict(taps=0)),
+    ("[model]\nnoise_variance = -0.5\n", "noise_variance", dict(noise_variance=-0.5)),
+    ("[model]\nnoise_variance = inf\n", "noise_variance", dict(noise_variance=float("inf"))),
+    ("[model]\nsnr_db = -inf\n", "snr_db", dict(snr_db=float("-inf"))),
+    ("[model]\nsnr_db = nan\n", "snr_db", dict(snr_db=float("nan"))),
+    ("[model]\nregressor_variances = 1.0, 2.0\n", "regressor_variances", dict(regressor_variances=(1.0, 2.0))),
+    ("[run]\ngamma = -0.1\n", "gamma", dict(gamma=-0.1)),
+    ("[run]\nmu = inf\n", "mu", dict(mu=float("inf"))),
+    ("[run]\ngamma = inf\n", "gamma", dict(gamma=float("inf"))),
+    ("[run]\nmu = nan\n", "mu", dict(mu=float("nan"))),
+    ("[run]\ngamma = nan\n", "gamma", dict(gamma=float("nan"))),
+    ("[run]\ntrials = 0\n", "trials", dict(trials=0)),
+    ("[run]\nhorizon = 0\n", "horizon", dict(horizon=0)),
+    ("[run]\nbase_seed = -1\n", "base_seed", dict(base_seed=-1)),
+    ("[run]\nalgorithms = warp_dlms\n", "algorithms", dict(algorithms=("warp_dlms",))),
+    ("[run]\nalgorithms = atc_dlms, atc_dlms\n", "algorithms", dict(algorithms=("atc_dlms", "atc_dlms"))),
+    ("[run]\nsteady_window = 2000\n", "steady_window", dict(steady_window=2000)),
+    ("[model]\ntaps = 4\ncoefficients = 1.0, 2.0\n", "coefficients", dict(taps=4, coefficients=(1.0, 2.0))),
+]
+
 
 class TestParsing:
     def test_empty_config_materializes_defaults(self):
@@ -68,36 +108,24 @@ class TestRejections:
         with pytest.raises(ConfigError, match="trials"):
             parse_config_text("[run]\ntrials = soon\n")
 
-    @pytest.mark.parametrize(
-        "snippet,key",
-        [
-            ("[network]\nnodes = 0\n", "nodes"),
-            ("[network]\nradius = 0\n", "radius"),
-            ("[network]\ntopology = ring_lattice\nnodes = 4\nhalf_width = 2\n", "half_width"),
-            ("[network]\ntopology = edge_list\n", "edge_list_path"),
-            ("[model]\ntaps = 0\n", "taps"),
-            ("[model]\nnoise_variance = -0.5\n", "noise_variance"),
-            ("[model]\nregressor_variances = 1.0, 2.0\n", "regressor_variances"),
-            ("[run]\ngamma = -0.1\n", "gamma"),
-            ("[run]\nmu = inf\n", "mu"),
-            ("[run]\ngamma = inf\n", "gamma"),
-            ("[run]\nmu = nan\n", "mu"),
-            ("[run]\ngamma = nan\n", "gamma"),
-            ("[run]\ntrials = 0\n", "trials"),
-            ("[run]\nhorizon = 0\n", "horizon"),
-            ("[run]\nalgorithms = warp_dlms\n", "algorithms"),
-            ("[run]\nalgorithms = atc_dlms, atc_dlms\n", "algorithms"),
-            ("[run]\nsteady_window = 2000\n", "steady_window"),
-            ("[model]\ntaps = 4\ncoefficients = 1.0, 2.0\n", "coefficients"),
-        ],
-    )
+    @pytest.mark.parametrize("snippet,key", [case[:2] for case in REJECTED])
     def test_constraint_violations_name_the_key(self, snippet, key):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config_text(snippet)
+        # the library rejects the same config with the same message
+        kwargs = next(case[2] for case in REJECTED if case[0] == snippet)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig(**kwargs)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[run]\nmu = 0.1\nmu = 0.2\n")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\n[run]\nmu = 0.1\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            parse_config(path)
 
 
 class TestRoundTrip:
@@ -124,7 +152,7 @@ class TestRoundTrip:
             gamma=1e-4,
             trials=3,
             horizon=64,
-            base_seed=-17,
+            base_seed=17,
             steady_window=16,
         )
         text = format_config(cfg)

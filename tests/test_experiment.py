@@ -15,6 +15,7 @@ from diffusion_lms.analysis import (
 )
 from diffusion_lms.experiment import (
     BLOCK_ROUNDS,
+    ConfigError,
     EnsembleDivergence,
     ExperimentConfig,
     algorithm_spec,
@@ -220,9 +221,10 @@ class TestRunEnsemble:
             raise AssertionError("a stream was built before the algorithm was checked")
 
         monkeypatch.setattr(experiment, "make_stream", no_stream)
-        cfg = ExperimentConfig(nodes=6, radius=0.6, trials=2, horizon=120, steady_window=20, **{field: np.inf})
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            run_ensemble(cfg)
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+            run_ensemble(
+                ExperimentConfig(nodes=6, radius=0.6, trials=2, horizon=120, steady_window=20, **{field: np.inf})
+            )
 
     def test_steady_state_estimate_stabilizes_with_trial_count(self):
         # desk-scale check that more trials only refine the steady-state
@@ -278,11 +280,11 @@ class TestSweeps:
             assert values[1][1] is None
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sweep_step_size(SMALL, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sweep_step_size(SMALL, (0.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sweep_leakage(SMALL, (-0.1,))
 
 
@@ -339,5 +341,5 @@ class TestDenoise:
             denoise_speech(cfg, 8)
 
     def test_requires_delay_line_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^source: "):
             denoise_speech(SMALL, 0)

@@ -12,6 +12,7 @@ from diffusion_lms.network import (
     save_edge_list,
     uniform_weights,
 )
+from diffusion_lms.signals import DataFileError
 
 # the path 0 - 1 - 2
 PATH3 = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
@@ -246,11 +247,14 @@ class TestEdgeList:
     def test_load_rejects_bad_content(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 2 3\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(DataFileError, match="malformed"):
+            load_edge_list(path)
+        path.write_bytes(b"2\n1 \xff\n")
+        with pytest.raises(DataFileError, match="malformed edge line '1 \ufffd'"):
             load_edge_list(path)
         path.write_text("2\n1 5\n")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(DataFileError, match="out of range"):
             load_edge_list(path)
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DataFileError, match="empty"):
             load_edge_list(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diffusion_lms.signals import (
-    SampleFileError,
+    DataFileError,
     _resolve_noise_variance,
     default_lowpass_system,
     delay_line_source,
@@ -227,9 +227,11 @@ class TestLoadSamples:
 
     def test_text_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("1.0\nnot-a-number\n")
-        with pytest.raises(SampleFileError, match="decimal"):
-            load_samples(path)
+        # inf and nan parse as floats but are no samples; an undecodable byte is no number
+        for line in (b"not-a-number", b"inf", b"-Infinity", b"nan", b"\xff0.5"):
+            path.write_bytes(b"1.0\n" + line + b"\n")
+            with pytest.raises(DataFileError, match=":2: not a decimal sample: "):
+                load_samples(path)
 
     def test_wav_fixed_point_convention(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -258,7 +260,7 @@ class TestLoadSamples:
             wf.setsampwidth(2)
             wf.setframerate(8000)
             wf.writeframes(np.zeros(8, dtype="<i2").tobytes())
-        with pytest.raises(SampleFileError, match="multi-channel"):
+        with pytest.raises(DataFileError, match="multi-channel"):
             load_samples(path)
 
     def test_wav_rejects_eight_bit(self, tmp_path):
@@ -268,7 +270,7 @@ class TestLoadSamples:
             wf.setsampwidth(1)
             wf.setframerate(8000)
             wf.writeframes(bytes(8))
-        with pytest.raises(SampleFileError, match="16-bit"):
+        with pytest.raises(DataFileError, match="16-bit"):
             load_samples(path)
 
     def test_wav_rejects_non_pcm(self, tmp_path):
@@ -282,8 +284,16 @@ class TestLoadSamples:
         blob = b"RIFF" + struct.pack("<I", len(body)) + body
         path = tmp_path / "float.wav"
         path.write_bytes(blob)
-        with pytest.raises(SampleFileError):
+        with pytest.raises(DataFileError):
             load_samples(path)
+
+    def test_wav_rejects_truncated_file(self, tmp_path):
+        blob = wav_bytes(np.zeros(8), 8000)
+        path = tmp_path / "cut.wav"
+        for size, problem in ((30, "ends inside its header"), (len(blob) - 1, "ends inside a sample")):
+            path.write_bytes(blob[:size])
+            with pytest.raises(DataFileError, match=problem):
+                load_samples(path)
 
 
 class TestSyntheticSpeech:
