@@ -60,16 +60,21 @@ def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """Linear-domain network deviation curve from a snapshot stack
     (T, ..., N, M): entry i is the node-averaged squared deviation at index
     i. Axes between the first and the node axis are independent batch
-    elements and are kept.
+    elements and are kept. The stack may be a strided view; it is read in
+    place, one (T, ..., N) tap slab at a time.
     """
-    dev = snapshots - np.asarray(w_o, dtype=float)
-    dev *= dev
-    # the taps are summed in order, one strided add per tap: on the short
-    # tap axis this is far cheaper than a reduction, and it gives the same
-    # bits to batched and unbatched calls
-    per_node = dev[..., 0].copy()
-    for j in range(1, dev.shape[-1]):
-        per_node += dev[..., j]
+    snapshots = np.asarray(snapshots)
+    w_o = np.asarray(w_o, dtype=float)
+    # the taps are summed in order, one slab per tap: on the short tap axis
+    # this is far cheaper than a reduction, needs no (T, ..., N, M)
+    # temporary, and gives the same bits to batched and unbatched calls
+    per_node = snapshots[..., 0] - w_o[0]
+    per_node *= per_node
+    slab = np.empty_like(per_node)
+    for j in range(1, snapshots.shape[-1]):
+        np.subtract(snapshots[..., j], w_o[j], out=slab)
+        slab *= slab
+        per_node += slab
     return per_node.mean(axis=-1)
 
 

@@ -133,9 +133,18 @@ class ExperimentConfig:
         for key in ("topology_seed", "base_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key}: must be >= 0, got {getattr(self, key)}")
-        for key in ("snr_db", "scale_exponent"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key}: must be finite, got {getattr(self, key)}")
+        if not math.isfinite(self.scale_exponent):
+            raise ConfigError(f"scale_exponent: must be finite, got {self.scale_exponent}")
+        # the noise variance is calibrated by dividing by this power ratio
+        try:
+            snr_ratio = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            snr_ratio = math.inf
+        if not 0.0 < snr_ratio < math.inf:
+            raise ConfigError(
+                f"snr_db: 10**(snr_db/10) must be a finite nonzero float "
+                f"(about -3236 < snr_db < 3082.5), got {self.snr_db}"
+            )
         for key in ("noise_variance", "mu", "gamma"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value >= 0.0):
@@ -339,16 +348,17 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     pair. Trials run in chunks, each batched over (trial, pair) and sized
     so that its streams, network deviation curves and block buffers fit in
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
-    chunk advances BLOCK_ROUNDS rounds at a time, and after every block the
-    requested estimates are scanned for divergence and reduced to one
-    network deviation curve per label. Each label is judged on its own
-    estimates (ATC labels on the combined tables, CTA labels on the
-    intermediates), so the labels of one recursion can keep and drop
-    different trials. A (trial, label) that diverges anywhere is dropped
-    whole when the chunk ends; a (trial, pair) whose labels have all
-    diverged is held at zero. Every chunk runs the whole horizon, so the
-    cost of a run does not depend on where or whether its trials diverge.
-    The averages match running every (trial, label) on its own exactly.
+    chunk advances BLOCK_ROUNDS rounds at a time, and after every block
+    each label's estimates are read in place in the block buffers, scanned
+    for divergence and reduced to one network deviation curve. Each label
+    is judged on its own estimates (ATC labels on the combined tables, CTA
+    labels on the intermediates), so the labels of one recursion can keep
+    and drop different trials. A (trial, label) that diverges anywhere is
+    dropped whole when the chunk ends; a (trial, pair) whose labels have
+    all diverged is held at zero. Every chunk runs the whole horizon, so
+    the cost of a run does not depend on where or whether its trials
+    diverge. The averages match running every (trial, label) on its own
+    exactly.
     """
     setup = build_setup(cfg)
     setup.weights.validate_support(setup.topology)
@@ -419,8 +429,10 @@ def _run_chunk(
 
     Fills ``net``, shape (horizon, trials, labels), with the linear network
     deviation curves, and returns per (trial, label) the first divergent
-    round and node (-1 where none). Curve rows of a (trial, label) that
-    diverged are not meaningful.
+    round and node (-1 where none). Both are read after every block from
+    each label's view of the block buffers, with no copy; the taps are
+    summed one slab at a time. Curve rows of a (trial, label) that diverged
+    are not meaningful.
     """
     horizon, n, m = streams[0].u.shape
     shape = (len(streams), len(pairs), n, m)
@@ -437,25 +449,26 @@ def _run_chunk(
     for start in range(0, horizon, BLOCK_ROUNDS):
         stop = min(start + BLOCK_ROUNDS, horizon)
         rows = stop - start + 1
-        block = FrameBlock(
-            u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
-            d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
-        )
+        # the stacked block is built in the call, so it is freed before the readout
         run_filter(
             setup.weights,
             BatchSpec(mu, gamma),
-            block,
+            FrameBlock(
+                u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
+                d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
+            ),
             out=estimates[:rows],
             phi_out=intermediates[:rows],
         )
-        snapshots = np.stack([outputs[o][1:rows, :, p] for o, p in slots], axis=2)
-        report = detect_divergence(snapshots)
-        if report.divergent:
-            fresh = (report.first_iterations >= 0) & (first_it < 0)
-            first_it[fresh] = start + report.first_iterations[fresh]
-            first_node[fresh] = report.nodes[fresh]
-        with np.errstate(over="ignore", invalid="ignore"):
-            net[start:stop] = linear_deviation(snapshots, setup.w_o)
+        for s, (o, p) in enumerate(slots):
+            view = outputs[o][1:rows, :, p]
+            report = detect_divergence(view)
+            if report.divergent:
+                fresh = (report.first_iterations >= 0) & (first_it[:, s] < 0)
+                first_it[fresh, s] = start + report.first_iterations[fresh]
+                first_node[fresh, s] = report.nodes[fresh]
+            with np.errstate(over="ignore", invalid="ignore"):
+                net[start:stop, :, s] = linear_deviation(view, setup.w_o)
         estimates[0] = estimates[rows - 1]
         # a (trial, pair) is frozen once every label it feeds has diverged
         live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)

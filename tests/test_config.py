@@ -28,6 +28,8 @@ REJECTED = [
     ("[model]\nnoise_variance = inf\n", "noise_variance", dict(noise_variance=float("inf"))),
     ("[model]\nsnr_db = -inf\n", "snr_db", dict(snr_db=float("-inf"))),
     ("[model]\nsnr_db = nan\n", "snr_db", dict(snr_db=float("nan"))),
+    ("[model]\nsnr_db = 4000\n", "snr_db", dict(snr_db=4000.0)),
+    ("[model]\nsnr_db = -4000\n", "snr_db", dict(snr_db=-4000.0)),
     ("[model]\nregressor_variances = 1.0, 2.0\n", "regressor_variances", dict(regressor_variances=(1.0, 2.0))),
     ("[run]\ngamma = -0.1\n", "gamma", dict(gamma=-0.1)),
     ("[run]\nmu = inf\n", "mu", dict(mu=float("inf"))),

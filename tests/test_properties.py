@@ -56,6 +56,16 @@ def divergence_oracle(arr, threshold):
     return first, first_iterations, nodes
 
 
+def strided_view(stack):
+    """``stack`` (T, ..., N, M) copied into one pair slot, rows 1:, of a
+    NaN-filled (T + 1, ..., pairs, N, M) buffer, and returned as that
+    non-contiguous view: the form in which the ensemble reads its labels."""
+    buffer = np.full((stack.shape[0] + 1,) + stack.shape[1:-2] + (2,) + stack.shape[-2:], np.nan)
+    view = buffer[1:, ..., 1, :, :]
+    view[...] = stack
+    return view
+
+
 @PROPERTY
 @given(
     steps=st.integers(1, 5),
@@ -98,6 +108,14 @@ def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, threshol
         assert np.array_equal(report.nodes, nodes)
     else:
         assert report.first_iterations is None and report.nodes is None
+    strided = detect_divergence(strided_view(arr), threshold)
+    assert (strided.divergent, strided.first_iteration, strided.node) == (
+        report.divergent,
+        report.first_iteration,
+        report.node,
+    )
+    assert np.array_equal(strided.first_iterations, report.first_iterations)
+    assert np.array_equal(strided.nodes, report.nodes)
     if steps == 1 and not batch:
         table = detect_divergence(arr[0], threshold)
         assert (table.divergent, table.first_iteration, table.node) == (
@@ -130,6 +148,7 @@ def test_linear_deviation_matches_per_node_loop(steps, batch, n, m, scale, seed)
             total += dev * dev
         want[index] = total
     assert np.array_equal(network, want.mean(axis=-1))
+    assert np.array_equal(linear_deviation(strided_view(snapshots), w_o), network)
 
     for b in np.ndindex(*batch):
         net_b = linear_deviation(snapshots[(slice(None),) + b], w_o)
@@ -263,7 +282,8 @@ def configs(draw):
         weights=draw(st.sampled_from(WEIGHT_RULES)),
         taps=taps,
         coefficients=coefficients,
-        snr_db=draw(finite),
+        # the noise power ratio 10**(snr_db/10) must be a finite nonzero float
+        snr_db=draw(st.floats(-3236.0, 3082.5)),
         noise_variance=draw(st.none() | st.floats(min_value=0.0, allow_infinity=False)),
         regressor_variances=draw(st.none() | st.lists(positive, min_size=nodes, max_size=nodes).map(tuple)),
         source=source,
