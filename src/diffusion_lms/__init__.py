@@ -33,7 +33,6 @@ from diffusion_lms.network import (
     build_ring_lattice,
     load_edge_list,
     non_cooperative_weights,
-    save_edge_list,
     uniform_weights,
 )
 from diffusion_lms.signals import (
@@ -42,7 +41,6 @@ from diffusion_lms.signals import (
     delay_line_source,
     gaussian_source,
     load_samples,
-    noise_variance_for_snr,
     synthetic_speech,
 )
 
@@ -65,11 +63,9 @@ __all__ = [
     "linear_deviation",
     "load_edge_list",
     "load_samples",
-    "noise_variance_for_snr",
     "non_cooperative_weights",
     "run_ensemble",
     "run_filter",
-    "save_edge_list",
     "steady_state_msd",
     "step_size_upper_bound",
     "sweep_leakage",

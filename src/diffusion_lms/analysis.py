@@ -44,16 +44,16 @@ class MsdTrace:
 class DivergenceReport:
     """First non-finite or threshold-crossing estimate in a snapshot stack.
 
-    For a batched stack, ``first_iterations`` and ``nodes`` give each batch
-    element's first bad index and node (-1 where it stays bounded), and the
-    scalar fields describe the earliest one.
+    ``first_iterations`` and ``nodes`` give each batch element's first bad
+    index and node (-1 where it stays bounded), and the scalar fields
+    describe the earliest one (None when nothing diverged).
     """
 
     divergent: bool
+    first_iterations: np.ndarray
+    nodes: np.ndarray
     first_iteration: int | None = None
     node: int | None = None
-    first_iterations: np.ndarray | None = None
-    nodes: np.ndarray | None = None
 
 
 def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
@@ -113,48 +113,43 @@ def step_size_upper_bound(sigma_u_sq: float, m: int, gamma: float = 0.0) -> floa
     return 2.0 / (gamma + sigma_u_sq)
 
 
-def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRESHOLD) -> DivergenceReport:
+def detect_divergence(snapshots: np.ndarray) -> DivergenceReport:
     """Flag the first estimate with a non-finite entry or max-norm above
-    ``threshold``.
+    DIVERGENCE_THRESHOLD.
 
-    ``snapshots`` is a stack (T, N, M), a single table (N, M), or a batched
-    stack (T, ..., N, M) whose middle axes are independent elements; the
-    reported iterations are indices into the given stack. The scalar
-    report names the first bad (iteration, element, node) in that order.
+    ``snapshots`` is a stack (T, ..., N, M) whose middle axes, if any, are
+    independent elements; the reported iterations are indices into it.
+    ``first_iterations`` and ``nodes`` have the shape of the middle axes
+    (0-d for a (T, N, M) stack), and the scalar fields name the first bad
+    (iteration, element, node) in that order.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
     arr = np.asarray(snapshots)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
     if arr.ndim < 3:
-        raise ValueError(f"expected an (N, M) table or (T, ..., N, M) stack, got shape {arr.shape}")
+        raise ValueError(f"expected a (T, ..., N, M) stack, got shape {arr.shape}")
     # whole-stack fast path; NaN propagates through min and max and fails
     # both comparisons, so a stack holding one takes the full scan
-    if arr.size and -threshold <= arr.min() and arr.max() <= threshold:
-        if arr.ndim == 3:
-            return DivergenceReport(divergent=False)
+    if not arr.size or (-DIVERGENCE_THRESHOLD <= arr.min() and arr.max() <= DIVERGENCE_THRESHOLD):
         clear = np.full(arr.shape[1:-2], -1)
         return DivergenceReport(divergent=False, first_iterations=clear, nodes=clear.copy())
     # NaN fails every comparison, so this also flags non-finite entries
     with np.errstate(invalid="ignore"):
-        bad_nodes = ~(np.abs(arr) <= threshold).all(axis=-1)
-    report = DivergenceReport(divergent=False)
-    if bad_nodes.any():
-        t, rest = divmod(int(np.argmax(bad_nodes)), bad_nodes[0].size)
-        report = DivergenceReport(divergent=True, first_iteration=t, node=rest % bad_nodes.shape[-1])
-    if arr.ndim == 3:
-        return report
+        bad_nodes = ~(np.abs(arr) <= DIVERGENCE_THRESHOLD).all(axis=-1)
     bad_rounds = bad_nodes.any(axis=-1)
     first = np.argmax(bad_rounds, axis=0)
     nodes = np.argmax(np.take_along_axis(bad_nodes, first[None, ..., None], axis=0)[0], axis=-1)
     hit = bad_rounds.any(axis=0)
-    return replace(report, first_iterations=np.where(hit, first, -1), nodes=np.where(hit, nodes, -1))
+    report = DivergenceReport(
+        divergent=bool(hit.any()), first_iterations=np.where(hit, first, -1), nodes=np.where(hit, nodes, -1)
+    )
+    if not report.divergent:
+        return report
+    t, rest = divmod(int(np.argmax(bad_nodes)), bad_nodes[0].size)
+    return replace(report, first_iteration=t, node=rest % bad_nodes.shape[-1])
 
 
-def steady_state_msd(trace: MsdTrace | np.ndarray, window: int) -> float:
-    """Mean of the final ``window`` dB values of a learning curve."""
-    arr = np.asarray(getattr(trace, "per_iteration_db", trace), dtype=float)
+def steady_state_msd(trace: MsdTrace, window: int) -> float:
+    """Mean of the final ``window`` dB values of a trace's learning curve."""
+    arr = trace.per_iteration_db
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > arr.shape[0]:

@@ -31,6 +31,7 @@ from diffusion_lms.network import (
     uniform_weights,
 )
 from diffusion_lms.signals import (
+    ConfigError,
     DataFileError,
     FrameStream,
     default_lowpass_system,
@@ -79,10 +80,6 @@ CHUNK_BYTES = 4 * 2**20
 BLOCK_ROUNDS = 50
 
 
-class ConfigError(ValueError):
-    """Invalid experiment config: unknown key, bad type, or bad constraint."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description; defaults give the headline
@@ -91,7 +88,9 @@ class ExperimentConfig:
 
     Construction checks every field and raises ConfigError, whose message
     starts with the offending key, so a config that exists is one that can
-    run. Only a sample or edge-list file is left to be checked when read.
+    run. Left to the setup and the streams, before any filter round: a
+    sample or edge-list file, and whether the noise variance an ``snr_db``
+    gives against the signal power fits in a float.
     """
 
     # network
@@ -240,10 +239,7 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
         return build_ring_lattice(cfg.nodes, cfg.half_width)
     if cfg.topology == "random_geometric":
         return build_random_geometric(cfg.nodes, cfg.radius, cfg.topology_seed)
-    topo = load_edge_list(cfg.edge_list_path)
-    if topo.node_count != cfg.nodes:
-        raise ConfigError(f"nodes: {cfg.nodes}, but edge list {cfg.edge_list_path} has {topo.node_count} nodes")
-    return topo
+    return load_edge_list(cfg.edge_list_path, cfg.nodes)
 
 
 def build_weights(cfg: ExperimentConfig, topology: Topology) -> CombinationWeights:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffusion_lms.signals import DataFileError
+from diffusion_lms.signals import ConfigError, DataFileError
 
 __all__ = [
     "STOCHASTIC_TOL",
@@ -22,7 +22,6 @@ __all__ = [
     "build_random_geometric",
     "uniform_weights",
     "non_cooperative_weights",
-    "save_edge_list",
     "load_edge_list",
 ]
 
@@ -187,18 +186,14 @@ def non_cooperative_weights(n: int) -> CombinationWeights:
     return CombinationWeights(a=eye, c=eye.copy())
 
 
-def save_edge_list(topology: Topology, path: str | os.PathLike) -> None:
-    """Write a topology as plain text: first line "N", then one "k l" line
-    per undirected edge, 1-based, self-loops implicit."""
-    lines = [str(topology.node_count)]
-    lines += [f"{k + 1} {l + 1}" for k, l in np.argwhere(np.triu(topology.adjacency, 1))]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def load_edge_list(path: str | os.PathLike, nodes: int) -> Topology:
+    """Read a topology file of ``nodes`` nodes.
 
-
-def load_edge_list(path: str | os.PathLike) -> Topology:
-    """Read the edge-list format written by :func:`save_edge_list`; a
-    malformed file raises DataFileError."""
+    The format is plain text: first line "N", then one "k l" line per
+    undirected edge, 1-based, self-loops implicit; blank lines are
+    ignored. A malformed file raises DataFileError, and an N other than
+    ``nodes`` raises ConfigError before any N x N table is built.
+    """
     # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         raw = [ln.strip() for ln in fh]
@@ -211,6 +206,8 @@ def load_edge_list(path: str | os.PathLike) -> Topology:
         raise DataFileError(f"{path}: first line must be the node count") from exc
     if n < 1:
         raise DataFileError(f"{path}: node count must be >= 1, got {n}")
+    if n != nodes:
+        raise ConfigError(f"nodes: {nodes}, but edge list {path} has {n} nodes")
     adj = np.eye(n, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()

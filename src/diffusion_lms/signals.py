@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "DataFileError",
     "FrameStream",
     "LoadedSamples",
     "default_lowpass_system",
-    "noise_variance_for_snr",
     "gaussian_source",
     "delay_line_source",
     "load_samples",
@@ -32,6 +32,11 @@ __all__ = [
 
 # 16-bit PCM fixed-point convention: sample 16384 maps to 0.5
 _PCM_SCALE = 32768.0
+
+
+class ConfigError(ValueError):
+    """Invalid experiment config: unknown key, bad type, or bad constraint.
+    The message starts with the offending key."""
 
 
 class DataFileError(ValueError):
@@ -79,18 +84,6 @@ def default_lowpass_system(m: int) -> np.ndarray:
     return np.full(m, 1.0 / m)
 
 
-def noise_variance_for_snr(signal_power: float, snr_db: float) -> float:
-    """Noise variance that realizes ``snr_db`` against ``signal_power``.
-
-    For white regressors the per-node signal power is
-    sigma_u^2 * ||w_o||^2, so the returned value is that power divided by
-    10^(snr_db / 10).
-    """
-    if signal_power <= 0.0:
-        raise ValueError(f"signal_power must be positive, got {signal_power}")
-    return signal_power / 10.0 ** (snr_db / 10.0)
-
-
 def _resolve_noise_variance(
     signal_power: np.ndarray,
     snr_db: float,
@@ -99,9 +92,12 @@ def _resolve_noise_variance(
 ) -> np.ndarray:
     """Per-node noise variances, either explicit or SNR-calibrated.
 
-    Nodes with zero signal power cannot realize any finite SNR; they fall
-    back to unit noise variance so the stream stays well defined (the
-    measurements there are pure noise).
+    A calibrated variance is the signal power divided by 10^(snr_db / 10);
+    for white regressors the power is sigma_u^2 * ||w_o||^2. Nodes with
+    zero signal power cannot realize any finite SNR; they fall back to
+    unit noise variance so the stream stays well defined (the measurements
+    there are pure noise). An SNR so low that a variance exceeds the float
+    range raises ConfigError.
     """
     if noise_variance is not None:
         var = np.broadcast_to(np.asarray(noise_variance, dtype=float), (n,)).copy()
@@ -109,7 +105,11 @@ def _resolve_noise_variance(
             raise ValueError("noise_variance entries must be finite and >= 0")
         return var
     p = np.asarray(signal_power, dtype=float)
-    return np.where(p <= 0.0, 1.0, p / 10.0 ** (snr_db / 10.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        var = np.where(p <= 0.0, 1.0, p / 10.0 ** (snr_db / 10.0))
+    if not np.isfinite(var).all():
+        raise ConfigError(f"snr_db: {snr_db} dB needs a noise variance beyond the float range")
+    return var
 
 
 def _check_variances(variances: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diffusion_lms.analysis import (
+    DIVERGENCE_THRESHOLD,
     MsdTrace,
     detect_divergence,
     leaky_fixed_point,
@@ -175,6 +176,9 @@ class TestDetectDivergence:
         report = detect_divergence(np.zeros((5, 3, 2)))
         assert not report.divergent
         assert report.first_iteration is None and report.node is None
+        # an unbatched stack reports through 0-d arrays
+        assert report.first_iterations.shape == report.nodes.shape == ()
+        assert report.first_iterations == report.nodes == -1
 
     def test_nan_is_flagged_at_first_occurrence(self):
         snaps = np.zeros((6, 3, 2))
@@ -184,13 +188,16 @@ class TestDetectDivergence:
         assert report.divergent
         assert report.first_iteration == 4
         assert report.node == 1
+        assert report.first_iterations.shape == report.nodes.shape == ()
+        assert (report.first_iterations, report.nodes) == (4, 1)
 
     def test_threshold_crossing_flagged(self):
         snaps = np.zeros((3, 2, 2))
         snaps[2, 0, 1] = 2e6
         report = detect_divergence(snaps)
         assert report.divergent and report.first_iteration == 2 and report.node == 0
-        assert not detect_divergence(snaps, threshold=1e7).divergent
+        snaps[2, 0, 1] = DIVERGENCE_THRESHOLD
+        assert not detect_divergence(snaps).divergent
 
     def test_batched_stack_reports_each_element(self):
         snaps = np.zeros((5, 2, 3, 4, 2))
@@ -211,9 +218,12 @@ class TestDetectDivergence:
         assert not clean.divergent and clean.first_iteration is None
         assert (clean.first_iterations == -1).all() and clean.first_iterations.shape == (2, 3)
 
-    def test_single_table_accepted(self):
+    def test_single_table_rejected(self):
+        # a table is a one-round stack: table[None]
         table = np.full((4, 2), np.inf)
-        assert detect_divergence(table).divergent
+        with pytest.raises(ValueError, match="expected a"):
+            detect_divergence(table)
+        assert detect_divergence(table[None]).divergent
 
     def test_deliberate_divergence_run_is_flagged(self):
         sigma_sq = 0.5
@@ -226,12 +236,16 @@ class TestDetectDivergence:
         assert detect_divergence(snaps).divergent
 
 
+def db_trace(values):
+    return MsdTrace(per_iteration_db=np.asarray(values, dtype=float), trials=1, divergent_trials=0)
+
+
 class TestSteadyState:
     def test_constant_trace(self):
-        assert steady_state_msd(np.full(10, -18.0), 5) == -18.0
+        assert steady_state_msd(db_trace(np.full(10, -18.0)), 5) == -18.0
 
     def test_window_selects_tail(self):
-        assert steady_state_msd(np.array([-10.0, -18.0, -18.0]), 2) == -18.0
+        assert steady_state_msd(db_trace([-10.0, -18.0, -18.0]), 2) == -18.0
 
     def test_accepts_msd_trace_objects(self):
         trace = MsdTrace(
@@ -241,8 +255,12 @@ class TestSteadyState:
         )
         assert steady_state_msd(trace, 2) == -12.0
 
+    def test_bare_array_rejected(self):
+        with pytest.raises(AttributeError):
+            steady_state_msd(np.full(10, -18.0), 5)
+
     def test_oversized_window_rejected(self):
         with pytest.raises(ValueError):
-            steady_state_msd(np.zeros(3), 4)
+            steady_state_msd(db_trace(np.zeros(3)), 4)
         with pytest.raises(ValueError):
-            steady_state_msd(np.zeros(3), 0)
+            steady_state_msd(db_trace(np.zeros(3)), 0)

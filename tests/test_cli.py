@@ -232,8 +232,10 @@ class TestRun:
         [
             ("6\n1 x\n", EXIT_DATA, "data error: {path}: malformed edge line '1 x'"),
             ("5\n1 2\n", EXIT_CONFIG, "config error: nodes: 6, but edge list {path} has 5 nodes"),
+            # no node table of this size can be allocated: the header is checked first
+            (f"{10**18}\n1 2\n", EXIT_CONFIG, f"config error: nodes: 6, but edge list {{path}} has {10**18} nodes"),
         ],
-        ids=["malformed", "node_count"],
+        ids=["malformed", "node_count", "huge_header"],
     )
     def test_bad_edge_list_exits_before_any_stream(self, tmp_path, monkeypatch, capsys, content, code, message):
         from diffusion_lms import experiment
@@ -275,6 +277,36 @@ class TestRun:
         with pytest.raises(ValueError, match="^boom$"):
             main(["run", "--config", str(small_config), "--out", str(tmp_path / "out")])
         assert "config error" not in capsys.readouterr().err
+
+
+class TestSnrRange:
+    @pytest.mark.parametrize(
+        "command,source",
+        [("run", "white_gaussian"), ("run", "delay_line"), ("sweep", "white_gaussian"), ("denoise", "delay_line")],
+    )
+    def test_noise_variance_overflow_exits_2_before_any_round(self, tmp_path, monkeypatch, capsys, command, source):
+        # the config rules pass -3230 dB: 10**(-323) is a nonzero float, but
+        # any signal power above about 2e-15 divided by it is not
+        from diffusion_lms import experiment
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a filter round ran before the noise variance was checked")
+
+        monkeypatch.setattr(experiment, "run_filter", no_round)
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 4\ntopology = ring_lattice\nhalf_width = 1\n\n[model]\nsnr_db = -3230\n\n"
+            f"[source]\nkind = {source}\n\n[run]\ntrials = 2\nhorizon = 60\nsteady_window = 20\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+            "denoise": ["denoise", "--node", "1"],
+        }[command] + ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: snr_db: -3230.0 dB")
+        assert not out.exists()
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from edge_lists import write_edge_list
+
 from diffusion_lms.network import (
     STOCHASTIC_TOL,
     CombinationWeights,
@@ -9,10 +11,9 @@ from diffusion_lms.network import (
     build_ring_lattice,
     load_edge_list,
     non_cooperative_weights,
-    save_edge_list,
     uniform_weights,
 )
-from diffusion_lms.signals import DataFileError
+from diffusion_lms.signals import ConfigError, DataFileError
 
 # the path 0 - 1 - 2
 PATH3 = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
@@ -235,26 +236,29 @@ class TestEdgeList:
     def test_round_trip(self, tmp_path):
         topo = build_random_geometric(9, 0.4, 11)
         path = tmp_path / "graph.txt"
-        save_edge_list(topo, path)
-        assert np.array_equal(load_edge_list(path).adjacency, topo.adjacency)
+        write_edge_list(topo, path)
+        assert np.array_equal(load_edge_list(path, 9).adjacency, topo.adjacency)
 
     def test_file_format_is_one_based(self, tmp_path):
-        topo = Topology(PATH3)
         path = tmp_path / "path.txt"
-        save_edge_list(topo, path)
-        assert path.read_text() == "3\n1 2\n2 3\n"
+        path.write_text("3\n1 2\n2 3\n")
+        assert np.array_equal(load_edge_list(path, 3).adjacency, PATH3)
 
     def test_load_rejects_bad_content(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 2 3\n")
         with pytest.raises(DataFileError, match="malformed"):
-            load_edge_list(path)
+            load_edge_list(path, 2)
         path.write_bytes(b"2\n1 \xff\n")
         with pytest.raises(DataFileError, match="malformed edge line '1 \ufffd'"):
-            load_edge_list(path)
+            load_edge_list(path, 2)
         path.write_text("2\n1 5\n")
         with pytest.raises(DataFileError, match="out of range"):
-            load_edge_list(path)
+            load_edge_list(path, 2)
         path.write_text("")
         with pytest.raises(DataFileError, match="empty"):
-            load_edge_list(path)
+            load_edge_list(path, 2)
+        # the header is checked against nodes before any N x N table is built
+        path.write_text(f"{10**18}\n1 x\n")
+        with pytest.raises(ConfigError, match=f"^nodes: 2, but edge list .* has {10**18} nodes$"):
+            load_edge_list(path, 2)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_lists import write_edge_list
 from reference_impl import atc_dlms_step, cta_dlms_step
 
-from diffusion_lms.analysis import detect_divergence, linear_deviation
+from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, detect_divergence, linear_deviation
 from diffusion_lms.config import format_config, parse_config_text
 from diffusion_lms.experiment import ALGORITHM_LABELS, SOURCE_KINDS, WEIGHT_RULES, ExperimentConfig
 from diffusion_lms.filters import BatchSpec, FrameBlock, run_filter
@@ -25,7 +26,6 @@ from diffusion_lms.network import (
     build_random_geometric,
     build_ring_lattice,
     load_edge_list,
-    save_edge_list,
     uniform_weights,
 )
 from diffusion_lms.signals import delay_line_source
@@ -72,7 +72,6 @@ def strided_view(stack):
     batch=batch_shapes,
     n=st.integers(1, 5),
     m=st.integers(1, 4),
-    threshold=st.sampled_from([1e6, 1.0, 3.5]),
     seed=st.integers(0, 2**32 - 1),
     plants=st.lists(
         st.tuples(
@@ -82,7 +81,8 @@ def strided_view(stack):
         max_size=3,
     ),
 )
-def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, threshold, seed, plants):
+def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, seed, plants):
+    threshold = DIVERGENCE_THRESHOLD
     rng = np.random.default_rng(seed)
     arr = rng.uniform(-threshold, threshold, (steps,) + batch + (n, m))
     above = np.nextafter(threshold, np.inf)
@@ -100,15 +100,14 @@ def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, threshol
         flat[index % flat.size] = values[kind]
 
     first, first_iterations, nodes = divergence_oracle(arr, threshold)
-    report = detect_divergence(arr, threshold)
+    report = detect_divergence(arr)
     assert report.divergent == (first is not None)
     assert (report.first_iteration, report.node) == (first if first else (None, None))
-    if batch:
-        assert np.array_equal(report.first_iterations, first_iterations)
-        assert np.array_equal(report.nodes, nodes)
-    else:
-        assert report.first_iterations is None and report.nodes is None
-    strided = detect_divergence(strided_view(arr), threshold)
+    # an unbatched stack reports through 0-d arrays
+    assert report.first_iterations.shape == report.nodes.shape == batch
+    assert np.array_equal(report.first_iterations, first_iterations)
+    assert np.array_equal(report.nodes, nodes)
+    strided = detect_divergence(strided_view(arr))
     assert (strided.divergent, strided.first_iteration, strided.node) == (
         report.divergent,
         report.first_iteration,
@@ -116,13 +115,6 @@ def test_detect_divergence_matches_per_entry_oracle(steps, batch, n, m, threshol
     )
     assert np.array_equal(strided.first_iterations, report.first_iterations)
     assert np.array_equal(strided.nodes, report.nodes)
-    if steps == 1 and not batch:
-        table = detect_divergence(arr[0], threshold)
-        assert (table.divergent, table.first_iteration, table.node) == (
-            report.divergent,
-            report.first_iteration,
-            report.node,
-        )
 
 
 @PROPERTY
@@ -199,9 +191,9 @@ def networks(draw):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "net.txt"
             path.write_text("\n".join([str(n)] + [f"{k + 1} {l + 1}" for k, l in edges]) + "\n")
-            topology = load_edge_list(path)
-            save_edge_list(topology, path)
-            assert np.array_equal(load_edge_list(path).adjacency, topology.adjacency)
+            topology = load_edge_list(path, n)
+            write_edge_list(topology, path)
+            assert np.array_equal(load_edge_list(path, n).adjacency, topology.adjacency)
     weights = uniform_weights(topology)
     if draw(st.booleans()):
         # data shared differently from estimates: c keeps only the own data

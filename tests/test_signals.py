@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from diffusion_lms.signals import (
+    ConfigError,
     DataFileError,
     _resolve_noise_variance,
     default_lowpass_system,
     delay_line_source,
     gaussian_source,
     load_samples,
-    noise_variance_for_snr,
     synthetic_speech,
     wav_bytes,
 )
@@ -41,28 +41,42 @@ class TestDefaultSystem:
 
 
 class TestNoiseVarianceForSnr:
+    """The calibrated noise variance is the signal power divided by
+    10^(snr_db / 10), read off a white-Gaussian stream whose signal power
+    is variances[k] * ||w_o||^2."""
+
+    @staticmethod
+    def resolved(variance, w_o, snr_db):
+        return gaussian_source(np.array([variance]), np.asarray(w_o, dtype=float), 0, 1, snr_db).noise_variance[0]
+
     def test_zero_db_means_equal_power(self):
-        assert noise_variance_for_snr(1.0, 0.0) == 1.0
+        assert self.resolved(1.0, [1.0], 0.0) == 1.0
 
     def test_ten_db(self):
-        assert np.isclose(noise_variance_for_snr(1.0, 10.0), 0.1)
+        assert np.isclose(self.resolved(1.0, [1.0], 10.0), 0.1)
 
     def test_white_regressor_formula(self):
         # signal power sigma_u^2 * ||w_o||^2 with sigma_u^2 = 0.35, ||w_o||^2 = 0.2
-        assert np.isclose(noise_variance_for_snr(0.35 * 0.2, 0.0), 0.07)
+        assert np.isclose(self.resolved(0.35, default_lowpass_system(5), 0.0), 0.07)
 
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            noise_variance_for_snr(0.0, 0.0)
-        with pytest.raises(ValueError):
-            noise_variance_for_snr(-1.0, 0.0)
+    def test_zero_power_falls_back_to_unit_variance(self):
+        assert self.resolved(0.35, np.zeros(5), 10.0) == 1.0
 
     def test_per_node_resolution_is_the_scalar_rule_bitwise(self):
         power = np.array([0.0, 0.1, 0.35 * 0.2, 1.0, 2.5e-3, 7.0, 0.0])
         for snr_db in (0.0, -3.0, 10.0, 17.3):
             got = _resolve_noise_variance(power, snr_db, None, power.size)
-            want = [1.0 if p <= 0.0 else noise_variance_for_snr(float(p), snr_db) for p in power]
+            want = [1.0 if p <= 0.0 else float(p) / 10.0 ** (snr_db / 10.0) for p in power]
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("snr_db", [-3100.0, -3235.0, float("nan")])
+    def test_variance_beyond_the_float_range_is_a_config_error(self, snr_db):
+        # no overflow warning escapes: the suite turns one into an error
+        with pytest.raises(ConfigError, match="^snr_db: "):
+            self.resolved(1.0, [1.0], snr_db)
+        w_o = default_lowpass_system(5)
+        with pytest.raises(ConfigError, match="^snr_db: "):
+            delay_line_source(np.ones(20), np.array([1.0, 0.5]), w_o, seed=0, snr_db=snr_db)
 
 
 class TestGaussianSource:
