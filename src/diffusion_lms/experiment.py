@@ -185,6 +185,8 @@ class ExperimentConfig:
             raise ConfigError("algorithms: duplicate labels")
         # a sample file sets its own length, checked when it is read
         uses_config_horizon = self.source == "white_gaussian" or self.sample_path == SYNTHETIC_SAMPLE_PATH
+        if self.source == "delay_line" and self.sample_path == SYNTHETIC_SAMPLE_PATH and self.horizon < self.taps:
+            raise ConfigError(f"horizon: {self.horizon} synthetic samples are fewer than taps = {self.taps}")
         if uses_config_horizon and self.steady_window > self.horizon:
             raise ConfigError(f"steady_window: {self.steady_window} exceeds horizon {self.horizon}")
 

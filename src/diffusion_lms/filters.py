@@ -74,74 +74,6 @@ class FrameBlock:
     d: np.ndarray
 
 
-def _round(
-    w: np.ndarray,
-    u: np.ndarray,
-    u_t: np.ndarray,
-    d_col: np.ndarray,
-    mu: float | np.ndarray,
-    leak: float | np.ndarray,
-    a_t: np.ndarray,
-    c_t: np.ndarray,
-    errors: np.ndarray,
-    innovation: np.ndarray,
-    w_out: np.ndarray,
-    phi_out: np.ndarray,
-) -> np.ndarray:
-    """One adapt-then-combine round on (..., N, M) estimate tables.
-
-    Adaptation: phi_k = leak * w_k + mu * sum over l of
-    c[l, k] * (d_l - u_l . w_k) * u_l, with leak = 1 - mu * gamma; the
-    combination then a-averages the intermediates. The weighted errors
-    form one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
-    built in place, so that its product with ``u`` is the (..., N, M)
-    innovation table. Leading axes are independent batch elements and
-    broadcast, so data shared by several elements is passed once.
-
-    The operands come laid out for the round: ``u_t`` is ``u`` with its
-    last two axes swapped, ``d_col`` is ``d[..., None, :]``, ``a_t`` and
-    ``c_t`` are the transposed weight tables, and ``errors`` and
-    ``innovation`` are scratch buffers of the broadcast batch shape. The
-    intermediates are written to ``phi_out`` and the combined estimates,
-    which are returned, to ``w_out``; ``w_out`` may be ``w`` itself.
-    """
-    np.matmul(w, u_t, out=errors)
-    np.subtract(d_col, errors, out=errors)
-    errors *= c_t
-    np.matmul(errors, u, out=innovation)
-    innovation *= mu
-    phi = np.multiply(w, leak, out=phi_out)
-    phi += innovation
-    return np.matmul(a_t, phi, out=w_out)
-
-
-def _drive(
-    w: np.ndarray,
-    u: np.ndarray,
-    d: np.ndarray,
-    mu: float | np.ndarray,
-    leak: float | np.ndarray,
-    a: np.ndarray,
-    c: np.ndarray,
-    w_rows: np.ndarray | None,
-    phi_rows: np.ndarray | None,
-) -> None:
-    """Run ``len(u)`` rounds from ``w``; round i writes its combined
-    estimates to ``w_rows[i]`` and its intermediates to ``phi_rows[i]``.
-    Where the rows are None, every round overwrites one scratch table
-    instead, so ``w`` itself is never written."""
-    n, m = w.shape[-2:]
-    batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
-    errors = np.empty(batch + (n, n))
-    innovation = np.empty(batch + (n, m))
-    w_rows = itertools.repeat(np.empty(batch + (n, m))) if w_rows is None else w_rows
-    phi_rows = itertools.repeat(np.empty(batch + (n, m))) if phi_rows is None else phi_rows
-    a_t, c_t = a.T, np.ascontiguousarray(c.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], w_rows, phi_rows):
-            w = _round(w, u_i, u_t, d_col, mu, leak, a_t, c_t, errors, innovation, w_row, phi_row)
-
-
 def run_filter(
     weights: CombinationWeights,
     spec: AlgorithmSpec | BatchSpec,
@@ -164,17 +96,25 @@ def run_filter(
     support is not checked here; ``weights.validate_support(topology)``
     does that once per setup.
 
+    One round on (..., N, M) estimate tables w: the adaptation forms the
+    intermediates phi_k = leak * w_k + mu * sum over l of
+    c[l, k] * (d_l - u_l . w_k) * u_l, with leak = 1 - mu * gamma, and the
+    combination a-averages them into the next w. The weighted errors form
+    one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
+    built in place, so that its product with u is the (..., N, M)
+    innovation table. Leading axes are independent batch elements and
+    broadcast, so data shared by several elements is passed once.
+
     Batched form: ``spec`` is a :class:`BatchSpec`, ``source`` a
     :class:`FrameBlock` of T rounds, and ``out`` and ``phi_out`` are
     (T + 1, *batch, N, M) buffers whose row 0 of ``out`` holds the
     estimates the block starts from. Row i of ``out`` receives the combined
     (ATC) tables after round i and row i of ``phi_out`` the intermediate
-    (CTA) tables; ``out`` is returned.
+    (CTA) tables; ``out`` is returned. ``out`` and ``phi_out`` belong to
+    this form only: a :class:`FrameStream` source takes an
+    :class:`AlgorithmSpec` and no buffers.
     """
     n = weights.node_count
-    a, c = weights.a, weights.c
-    leak = 1.0 - spec.mu * spec.gamma
-
     if isinstance(source, FrameBlock):
         if not isinstance(spec, BatchSpec):
             raise TypeError("a FrameBlock source needs a BatchSpec")
@@ -184,15 +124,36 @@ def run_filter(
             raise ValueError(f"buffers of shape {out.shape} do not fit {len(source.u)} rounds on {n} nodes")
         if source.u.shape[-2:] != out.shape[-2:] or source.d.shape[-1:] != (n,):
             raise ValueError(f"regressors {source.u.shape} and measurements {source.d.shape} do not fit {out.shape}")
-        _drive(out[0], source.u, source.d, spec.mu, leak, a, c, out[1:], phi_out[1:])
-        return out
-
-    if not isinstance(source, FrameStream):
+        result, w_rows, phi_rows = out, out[1:], phi_out[1:]
+    elif isinstance(source, FrameStream):
+        if not isinstance(spec, AlgorithmSpec):
+            raise TypeError("a FrameStream source needs an AlgorithmSpec")
+        if out is not None or phi_out is not None:
+            raise TypeError("out and phi_out buffers need a FrameBlock source")
+        if source.node_count != n:
+            raise ValueError(f"source has {source.node_count} nodes, weights have {n}")
+        result = np.zeros((len(source) + 1,) + source.u.shape[1:])
+        # the rows a caller does not keep all overwrite one scratch table,
+        # so the starting table result[0] is never written
+        rows, scratch = result[1:], itertools.repeat(np.empty(source.u.shape[1:]))
+        w_rows, phi_rows = (rows, scratch) if spec.ordering == "atc" else (scratch, rows)
+    else:
         raise TypeError(f"source must be a FrameStream or a FrameBlock, got {type(source).__name__}")
-    if source.node_count != n:
-        raise ValueError(f"source has {source.node_count} nodes, weights have {n}")
-    snapshots = np.zeros((len(source) + 1,) + source.u.shape[1:])
-    rows = snapshots[1:]
-    w_rows, phi_rows = (rows, None) if spec.ordering == "atc" else (None, rows)
-    _drive(snapshots[0], source.u, source.d, spec.mu, leak, a, c, w_rows, phi_rows)
-    return snapshots
+
+    w, u, d, mu = result[0], source.u, source.d, spec.mu
+    leak = 1.0 - mu * spec.gamma
+    batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
+    errors = np.empty(batch + (n, n))
+    innovation = np.empty(batch + w.shape[-2:])
+    a_t, c_t = weights.a.T, np.ascontiguousarray(weights.c.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], w_rows, phi_rows):
+            np.matmul(w, u_t, out=errors)
+            np.subtract(d_col, errors, out=errors)
+            errors *= c_t
+            np.matmul(errors, u_i, out=innovation)
+            innovation *= mu
+            np.multiply(w, leak, out=phi_row)
+            phi_row += innovation
+            w = np.matmul(a_t, phi_row, out=w_row)
+    return result

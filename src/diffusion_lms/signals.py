@@ -274,9 +274,13 @@ def load_samples(path: str | os.PathLike) -> LoadedSamples:
 
 
 def wav_bytes(data: np.ndarray, sample_rate: int) -> bytes:
-    """Encode a mono 16-bit PCM WAV, clipping samples into [-1, 1)."""
-    scaled = np.clip(np.round(np.asarray(data, dtype=float) * _PCM_SCALE), -32768, 32767)
-    pcm = scaled.astype("<i2")
+    """Encode a mono 16-bit PCM WAV, clipping samples into [-1, 1).
+
+    A diverged signal encodes without a warning: NaN as 0, and +-inf as the
+    clip limits. Clipping to [-1, 1] before scaling is exact, so finite
+    samples encode as if scaled first."""
+    clipped = np.clip(np.nan_to_num(np.asarray(data, dtype=float)), -1.0, 1.0)
+    pcm = np.clip(np.round(clipped * _PCM_SCALE), -32768, 32767).astype("<i2")
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)

@@ -533,6 +533,22 @@ trials = 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert "denoise_node1_filtered.wav" in manifest["outputs"]
 
+    def test_diverged_wav_denoise_exits_3(self, tmp_path, capsys):
+        # the non-finite filtered signal encodes without a RuntimeWarning,
+        # which the suite would raise as an error
+        wav_in = tmp_path / "speech.wav"
+        wav_in.write_bytes(wav_bytes(0.8 * synthetic_speech(500, 3), 8000))
+        cfg = tmp_path / "wav.cfg"
+        cfg.write_text(
+            f"[network]\ntopology = ring_lattice\nnodes = 4\nhalf_width = 1\n\n[source]\nkind = delay_line\n"
+            f"sample_path = {wav_in}\n\n[run]\nalgorithms = atc_leaky_dlms\nmu = 5000\nsteady_window = 50\n"
+        )
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "1"]) == EXIT_DIVERGENCE
+        assert "error: filter output is not finite (divergent run)" in capsys.readouterr().err
+        with wave.open(str(out / "denoise_node1_filtered.wav"), "rb") as wf:
+            assert wf.getnframes() == 500
+
 
 class TestValidate:
     def test_valid_config_echoes_resolved_form(self, small_config, capsys):

@@ -42,6 +42,11 @@ REJECTED = [
     ("[run]\nalgorithms = warp_dlms\n", "algorithms", dict(algorithms=("warp_dlms",))),
     ("[run]\nalgorithms = atc_dlms, atc_dlms\n", "algorithms", dict(algorithms=("atc_dlms", "atc_dlms"))),
     ("[run]\nsteady_window = 2000\n", "steady_window", dict(steady_window=2000)),
+    (
+        "[source]\nkind = delay_line\n\n[run]\nhorizon = 3\nsteady_window = 3\n",
+        "horizon",
+        dict(source="delay_line", horizon=3, steady_window=3),
+    ),
     ("[model]\ntaps = 4\ncoefficients = 1.0, 2.0\n", "coefficients", dict(taps=4, coefficients=(1.0, 2.0))),
 ]
 

@@ -289,6 +289,13 @@ class TestSharedRecursion:
             run_filter(self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
         with pytest.raises(TypeError):
             run_filter(self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))
+        # out and phi_out belong to the FrameBlock form, which a BatchSpec needs
+        with pytest.raises(TypeError):
+            run_filter(self.weights, AlgorithmSpec("atc", 0.1), stream, out=np.zeros((11, 8, 3)))
+        with pytest.raises(TypeError):
+            run_filter(self.weights, AlgorithmSpec("cta", 0.1), stream, phi_out=np.zeros((11, 8, 3)))
+        with pytest.raises(TypeError):
+            run_filter(self.weights, spec, stream)
 
 
 class TestRoundScratch:

@@ -260,7 +260,8 @@ def configs(draw):
     coefficients = draw(st.none() | st.lists(finite, min_size=taps, max_size=taps).map(tuple))
     source = draw(st.sampled_from(SOURCE_KINDS))
     sample_path = draw(st.just("synthetic") | paths)
-    horizon = draw(st.integers(1, 10**6))
+    # a synthetic delay-line signal of horizon samples must fill the taps
+    horizon = draw(st.integers(taps if source == "delay_line" and sample_path == "synthetic" else 1, 10**6))
     # the window is checked against the horizon unless a sample file sets the length
     window_cap = horizon if source == "white_gaussian" or sample_path == "synthetic" else 10**6
     labels = draw(st.permutations(ALGORITHM_LABELS))

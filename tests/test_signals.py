@@ -267,6 +267,13 @@ class TestLoadSamples:
         assert np.array_equal(loaded.data, data)
         assert loaded.sample_rate == 16000
 
+    def test_wav_encodes_clipped_and_non_finite_samples(self, tmp_path):
+        path = tmp_path / "edges.wav"
+        path.write_bytes(wav_bytes(np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, 1.0, -2.0]), 8000))
+        with wave.open(str(path), "rb") as wf:
+            pcm = np.frombuffer(wf.readframes(7), dtype="<i2")
+        assert pcm.tolist() == [0, 32767, -32768, 32767, -32768, 32767, -32768]
+
     def test_wav_rejects_stereo(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave.open(str(path), "wb") as wf:
