@@ -96,18 +96,16 @@ def leaky_fixed_point(r: np.ndarray, gamma: float, w_o: np.ndarray) -> np.ndarra
     return np.linalg.solve(r + gamma * np.eye(m), r @ w_o)
 
 
-def step_size_upper_bound(sigma_u_sq: float, m: int, gamma: float = 0.0) -> float:
+def step_size_upper_bound(sigma_u_sq: float, gamma: float = 0.0) -> float:
     """Mean-stability step-size bound for white regressors.
 
-    With covariance sigma_u_sq * I (any tap count m >= 1) the largest
+    With covariance sigma_u_sq * I (any tap count) the largest
     eigenvalue is sigma_u_sq, so the bound is 2 / (gamma + sigma_u_sq):
     the contraction |1 - mu * (gamma + lambda)| < 1 holds for every
     eigenvalue lambda at any step size below it.
     """
     if sigma_u_sq <= 0.0:
         raise ValueError(f"sigma_u_sq must be positive, got {sigma_u_sq}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return 2.0 / (gamma + sigma_u_sq)

@@ -20,7 +20,7 @@ from diffusion_lms.analysis import (
     linear_deviation,
     steady_state_msd,
 )
-from diffusion_lms.filters import ORDERINGS, AlgorithmSpec, BatchSpec, FrameBlock, run_filter
+from diffusion_lms.filters import ORDERINGS, AlgorithmSpec, run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -450,11 +450,10 @@ def _run_chunk(
         # the stacked block is built in the call, so it is freed before the readout
         run_filter(
             setup.weights,
-            BatchSpec(mu, gamma),
-            FrameBlock(
-                u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
-                d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
-            ),
+            mu,
+            gamma,
+            np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
+            np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
             out=estimates[:rows],
             phi_out=intermediates[:rows],
         )
@@ -534,10 +533,14 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     samples, sample_rate = _delay_line_samples(cfg)
     stream = make_stream(cfg, setup, cfg.base_seed, samples=samples)
     spec = algorithm_spec(cfg.algorithms[0], cfg.mu, cfg.gamma)
-    snapshots = run_filter(setup.weights, spec, stream)
+    kept = np.zeros((len(stream) + 1,) + stream.u.shape[1:])
+    # every row not kept is one zeroed table: run_filter writes a row before reading it
+    unread = np.lib.stride_tricks.as_strided(np.zeros(kept.shape[1:]), kept.shape, (0,) + kept.strides[1:])
+    out, phi_out = (kept, unread) if spec.ordering == "atc" else (unread, kept)
+    run_filter(setup.weights, spec.mu, spec.gamma, stream.u, stream.d, out=out, phi_out=phi_out)
 
     u_node = stream.u[:, node, :]
-    w_node = snapshots[1:, node, :]
+    w_node = kept[1:, node, :]
     filtered = np.einsum("im,im->i", u_node, w_node)
     noisy = stream.d[:, node]
     return DenoiseResult(

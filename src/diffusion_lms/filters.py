@@ -9,20 +9,16 @@ leakage coefficient to zero recovers plain diffusion LMS exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from diffusion_lms.network import CombinationWeights
-from diffusion_lms.signals import FrameStream
 
 __all__ = [
     "ORDERINGS",
     "AlgorithmSpec",
-    "BatchSpec",
-    "FrameBlock",
     "run_filter",
 ]
 
@@ -51,48 +47,40 @@ class AlgorithmSpec:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class BatchSpec:
-    """Per-element step sizes and leakages of a batch of ATC recursions.
-
-    ``mu`` and ``gamma`` broadcast against the (*batch, N, M) estimate
-    tables, e.g. shape (trials, pairs, 1, 1). A zero step size holds an
-    all-zero element at zero.
-    """
-
-    mu: np.ndarray
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameBlock:
-    """Consecutive rounds of data for a batch of recursions: regressors
-    ``u`` (T, *batch, N, M) and measurements ``d`` (T, *batch, N), whose
-    batch axes broadcast against the estimate tables."""
-
-    u: np.ndarray
-    d: np.ndarray
-
-
 def run_filter(
     weights: CombinationWeights,
-    spec: AlgorithmSpec | BatchSpec,
-    source: FrameStream | FrameBlock,
+    mu: float | np.ndarray,
+    gamma: float | np.ndarray,
+    u: np.ndarray,
+    d: np.ndarray,
     *,
-    out: np.ndarray | None = None,
-    phi_out: np.ndarray | None = None,
+    out: np.ndarray,
+    phi_out: np.ndarray,
 ) -> np.ndarray:
-    """Drive one algorithm over every round of a source.
+    """Drive a batch of ATC recursions over T rounds of data, in place.
 
-    Returns the estimate snapshots as an array of shape (T + 1, N, M) for a
-    T-round source: index 0 is the all-zero initial table, index i the
-    table after round i. Both orderings run the ATC recursion: its combined
-    tables are the ATC estimates and its intermediates the CTA estimates
-    for the same (mu, gamma), because a CTA round combines exactly what the
-    previous ATC round combined. Non-finite states are returned as-is
-    (overflow during divergence is silenced, never masked); detection is
-    the analysis layer's job. A source of 0 rounds gives only the initial
-    snapshot. Deterministic given a deterministic source. The weights'
+    ``u`` holds the regressors (T, *batch, N, M) and ``d`` the measurements
+    (T, *batch, N). ``mu`` and ``gamma`` are scalars or arrays, e.g. of
+    shape (trials, pairs, 1, 1); they and the data's batch axes broadcast
+    against the (*batch, N, M) estimate tables, so data shared by several
+    elements is passed once. ``out`` and ``phi_out`` are (T + 1, *batch,
+    N, M) buffers. Row 0 of ``out`` holds the estimates the run starts
+    from; round i writes its combined (ATC) tables to row i of ``out`` and
+    its intermediate (CTA) tables to row i of ``phi_out``. ``out`` is
+    returned. A zero step size holds an all-zero element at zero.
+
+    Each round writes a row before it reads that row: round i reads row
+    i - 1 of ``out`` and then only the rows it has just written. So a
+    buffer whose rows the caller does not keep may be a writable
+    zero-stride view of one table, which for ``out`` holds the starting
+    estimates.
+
+    Both orderings run the ATC recursion: its combined tables are the ATC
+    estimates and its intermediates the CTA estimates for the same
+    (mu, gamma), because a CTA round combines exactly what the previous ATC
+    round combined. Non-finite states are written as-is (overflow during
+    divergence is silenced, never masked); detection is the analysis
+    layer's job. Deterministic given deterministic data. The weights'
     support is not checked here; ``weights.validate_support(topology)``
     does that once per setup.
 
@@ -102,52 +90,24 @@ def run_filter(
     combination a-averages them into the next w. The weighted errors form
     one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
     built in place, so that its product with u is the (..., N, M)
-    innovation table. Leading axes are independent batch elements and
-    broadcast, so data shared by several elements is passed once.
-
-    Batched form: ``spec`` is a :class:`BatchSpec`, ``source`` a
-    :class:`FrameBlock` of T rounds, and ``out`` and ``phi_out`` are
-    (T + 1, *batch, N, M) buffers whose row 0 of ``out`` holds the
-    estimates the block starts from. Row i of ``out`` receives the combined
-    (ATC) tables after round i and row i of ``phi_out`` the intermediate
-    (CTA) tables; ``out`` is returned. ``out`` and ``phi_out`` belong to
-    this form only: a :class:`FrameStream` source takes an
-    :class:`AlgorithmSpec` and no buffers.
+    innovation table.
     """
     n = weights.node_count
-    if isinstance(source, FrameBlock):
-        if not isinstance(spec, BatchSpec):
-            raise TypeError("a FrameBlock source needs a BatchSpec")
-        if out is None or phi_out is None or out.shape != phi_out.shape:
-            raise ValueError("a FrameBlock source needs out and phi_out buffers of one shape")
-        if out.shape[0] != len(source.u) + 1 or out.shape[-2] != n:
-            raise ValueError(f"buffers of shape {out.shape} do not fit {len(source.u)} rounds on {n} nodes")
-        if source.u.shape[-2:] != out.shape[-2:] or source.d.shape[-1:] != (n,):
-            raise ValueError(f"regressors {source.u.shape} and measurements {source.d.shape} do not fit {out.shape}")
-        result, w_rows, phi_rows = out, out[1:], phi_out[1:]
-    elif isinstance(source, FrameStream):
-        if not isinstance(spec, AlgorithmSpec):
-            raise TypeError("a FrameStream source needs an AlgorithmSpec")
-        if out is not None or phi_out is not None:
-            raise TypeError("out and phi_out buffers need a FrameBlock source")
-        if source.node_count != n:
-            raise ValueError(f"source has {source.node_count} nodes, weights have {n}")
-        result = np.zeros((len(source) + 1,) + source.u.shape[1:])
-        # the rows a caller does not keep all overwrite one scratch table,
-        # so the starting table result[0] is never written
-        rows, scratch = result[1:], itertools.repeat(np.empty(source.u.shape[1:]))
-        w_rows, phi_rows = (rows, scratch) if spec.ordering == "atc" else (scratch, rows)
-    else:
-        raise TypeError(f"source must be a FrameStream or a FrameBlock, got {type(source).__name__}")
+    if out.shape != phi_out.shape:
+        raise ValueError(f"out {out.shape} and phi_out {phi_out.shape} must have one shape")
+    if out.shape[0] != len(u) + 1 or out.shape[-2] != n:
+        raise ValueError(f"buffers of shape {out.shape} do not fit {len(u)} rounds on {n} nodes")
+    if u.shape[-2:] != out.shape[-2:] or d.shape[-1:] != (n,):
+        raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit {out.shape}")
 
-    w, u, d, mu = result[0], source.u, source.d, spec.mu
-    leak = 1.0 - mu * spec.gamma
+    w = out[0]
+    leak = 1.0 - mu * gamma
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
     errors = np.empty(batch + (n, n))
     innovation = np.empty(batch + w.shape[-2:])
     a_t, c_t = weights.a.T, np.ascontiguousarray(weights.c.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], w_rows, phi_rows):
+        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], out[1:], phi_out[1:]):
             np.matmul(w, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)
             errors *= c_t
@@ -156,4 +116,4 @@ def run_filter(
             np.multiply(w, leak, out=phi_row)
             phi_row += innovation
             w = np.matmul(a_t, phi_row, out=w_row)
-    return result
+    return out

@@ -68,10 +68,6 @@ class FrameStream:
     def __len__(self) -> int:
         return self.u.shape[0]
 
-    @property
-    def node_count(self) -> int:
-        return self.u.shape[1]
-
 
 def default_lowpass_system(m: int) -> np.ndarray:
     """Length-m moving-average taps, 1/m each.

@@ -1,7 +1,7 @@
-"""One diffusion round from a given estimate table, through the batched form
-of ``run_filter``: the tests' way to take single steps of the kernel.
+"""Kernel runs the tests take through ``run_filter``: one round from a given
+estimate table, and a whole stream's trajectory from all-zero tables.
 
-An ATC round from ``w`` is a one-round block whose row 0 of ``out`` is ``w``.
+An ATC round from ``w`` is a one-round run whose row 0 of ``out`` is ``w``.
 A CTA round from ``w`` is the adaptation half of an ATC round started from
 the combined table ``a^T w``, read from the intermediates.
 """
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from diffusion_lms.filters import AlgorithmSpec, BatchSpec, FrameBlock, run_filter
+from diffusion_lms.filters import AlgorithmSpec, run_filter
 from diffusion_lms.network import CombinationWeights
+from diffusion_lms.signals import FrameStream
 
 
 def one_round(
@@ -27,7 +28,16 @@ def one_round(
     out = np.empty((2,) + start.shape)
     out[0] = start
     phi_out = np.empty_like(out)
-    run_filter(weights, BatchSpec(spec.mu, spec.gamma), FrameBlock(u=u[None], d=d[None]), out=out, phi_out=phi_out)
+    run_filter(weights, spec.mu, spec.gamma, u[None], d[None], out=out, phi_out=phi_out)
     if spec.ordering == "atc":
         return out[1], phi_out[1]
     return phi_out[1], start
+
+
+def trajectory(weights: CombinationWeights, spec: AlgorithmSpec, stream: FrameStream) -> np.ndarray:
+    """The ``spec.ordering`` estimates over every round of ``stream``, from
+    all-zero tables: a (T + 1, N, M) stack whose row 0 is the starting table."""
+    out = np.zeros((len(stream) + 1,) + stream.u.shape[1:])
+    phi_out = np.zeros_like(out)
+    run_filter(weights, spec.mu, spec.gamma, stream.u, stream.d, out=out, phi_out=phi_out)
+    return out if spec.ordering == "atc" else phi_out

@@ -4,12 +4,15 @@ The step oracles follow the (leaky) diffusion LMS recursions literally:
 explicit loops over nodes, neighbor sums accumulated in ascending node
 order, no code shared with the production kernel. The ensemble
 oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
-replaced, built on the unbatched filter and analysis calls.
+replaced: one kernel trajectory per (trial, label), then the analysis
+calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from kernel_rounds import trajectory
 
 from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation
 from diffusion_lms.experiment import (
@@ -18,7 +21,6 @@ from diffusion_lms.experiment import (
     build_setup,
     make_stream,
 )
-from diffusion_lms.filters import run_filter
 
 
 def atc_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
@@ -108,7 +110,7 @@ def ensemble_reference(cfg):
     for t in range(cfg.trials):
         stream = make_stream(cfg, setup, cfg.base_seed + t)
         for label in cfg.algorithms:
-            snapshots = run_filter(setup.weights, specs[label], stream)
+            snapshots = trajectory(setup.weights, specs[label], stream)
             report = detect_divergence(snapshots[1:])
             if report.divergent:
                 first_failure.setdefault(label, (report.first_iteration, report.node))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kernel_rounds import trajectory
+
 from diffusion_lms.analysis import (
     DIVERGENCE_THRESHOLD,
     MsdTrace,
@@ -10,7 +12,7 @@ from diffusion_lms.analysis import (
     steady_state_msd,
     step_size_upper_bound,
 )
-from diffusion_lms.filters import AlgorithmSpec, run_filter
+from diffusion_lms.filters import AlgorithmSpec
 from diffusion_lms.network import build_ring_lattice, non_cooperative_weights, uniform_weights
 from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
@@ -118,13 +120,13 @@ class TestLeakyFixedPoint:
         # network; the node-mean at steady state estimates the biased solution
         nodes, gamma, sigma_sq = 600, 0.002, 0.35
         w_o = default_lowpass_system(5)
-        mu = step_size_upper_bound(sigma_sq, 5, gamma) / 50.0
+        mu = step_size_upper_bound(sigma_sq, gamma) / 50.0
         topo = build_ring_lattice(nodes, 0)
         weights = non_cooperative_weights(nodes)
         stream = gaussian_source(
             np.full(nodes, sigma_sq), w_o, seed=77, horizon=1200, noise_variance=0.0
         )
-        snaps = run_filter(weights, AlgorithmSpec("atc", mu, gamma), stream)
+        snaps = trajectory(weights, AlgorithmSpec("atc", mu, gamma), stream)
         mean_estimate = snaps[-1].mean(axis=0)
         target = leaky_fixed_point(sigma_sq * np.eye(5), gamma, w_o)
         rel = np.linalg.norm(mean_estimate - target) / np.linalg.norm(target)
@@ -133,41 +135,39 @@ class TestLeakyFixedPoint:
 
 class TestStepSizeBound:
     def test_classical_white_input_bound(self):
-        assert step_size_upper_bound(1.0, 5, 0.0) == 2.0
+        assert step_size_upper_bound(1.0, 0.0) == 2.0
 
     def test_leaky_bound_value(self):
-        assert np.isclose(step_size_upper_bound(2.0, 5, 0.002), 2.0 / 2.002)
+        assert np.isclose(step_size_upper_bound(2.0, 0.002), 2.0 / 2.002)
 
     def test_strictly_decreasing_in_both_arguments(self):
         for s1, s2 in [(0.1, 0.2), (0.5, 1.0)]:
-            assert step_size_upper_bound(s2, 3, 0.0) < step_size_upper_bound(s1, 3, 0.0)
+            assert step_size_upper_bound(s2, 0.0) < step_size_upper_bound(s1, 0.0)
         for g1, g2 in [(0.0, 0.001), (0.01, 0.1)]:
-            assert step_size_upper_bound(0.5, 3, g2) < step_size_upper_bound(0.5, 3, g1)
+            assert step_size_upper_bound(0.5, g2) < step_size_upper_bound(0.5, g1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            step_size_upper_bound(0.0, 5, 0.0)
-        with pytest.raises(ValueError):
-            step_size_upper_bound(1.0, 0, 0.0)
+            step_size_upper_bound(0.0, 0.0)
 
     def test_simulation_respects_the_bound(self):
         # deterministic excitation realizes the covariance exactly, making
         # the contraction |1 - mu (gamma + sigma^2)| the empirical edge
         sigma_sq, gamma = 0.35, 0.002
         w_o = np.array([1.0])
-        bound = step_size_upper_bound(sigma_sq, 1, gamma)
+        bound = step_size_upper_bound(sigma_sq, gamma)
         topo = build_ring_lattice(1, 0)
         weights = uniform_weights(topo)
         frames = constant_excitation_frames(np.array([np.sqrt(sigma_sq)]), w_o, 1500)
 
-        snaps = run_filter(weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
+        snaps = trajectory(weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
         assert not detect_divergence(snaps).divergent
         target = leaky_fixed_point(sigma_sq * np.eye(1), gamma, w_o)
         assert np.abs(snaps[-1, 0] - target).max() < 1e-9
         # the leak biases the solution away from the true vector
         assert np.abs(snaps[-1, 0] - w_o).max() > 1e-4
 
-        snaps = run_filter(weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
+        snaps = trajectory(weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
         assert detect_divergence(snaps).divergent
 
 
@@ -228,11 +228,11 @@ class TestDetectDivergence:
     def test_deliberate_divergence_run_is_flagged(self):
         sigma_sq = 0.5
         w_o = np.array([1.0])
-        mu = 2.0 * step_size_upper_bound(sigma_sq, 1, 0.0)
+        mu = 2.0 * step_size_upper_bound(sigma_sq, 0.0)
         topo = build_ring_lattice(1, 0)
         weights = uniform_weights(topo)
         frames = constant_excitation_frames(np.array([np.sqrt(sigma_sq)]), w_o, 1000)
-        snaps = run_filter(weights, AlgorithmSpec("atc", mu, 0.0), frames)
+        snaps = trajectory(weights, AlgorithmSpec("atc", mu, 0.0), frames)
         assert detect_divergence(snaps).divergent
 
 

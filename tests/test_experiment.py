@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edge_lists import write_edge_list
+from kernel_rounds import trajectory
 from reference_impl import ensemble_reference
 
 from diffusion_lms.analysis import (
@@ -27,7 +28,6 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import run_filter
 from diffusion_lms.signals import default_lowpass_system
 
 SMALL = ExperimentConfig(nodes=8, radius=0.5, trials=3, horizon=120, steady_window=40)
@@ -116,8 +116,8 @@ class TestBatchedEnsembleMatchesReference:
         assert dropped == {"atc_dlms": 1, "cta_dlms": 2, "atc_leaky_dlms": 1, "cta_leaky_dlms": 2}
         setup = build_setup(cfg)
         stream = make_stream(cfg, setup, cfg.base_seed + 4)
-        atc = run_filter(setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
-        cta = run_filter(setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
+        atc = trajectory(setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
+        cta = trajectory(setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
         assert 0.99 * DIVERGENCE_THRESHOLD < np.abs(atc).max() <= DIVERGENCE_THRESHOLD
         assert np.abs(cta).max() > DIVERGENCE_THRESHOLD
         clean = detect_divergence(atc[1:])
@@ -178,7 +178,7 @@ class TestRunEnsemble:
         acc = np.zeros(cfg.horizon)
         for t in range(cfg.trials):
             stream = make_stream(cfg, setup, cfg.base_seed + t)
-            snaps = run_filter(setup.weights, spec, stream)
+            snaps = trajectory(setup.weights, spec, stream)
             acc += linear_deviation(snaps[1:], setup.w_o)
         expected = 10 * np.log10(acc / cfg.trials)
         assert np.allclose(trace.per_iteration_db, expected, atol=0.0)
@@ -197,7 +197,7 @@ class TestRunEnsemble:
             acc, kept = np.zeros(cfg.horizon), 0
             for t in range(cfg.trials):
                 stream = make_stream(cfg, setup, cfg.base_seed + t)
-                snaps = run_filter(setup.weights, spec, stream)
+                snaps = trajectory(setup.weights, spec, stream)
                 if detect_divergence(snaps[1:]).divergent:
                     continue
                 acc += linear_deviation(snaps[1:], setup.w_o)

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernel_rounds import one_round
+from kernel_rounds import one_round, trajectory
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
 from diffusion_lms.analysis import linear_deviation
-from diffusion_lms.filters import AlgorithmSpec, BatchSpec, FrameBlock, run_filter
+from diffusion_lms.filters import AlgorithmSpec, run_filter
 from diffusion_lms.network import (
     Topology,
     build_random_geometric,
@@ -102,15 +102,10 @@ class TestRoundStructure:
 
     def test_shape_mismatch_rejected(self):
         # a measurement axis of 1 would broadcast one measurement to every node
-        spec = BatchSpec(np.full((1, 1, 1), 0.1), np.zeros((1, 1, 1)))
         out = np.zeros((2, 1, 6, 3))
         for u, d in ((np.zeros((5, 3)), np.zeros(5)), (np.zeros((6, 3)), np.zeros(1)), (np.zeros((6, 4)), np.zeros(6))):
-            block = FrameBlock(u=u[None, None], d=d[None, None])
             with pytest.raises(ValueError):
-                run_filter(self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
-        stream = gaussian_source(np.full(5, 0.5), np.ones(3), seed=0, horizon=4)
-        with pytest.raises(ValueError, match="source has 5 nodes, weights have 6"):
-            run_filter(self.weights, AlgorithmSpec("atc", 0.1), stream)
+                run_filter(self.weights, 0.1, 0.0, u[None, None], d[None, None], out=out, phi_out=np.zeros_like(out))
 
 
 class TestAgainstReference:
@@ -168,7 +163,7 @@ class TestReductions:
         stream = gaussian_source(np.full(n, 0.5), w_o, seed=12, horizon=steps, snr_db=10.0)
         for gamma in (0.0, 0.01):
             spec = AlgorithmSpec("atc", 0.1, gamma)
-            snaps = run_filter(weights, spec, stream)
+            snaps = trajectory(weights, spec, stream)
             for k in range(n):
                 ref = standalone_leaky_lms(stream.u[:, k, :], stream.d[:, k], 0.1, gamma)
                 assert np.abs(snaps[:, k, :] - ref).max() <= 1e-13
@@ -178,8 +173,8 @@ class TestReductions:
         stream = gaussian_source(np.array([0.35]), default_lowpass_system(5), seed=3, horizon=300)
         spec_a = AlgorithmSpec("atc", 0.05, 0.002)
         spec_c = AlgorithmSpec("cta", 0.05, 0.002)
-        run_a = run_filter(weights, spec_a, stream)
-        run_c = run_filter(weights, spec_c, stream)
+        run_a = trajectory(weights, spec_a, stream)
+        run_c = trajectory(weights, spec_c, stream)
         assert np.array_equal(run_a, run_c)
 
 
@@ -187,23 +182,18 @@ class TestRunFilter:
     def test_zero_horizon_returns_initial_snapshot(self):
         weights = single_node_weights()
         stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
-        snaps = run_filter(weights, AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
-        assert snaps.shape == (1, 1, 2)
+        out = np.zeros((1, 1, 2))
+        snaps = run_filter(weights, 0.1, 0.0, stream.u[:0], stream.d[:0], out=out, phi_out=np.zeros_like(out))
+        assert snaps is out
         assert not snaps.any()
 
     def test_initial_deviation_is_system_power(self):
         topo = build_ring_lattice(20, 2)
         w_o = default_lowpass_system(5)
         stream = gaussian_source(np.full(20, 0.5), w_o, seed=0, horizon=3)
-        snaps = run_filter(uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
+        snaps = trajectory(uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
         network = linear_deviation(snaps, w_o)
         assert np.isclose(network[0], float(w_o @ w_o))
-
-    def test_only_streams_and_blocks_are_sources(self):
-        weights = single_node_weights()
-        stream = gaussian_source(np.array([1.0]), default_lowpass_system(2), seed=0, horizon=5)
-        with pytest.raises(TypeError):
-            run_filter(weights, AlgorithmSpec("atc", 0.1), list(zip(stream.u, stream.d)))
 
     def test_noiseless_single_node_converges_to_truth(self):
         weights = single_node_weights()
@@ -211,7 +201,7 @@ class TestRunFilter:
         sigma_sq = 0.35
         mu = 2.0 / sigma_sq / 50.0
         stream = gaussian_source(np.array([sigma_sq]), w_o, seed=21, horizon=10_000, noise_variance=0.0)
-        snaps = run_filter(weights, AlgorithmSpec("atc", mu, 0.0), stream)
+        snaps = trajectory(weights, AlgorithmSpec("atc", mu, 0.0), stream)
         assert np.abs(snaps[-1, 0] - w_o).max() < 1e-6
 
     def test_divergence_is_not_masked(self):
@@ -219,7 +209,7 @@ class TestRunFilter:
         ones = np.ones((400, 1))
         stream = FrameStream(u=ones[..., None], d=ones, noise=np.zeros((400, 1)), noise_variance=np.zeros(1))
         spec = AlgorithmSpec("atc", 5.0, 0.0)  # far beyond the stable range
-        snaps = run_filter(weights, spec, stream)
+        snaps = trajectory(weights, spec, stream)
         assert not np.isfinite(snaps[-1]).all() or np.abs(snaps[-1]).max() > 1e6
 
 
@@ -234,7 +224,7 @@ class TestSharedRecursion:
 
     def test_cta_snapshots_are_the_atc_intermediates(self):
         stream = self.stream(4)
-        cta = run_filter(self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
+        cta = trajectory(self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
         w = np.zeros((8, 3))
         for i, (u, d) in enumerate(zip(stream.u, stream.d), start=1):
             w, phi = one_round(w, u, d, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
@@ -252,11 +242,9 @@ class TestSharedRecursion:
         estimates, intermediates = [out[0].copy()], [out[0].copy()]
         for start, stop in ((0, 7), (7, 11)):
             rows = stop - start + 1
-            block = FrameBlock(
-                u=np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
-                d=np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
-            )
-            got = run_filter(self.weights, BatchSpec(mu, gamma), block, out=out[:rows], phi_out=phi_out[:rows])
+            u = np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None]
+            d = np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None]
+            got = run_filter(self.weights, mu, gamma, u, d, out=out[:rows], phi_out=phi_out[:rows])
             assert got.base is out
             estimates.extend(out[1:rows].copy())
             intermediates.extend(phi_out[1:rows].copy())
@@ -265,43 +253,35 @@ class TestSharedRecursion:
         for j, stream in enumerate(streams):
             stream = first_rounds(stream, 11)
             for p, (step, leak) in enumerate(pairs):
-                atc = run_filter(self.weights, AlgorithmSpec("atc", step, leak), stream)
-                cta = run_filter(self.weights, AlgorithmSpec("cta", step, leak), stream)
+                atc = trajectory(self.weights, AlgorithmSpec("atc", step, leak), stream)
+                cta = trajectory(self.weights, AlgorithmSpec("cta", step, leak), stream)
                 assert np.array_equal(estimates[:, j, p], atc)
                 assert np.array_equal(intermediates[1:, j, p], cta[1:])
 
     def test_zero_step_holds_a_zeroed_element(self):
         stream = self.stream(5, horizon=10)
-        block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
         out = np.zeros((11, 2, 8, 3))
-        spec = BatchSpec(np.array([[[0.0]], [[0.2]]]), np.zeros((1, 1, 1)))
-        run_filter(self.weights, spec, block, out=out, phi_out=np.zeros_like(out))
+        mu = np.array([[[0.0]], [[0.2]]])
+        run_filter(self.weights, mu, 0.0, stream.u[:, None], stream.d[:, None], out=out, phi_out=np.zeros_like(out))
         assert not out[:, 0].any()
         assert out[-1, 1].any()
 
     def test_block_buffers_must_fit(self):
         stream = self.stream(5, horizon=10)
-        block = FrameBlock(u=stream.u[:, None], d=stream.d[:, None])
-        spec = BatchSpec(np.full((1, 1, 1), 0.1), np.zeros((1, 1, 1)))
+        u, d = stream.u[:, None], stream.d[:, None]
         with pytest.raises(ValueError):
-            run_filter(self.weights, spec, block, out=np.zeros((10, 1, 8, 3)), phi_out=np.zeros((10, 1, 8, 3)))
+            run_filter(self.weights, 0.1, 0.0, u, d, out=np.zeros((10, 1, 8, 3)), phi_out=np.zeros((10, 1, 8, 3)))
         with pytest.raises(ValueError):
-            run_filter(self.weights, spec, block, out=np.zeros((11, 1, 8, 3)))
-        with pytest.raises(TypeError):
-            run_filter(self.weights, AlgorithmSpec("atc", 0.1), block, out=np.zeros((11, 1, 8, 3)))
-        # out and phi_out belong to the FrameBlock form, which a BatchSpec needs
-        with pytest.raises(TypeError):
-            run_filter(self.weights, AlgorithmSpec("atc", 0.1), stream, out=np.zeros((11, 8, 3)))
-        with pytest.raises(TypeError):
-            run_filter(self.weights, AlgorithmSpec("cta", 0.1), stream, phi_out=np.zeros((11, 8, 3)))
-        with pytest.raises(TypeError):
-            run_filter(self.weights, spec, stream)
+            run_filter(self.weights, 0.1, 0.0, u, d, out=np.zeros((11, 1, 8, 3)), phi_out=np.zeros((11, 2, 8, 3)))
 
 
 class TestRoundScratch:
-    """Every run_filter form against T successive single steps, exactly:
-    scratch shared across batch elements, or returned rows that alias
-    scratch, would break the equality."""
+    """run_filter against T successive single steps, exactly: scratch
+    shared across batch elements, or kept rows that alias scratch, would
+    break the equality. Each run is repeated with the buffer whose rows are
+    not kept passed as a writable zero-stride view of one zeroed table, as
+    denoise_speech passes it; its kept rows must be bitwise those of the
+    run with two full buffers."""
 
     def setup_method(self):
         self.weights = uniform_weights(build_random_geometric(7, 0.5, 9))
@@ -317,26 +297,37 @@ class TestRoundScratch:
             cta.append(one_round(cta[-1], u, d, AlgorithmSpec("cta", mu, gamma), self.weights)[0])
         return np.stack(atc), np.stack(cta)
 
-    def test_frame_stream_matches_steps(self):
+    def kept_runs(self, mu, gamma, u, d, shape):
+        """{ordering: kept buffer} of a run with two full buffers, checked
+        bitwise against a run whose other buffer is a zero-stride view."""
+        runs = {}
+        for ordering in ("atc", "cta"):
+            for aliased in (False, True):
+                kept, table = np.zeros(shape), np.zeros(shape[1:])
+                unread = np.lib.stride_tricks.as_strided(table, shape, (0,) + table.strides) if aliased else np.zeros(shape)
+                out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
+                run_filter(self.weights, mu, gamma, u, d, out=out, phi_out=phi_out)
+                runs.setdefault(ordering, kept)
+                assert np.array_equal(kept, runs[ordering])
+        return runs
+
+    def test_unbatched_run_matches_steps(self):
         stream = self.stream(21)
         atc, cta = self.stepped(stream, 0.2, 0.01)
-        assert np.array_equal(run_filter(self.weights, AlgorithmSpec("atc", 0.2, 0.01), stream), atc)
-        assert np.array_equal(run_filter(self.weights, AlgorithmSpec("cta", 0.2, 0.01), stream), cta)
+        runs = self.kept_runs(0.2, 0.01, stream.u, stream.d, (26, 7, 4))
+        assert np.array_equal(runs["atc"], atc)
+        assert np.array_equal(runs["cta"], cta)
 
-    def test_frame_block_matches_steps(self):
+    def test_batched_run_matches_steps(self):
         # 2 trials x 2 pairs, a distinct step size in every element
         streams = [self.stream(22), self.stream(23)]
         mu = np.array([[0.1, 0.3], [0.15, 0.25]])
         gamma = np.array([0.0, 0.05])
-        block = FrameBlock(
-            u=np.stack([s.u for s in streams], axis=1)[:, :, None],
-            d=np.stack([s.d for s in streams], axis=1)[:, :, None],
-        )
-        out = np.zeros((26, 2, 2, 7, 4))
-        phi_out = np.zeros_like(out)
-        run_filter(self.weights, BatchSpec(mu[..., None, None], gamma[:, None, None]), block, out=out, phi_out=phi_out)
+        u = np.stack([s.u for s in streams], axis=1)[:, :, None]
+        d = np.stack([s.d for s in streams], axis=1)[:, :, None]
+        runs = self.kept_runs(mu[..., None, None], gamma[:, None, None], u, d, (26, 2, 2, 7, 4))
         for j, stream in enumerate(streams):
             for p in range(2):
                 atc, cta = self.stepped(stream, mu[j, p], gamma[p])
-                assert np.array_equal(out[:, j, p], atc)
-                assert np.array_equal(phi_out[1:, j, p], cta[1:])
+                assert np.array_equal(runs["atc"][:, j, p], atc)
+                assert np.array_equal(runs["cta"][1:, j, p], cta[1:])

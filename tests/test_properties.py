@@ -20,7 +20,7 @@ from reference_impl import atc_dlms_step, cta_dlms_step
 from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, detect_divergence, linear_deviation
 from diffusion_lms.config import format_config, parse_config_text
 from diffusion_lms.experiment import ALGORITHM_LABELS, SOURCE_KINDS, WEIGHT_RULES, ExperimentConfig
-from diffusion_lms.filters import BatchSpec, FrameBlock, run_filter
+from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     build_random_geometric,
@@ -223,7 +223,7 @@ def test_batched_run_filter_matches_reference_steps(network, m, trials, steps, r
     out = np.zeros((rounds + 1, trials, len(steps), n, m))
     out[0] = rng.standard_normal(out.shape[1:])
     phi_out = np.zeros_like(out)
-    run_filter(weights, BatchSpec(mu, gamma), FrameBlock(u=u, d=d), out=out, phi_out=phi_out)
+    run_filter(weights, mu, gamma, u, d, out=out, phi_out=phi_out)
 
     a, c = weights.a, weights.c
     worst = 0.0

@@ -4,6 +4,7 @@ import wave
 import numpy as np
 import pytest
 
+from diffusion_lms.experiment import ExperimentConfig, denoise_speech
 from diffusion_lms.signals import (
     ConfigError,
     DataFileError,
@@ -217,6 +218,21 @@ def test_delay_line_source_builds_no_full_regressor_table():
         tracemalloc.stop()
     assert stream.u.shape == (horizon, n, m)
     assert peak < 8 * horizon * n * m  # one (T, N, M) float table: 38.4 MB
+
+
+@pytest.mark.parametrize("label", ["atc_leaky_dlms", "cta_leaky_dlms"])
+def test_denoise_keeps_one_estimate_stack(label):
+    # the rows denoise_speech does not keep alias one (N, M) table
+    horizon, n, m = 48_000, 20, 5
+    cfg = ExperimentConfig(nodes=n, taps=m, source="delay_line", horizon=horizon, algorithms=(label,))
+    tracemalloc.start()
+    try:
+        result = denoise_speech(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.filtered.shape == (horizon,)
+    assert peak < 2 * 8 * (horizon + 1) * n * m  # two (T + 1, N, M) float tables: 76.8 MB
 
 
 class TestLoadSamples:
