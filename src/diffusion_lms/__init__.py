@@ -25,7 +25,7 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec, run_filter
+from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -45,7 +45,6 @@ from diffusion_lms.signals import (
 )
 
 __all__ = [
-    "AlgorithmSpec",
     "CombinationWeights",
     "EnsembleDivergence",
     "ExperimentConfig",

@@ -20,7 +20,7 @@ from diffusion_lms.analysis import (
     linear_deviation,
     steady_state_msd,
 )
-from diffusion_lms.filters import ORDERINGS, AlgorithmSpec, run_filter
+from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     CombinationWeights,
     Topology,
@@ -42,6 +42,7 @@ from diffusion_lms.signals import (
 )
 
 __all__ = [
+    "ALGORITHMS",
     "ALGORITHM_LABELS",
     "SYNTHETIC_SAMPLE_PATH",
     "ConfigError",
@@ -49,7 +50,6 @@ __all__ = [
     "ExperimentSetup",
     "EnsembleDivergence",
     "DenoiseResult",
-    "algorithm_spec",
     "build_setup",
     "make_stream",
     "run_ensemble",
@@ -58,8 +58,16 @@ __all__ = [
     "denoise_speech",
 ]
 
-# the four algorithm labels: ordering x {plain, leaky}
-ALGORITHM_LABELS = ("atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms")
+# the four algorithm labels, ordering x {plain, leaky}, each mapped to the
+# output of the shared ATC recursion it reads (0 the combined tables, the ATC
+# estimates; 1 the intermediates, the CTA estimates) and whether gamma applies
+ALGORITHMS = {
+    "atc_dlms": (0, False),
+    "cta_dlms": (1, False),
+    "atc_leaky_dlms": (0, True),
+    "cta_leaky_dlms": (1, True),
+}
+ALGORITHM_LABELS = tuple(ALGORITHMS)
 
 # sample_path token selecting the built-in nonstationary test signal
 SYNTHETIC_SAMPLE_PATH = "synthetic"
@@ -89,8 +97,9 @@ class ExperimentConfig:
     Construction checks every field and raises ConfigError, whose message
     starts with the offending key, so a config that exists is one that can
     run. Left to the setup and the streams, before any filter round: a
-    sample or edge-list file, and whether the noise variance an ``snr_db``
-    gives against the signal power fits in a float.
+    sample or edge-list file, whether ``scale_exponent`` keeps the
+    delay-line input's power a float, and whether the noise variance an
+    ``snr_db`` gives against the signal power fits in a float.
     """
 
     # network
@@ -227,15 +236,6 @@ class DenoiseResult:
     sample_rate: int | None
 
 
-def algorithm_spec(label: str, mu: float, gamma: float) -> AlgorithmSpec:
-    """Map an algorithm label to its ordering and effective leakage."""
-    if label not in ALGORITHM_LABELS:
-        raise ValueError(f"unknown algorithm label {label!r}")
-    ordering = "atc" if label.startswith("atc") else "cta"
-    effective_gamma = gamma if "leaky" in label else 0.0
-    return AlgorithmSpec(ordering=ordering, mu=mu, gamma=effective_gamma)
-
-
 def build_topology(cfg: ExperimentConfig) -> Topology:
     if cfg.topology == "ring_lattice":
         return build_ring_lattice(cfg.nodes, cfg.half_width)
@@ -360,10 +360,13 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     """
     setup = build_setup(cfg)
     setup.weights.validate_support(setup.topology)
-    specs = [algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms]
-    pairs = list(dict.fromkeys((spec.mu, spec.gamma) for spec in specs))
     # per label: which recursion output (0 combined, 1 intermediate) of which pair
-    slots = [(ORDERINGS.index(spec.ordering), pairs.index((spec.mu, spec.gamma))) for spec in specs]
+    labels = [
+        (output, (cfg.mu, cfg.gamma if leaky else 0.0))
+        for output, leaky in (ALGORITHMS[label] for label in cfg.algorithms)
+    ]
+    pairs = list(dict.fromkeys(pair for _, pair in labels))
+    slots = [(output, pairs.index(pair)) for output, pair in labels]
 
     samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     horizon = cfg.horizon if samples is None else samples.size
@@ -532,12 +535,12 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
         raise ValueError(f"node {node} out of range for {setup.topology.node_count} nodes")
     samples, sample_rate = _delay_line_samples(cfg)
     stream = make_stream(cfg, setup, cfg.base_seed, samples=samples)
-    spec = algorithm_spec(cfg.algorithms[0], cfg.mu, cfg.gamma)
+    output, leaky = ALGORITHMS[cfg.algorithms[0]]
     kept = np.zeros((len(stream) + 1,) + stream.u.shape[1:])
     # every row not kept is one zeroed table: run_filter writes a row before reading it
     unread = np.lib.stride_tricks.as_strided(np.zeros(kept.shape[1:]), kept.shape, (0,) + kept.strides[1:])
-    out, phi_out = (kept, unread) if spec.ordering == "atc" else (unread, kept)
-    run_filter(setup.weights, spec.mu, spec.gamma, stream.u, stream.d, out=out, phi_out=phi_out)
+    out, phi_out = (kept, unread) if output == 0 else (unread, kept)
+    run_filter(setup.weights, cfg.mu, cfg.gamma if leaky else 0.0, stream.u, stream.d, out=out, phi_out=phi_out)
 
     u_node = stream.u[:, node, :]
     w_node = kept[1:, node, :]

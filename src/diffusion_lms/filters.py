@@ -9,42 +9,11 @@ leakage coefficient to zero recovers plain diffusion LMS exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from diffusion_lms.network import CombinationWeights
 
-__all__ = [
-    "ORDERINGS",
-    "AlgorithmSpec",
-    "run_filter",
-]
-
-ORDERINGS = ("atc", "cta")
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Algorithm selector: phase ordering, step size, leakage coefficient.
-
-    gamma = 0 gives plain diffusion LMS; gamma > 0 adds an l2 pull toward
-    zero ((1 - mu * gamma) shrinkage of the adapted estimate). mu = 0 is
-    permitted and makes the adaptation phase a no-op.
-    """
-
-    ordering: str
-    mu: float
-    gamma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+__all__ = ["run_filter"]
 
 
 def run_filter(
@@ -97,7 +66,7 @@ def run_filter(
         raise ValueError(f"out {out.shape} and phi_out {phi_out.shape} must have one shape")
     if out.shape[0] != len(u) + 1 or out.shape[-2] != n:
         raise ValueError(f"buffers of shape {out.shape} do not fit {len(u)} rounds on {n} nodes")
-    if u.shape[-2:] != out.shape[-2:] or d.shape[-1:] != (n,):
+    if len(d) != len(u) or u.shape[-2:] != out.shape[-2:] or d.shape[-1:] != (n,):
         raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit {out.shape}")
 
     w = out[0]

@@ -171,7 +171,8 @@ def delay_line_source(
     variance itself. Noise variance is calibrated per node from the
     empirical power of the noiseless response u . w_o over the whole
     sequence (see :func:`_resolve_noise_variance` for silent inputs), or
-    fixed by ``noise_variance``. One stream instant per input sample.
+    fixed by ``noise_variance``; a scale that takes that power beyond the
+    float range raises ConfigError. One stream instant per input sample.
 
     Layout: the stream holds one (N, T + M - 1) table whose row k is the
     time-reversed samples times node k's scale, followed by M - 1 zeros.
@@ -193,12 +194,16 @@ def delay_line_source(
 
     # u[i, k] = table[k, T-1-i : T-1-i+M]
     reversed_padded = np.concatenate([samples[::-1], np.zeros(m - 1)])
-    scale = np.sqrt(variances) ** scale_exponent
-    table = scale[:, None] * reversed_padded
-    u = np.lib.stride_tricks.sliding_window_view(table, m, axis=1).swapaxes(0, 1)[::-1]
-
-    clean = u @ w_o
-    signal_power = (clean * clean).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.sqrt(variances) ** scale_exponent
+        table = scale[:, None] * reversed_padded
+        u = np.lib.stride_tricks.sliding_window_view(table, m, axis=1).swapaxes(0, 1)[::-1]
+        clean = u @ w_o
+        signal_power = (clean * clean).mean(axis=0)
+    if not np.isfinite(signal_power).all():
+        raise ConfigError(
+            f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
+        )
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)

@@ -5,7 +5,8 @@ explicit loops over nodes, neighbor sums accumulated in ascending node
 order, no code shared with the production kernel. The ensemble
 oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
 replaced: one kernel trajectory per (trial, label), then the analysis
-calls.
+calls. It maps a label to its ordering and leakage by its own rule,
+``label_rule``, not by the library's label table.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import numpy as np
 from kernel_rounds import trajectory
 
 from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation
-from diffusion_lms.experiment import (
-    EnsembleDivergence,
-    algorithm_spec,
-    build_setup,
-    make_stream,
-)
+from diffusion_lms.experiment import EnsembleDivergence, build_setup, make_stream
 
 
 def atc_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
@@ -95,6 +91,12 @@ def standalone_leaky_lms(u_seq, d_seq, mu, gamma):
     return np.stack(out)
 
 
+def label_rule(label, gamma):
+    """An algorithm label's ordering and leakage, by the literal rule: the
+    ordering is the label's prefix, and plain labels have gamma = 0."""
+    return label[:3], (gamma if "leaky" in label else 0.0)
+
+
 def ensemble_reference(cfg):
     """Ensemble learning curves computed one (trial, label) at a time.
 
@@ -103,14 +105,15 @@ def ensemble_reference(cfg):
     the linear domain. Returns the same mapping as ``run_ensemble``.
     """
     setup = build_setup(cfg)
-    specs = {label: algorithm_spec(label, cfg.mu, cfg.gamma) for label in cfg.algorithms}
+    rules = {label: label_rule(label, cfg.gamma) for label in cfg.algorithms}
     acc_net = {label: None for label in cfg.algorithms}
     kept = {label: 0 for label in cfg.algorithms}
     first_failure = {}
     for t in range(cfg.trials):
         stream = make_stream(cfg, setup, cfg.base_seed + t)
         for label in cfg.algorithms:
-            snapshots = trajectory(setup.weights, specs[label], stream)
+            ordering, gamma = rules[label]
+            snapshots = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)
             report = detect_divergence(snapshots[1:])
             if report.divergent:
                 first_failure.setdefault(label, (report.first_iteration, report.node))

@@ -30,7 +30,6 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
-from diffusion_lms.filters import AlgorithmSpec
 from diffusion_lms.network import build_ring_lattice, uniform_weights
 from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
@@ -68,11 +67,11 @@ def test_criterion_1_zero_leakage_reduction_identity():
         d = rng.standard_normal(n)
         mu = float(rng.uniform(0.01, 0.3))
 
-        out_w, out_phi = one_round(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
+        out_w, out_phi = one_round(w, u, d, "atc", mu, 0.0, weights)
         ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
         worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
 
-        out_w, out_phi = one_round(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
+        out_w, out_phi = one_round(w, u, d, "cta", mu, 0.0, weights)
         ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
         worst = max(worst, np.abs(out_w - ref_w).max(), np.abs(out_phi - ref_phi).max())
     elapsed = time.perf_counter() - start
@@ -98,8 +97,8 @@ def test_criterion_2_single_node_oracles():
     stream = gaussian_source(
         np.array([sigma_sq]), w_o, seed=2024, horizon=10_000, noise_variance=0.0
     )
-    run_a = trajectory(weights, AlgorithmSpec("atc", mu, 0.0), stream)
-    run_c = trajectory(weights, AlgorithmSpec("cta", mu, 0.0), stream)
+    run_a = trajectory(weights, "atc", mu, 0.0, stream)
+    run_c = trajectory(weights, "cta", mu, 0.0, stream)
     plain_err = np.abs(run_a[-1, 0] - w_o).max()
     orderings_match = np.array_equal(run_a, run_c)
 
@@ -107,8 +106,8 @@ def test_criterion_2_single_node_oracles():
     # run converges to the biased solution the analysis oracle predicts
     u_row = np.full(5, np.sqrt(sigma_sq))
     frames = constant_frames(u_row, w_o, 4000)
-    leak_a = trajectory(weights, AlgorithmSpec("atc", mu, gamma), frames)
-    leak_c = trajectory(weights, AlgorithmSpec("cta", mu, gamma), frames)
+    leak_a = trajectory(weights, "atc", mu, gamma, frames)
+    leak_c = trajectory(weights, "cta", mu, gamma, frames)
     target = leaky_fixed_point(np.outer(u_row, u_row), gamma, w_o)
     leaky_err = np.abs(leak_a[-1, 0] - target).max()
     orderings_match = orderings_match and np.array_equal(leak_a, leak_c)
@@ -144,7 +143,7 @@ def test_criterion_3_stability_bound_bisection():
         bound = step_size_upper_bound(sigma_sq, gamma)
         frames = constant_frames(np.array([np.sqrt(sigma_sq)]), w_o, 2000)
 
-        snaps = trajectory(weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
+        snaps = trajectory(weights, "atc", 0.9 * bound, gamma, frames)
         target = leaky_fixed_point(sigma_sq * np.eye(1), gamma, w_o)
         converged = (
             not detect_divergence(snaps).divergent
@@ -153,7 +152,7 @@ def test_criterion_3_stability_bound_bisection():
         if not converged:
             failures.append((sigma_sq, gamma, "0.9x did not converge"))
 
-        snaps = trajectory(weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
+        snaps = trajectory(weights, "atc", 1.5 * bound, gamma, frames)
         if not detect_divergence(snaps).divergent:
             failures.append((sigma_sq, gamma, "1.5x not flagged"))
     elapsed = time.perf_counter() - start

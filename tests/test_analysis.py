@@ -12,7 +12,6 @@ from diffusion_lms.analysis import (
     steady_state_msd,
     step_size_upper_bound,
 )
-from diffusion_lms.filters import AlgorithmSpec
 from diffusion_lms.network import build_ring_lattice, non_cooperative_weights, uniform_weights
 from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
 
@@ -126,7 +125,7 @@ class TestLeakyFixedPoint:
         stream = gaussian_source(
             np.full(nodes, sigma_sq), w_o, seed=77, horizon=1200, noise_variance=0.0
         )
-        snaps = trajectory(weights, AlgorithmSpec("atc", mu, gamma), stream)
+        snaps = trajectory(weights, "atc", mu, gamma, stream)
         mean_estimate = snaps[-1].mean(axis=0)
         target = leaky_fixed_point(sigma_sq * np.eye(5), gamma, w_o)
         rel = np.linalg.norm(mean_estimate - target) / np.linalg.norm(target)
@@ -160,14 +159,14 @@ class TestStepSizeBound:
         weights = uniform_weights(topo)
         frames = constant_excitation_frames(np.array([np.sqrt(sigma_sq)]), w_o, 1500)
 
-        snaps = trajectory(weights, AlgorithmSpec("atc", 0.9 * bound, gamma), frames)
+        snaps = trajectory(weights, "atc", 0.9 * bound, gamma, frames)
         assert not detect_divergence(snaps).divergent
         target = leaky_fixed_point(sigma_sq * np.eye(1), gamma, w_o)
         assert np.abs(snaps[-1, 0] - target).max() < 1e-9
         # the leak biases the solution away from the true vector
         assert np.abs(snaps[-1, 0] - w_o).max() > 1e-4
 
-        snaps = trajectory(weights, AlgorithmSpec("atc", 1.5 * bound, gamma), frames)
+        snaps = trajectory(weights, "atc", 1.5 * bound, gamma, frames)
         assert detect_divergence(snaps).divergent
 
 
@@ -232,7 +231,7 @@ class TestDetectDivergence:
         topo = build_ring_lattice(1, 0)
         weights = uniform_weights(topo)
         frames = constant_excitation_frames(np.array([np.sqrt(sigma_sq)]), w_o, 1000)
-        snaps = trajectory(weights, AlgorithmSpec("atc", mu, 0.0), frames)
+        snaps = trajectory(weights, "atc", mu, 0.0, frames)
         assert detect_divergence(snaps).divergent
 
 

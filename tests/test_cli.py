@@ -309,6 +309,39 @@ class TestSnrRange:
         assert not out.exists()
 
 
+class TestScaleExponentRange:
+    # at -3000 the regressor scale sqrt(variance)**scale_exponent overflows;
+    # at -2000 the scale (1.07e301) is a float, but the response power is not
+    @pytest.mark.parametrize(
+        "model,exponent",
+        [("", -3000.0), ("regressor_variances = 0.5, 0.5, 0.5, 0.5, 0.5, 0.5\n", -2000.0)],
+        ids=["scale_overflows", "power_overflows"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
+    def test_input_overflow_exits_2_before_any_round(self, tmp_path, monkeypatch, capsys, command, model, exponent):
+        from diffusion_lms import experiment
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a filter round ran before the input scale was checked")
+
+        monkeypatch.setattr(experiment, "run_filter", no_round)
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 6\ntopology = ring_lattice\nhalf_width = 1\n\n[model]\n{model}\n"
+            f"[source]\nkind = delay_line\nscale_exponent = {exponent}\n\n"
+            "[run]\ntrials = 2\nhorizon = 60\nsteady_window = 20\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+            "denoise": ["denoise", "--node", "1"],
+        }[command] + ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: scale_exponent: {exponent} ")
+        assert not out.exists()
+
+
 class TestSweep:
     def test_window_longer_than_sample_file_fails_before_any_ensemble(self, tmp_path, monkeypatch, capsys):
         from diffusion_lms import experiment

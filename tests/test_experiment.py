@@ -5,7 +5,7 @@ import pytest
 
 from edge_lists import write_edge_list
 from kernel_rounds import trajectory
-from reference_impl import ensemble_reference
+from reference_impl import ensemble_reference, label_rule
 
 from diffusion_lms.analysis import (
     DIVERGENCE_THRESHOLD,
@@ -19,7 +19,6 @@ from diffusion_lms.experiment import (
     ConfigError,
     EnsembleDivergence,
     ExperimentConfig,
-    algorithm_spec,
     build_setup,
     denoise_speech,
     _chunk_trials,
@@ -62,14 +61,6 @@ class TestConfigMaterialization:
         setup = build_setup(cfg)
         assert np.array_equal(setup.variances, [0.2, 0.3, 0.4])
         assert np.array_equal(setup.w_o, [1.0, -1.0])
-
-    def test_algorithm_label_mapping(self):
-        spec = algorithm_spec("atc_leaky_dlms", 0.08, 0.002)
-        assert spec.ordering == "atc" and spec.gamma == 0.002
-        spec = algorithm_spec("cta_dlms", 0.08, 0.002)
-        assert spec.ordering == "cta" and spec.gamma == 0.0
-        with pytest.raises(ValueError):
-            algorithm_spec("fancy_dlms", 0.08, 0.002)
 
 
 # 20 x 5 network: three trials per chunk; the horizon is not a multiple of the block
@@ -116,8 +107,8 @@ class TestBatchedEnsembleMatchesReference:
         assert dropped == {"atc_dlms": 1, "cta_dlms": 2, "atc_leaky_dlms": 1, "cta_leaky_dlms": 2}
         setup = build_setup(cfg)
         stream = make_stream(cfg, setup, cfg.base_seed + 4)
-        atc = trajectory(setup.weights, algorithm_spec("atc_dlms", cfg.mu, cfg.gamma), stream)
-        cta = trajectory(setup.weights, algorithm_spec("cta_dlms", cfg.mu, cfg.gamma), stream)
+        atc = trajectory(setup.weights, "atc", cfg.mu, 0.0, stream)
+        cta = trajectory(setup.weights, "cta", cfg.mu, 0.0, stream)
         assert 0.99 * DIVERGENCE_THRESHOLD < np.abs(atc).max() <= DIVERGENCE_THRESHOLD
         assert np.abs(cta).max() > DIVERGENCE_THRESHOLD
         clean = detect_divergence(atc[1:])
@@ -174,11 +165,10 @@ class TestRunEnsemble:
         )
         trace = run_ensemble(cfg)["atc_dlms"]
         setup = build_setup(cfg)
-        spec = algorithm_spec("atc_dlms", cfg.mu, cfg.gamma)
         acc = np.zeros(cfg.horizon)
         for t in range(cfg.trials):
             stream = make_stream(cfg, setup, cfg.base_seed + t)
-            snaps = trajectory(setup.weights, spec, stream)
+            snaps = trajectory(setup.weights, "atc", cfg.mu, 0.0, stream)
             acc += linear_deviation(snaps[1:], setup.w_o)
         expected = 10 * np.log10(acc / cfg.trials)
         assert np.allclose(trace.per_iteration_db, expected, atol=0.0)
@@ -193,11 +183,11 @@ class TestRunEnsemble:
             assert 0 < trace.divergent_trials < cfg.trials
             assert np.isfinite(trace.per_iteration_db).all()
             # recompute the survivor-only average independently
-            spec = algorithm_spec(label, cfg.mu, cfg.gamma)
+            ordering, gamma = label_rule(label, cfg.gamma)
             acc, kept = np.zeros(cfg.horizon), 0
             for t in range(cfg.trials):
                 stream = make_stream(cfg, setup, cfg.base_seed + t)
-                snaps = trajectory(setup.weights, spec, stream)
+                snaps = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)
                 if detect_divergence(snaps[1:]).divergent:
                     continue
                 acc += linear_deviation(snaps[1:], setup.w_o)
@@ -333,6 +323,18 @@ class TestDenoise:
         result = denoise_speech(cfg, 1)
         assert np.array_equal(result.filtered, np.zeros(200))
         assert np.array_equal(result.noisy, result.residual)
+
+    @pytest.mark.parametrize("label", ["atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms"])
+    def test_filtered_output_of_every_label(self, label):
+        # the first label's estimates at the node, by the literal label rule
+        # (gamma = 0.01 applies to the leaky labels only)
+        cfg = self.speech_cfg(algorithms=(label,), gamma=0.01, horizon=300)
+        result = denoise_speech(cfg, 5)
+        setup = build_setup(cfg)
+        stream = make_stream(cfg, setup, cfg.base_seed)
+        ordering, gamma = label_rule(label, cfg.gamma)
+        w = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)[1:, 5]
+        assert np.array_equal(result.filtered, np.einsum("im,im->i", stream.u[:, 5], w))
 
     def test_node_out_of_range_rejected(self):
         cfg = self.speech_cfg()

@@ -7,7 +7,7 @@ from kernel_rounds import one_round, trajectory
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
 from diffusion_lms.analysis import linear_deviation
-from diffusion_lms.filters import AlgorithmSpec, run_filter
+from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     Topology,
     build_random_geometric,
@@ -27,32 +27,17 @@ def first_rounds(stream, k):
     return replace(stream, u=stream.u[:k], d=stream.d[:k], noise=stream.noise[:k])
 
 
-class TestAlgorithmSpec:
-    def test_accepts_zero_leakage_and_zero_step(self):
-        AlgorithmSpec(ordering="atc", mu=0.0, gamma=0.0)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            AlgorithmSpec(ordering="atc", mu=-0.1)
-        with pytest.raises(ValueError):
-            AlgorithmSpec(ordering="atc", mu=0.1, gamma=-1.0)
-        with pytest.raises(ValueError):
-            AlgorithmSpec(ordering="sideways", mu=0.1)
-
-
 class TestScalarHandValues:
     def test_atc_leaky_scalar_round(self):
         weights = single_node_weights()
-        spec = AlgorithmSpec(ordering="atc", mu=0.5, gamma=0.2)
-        w, phi = one_round(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0]), spec, weights)
+        w, phi = one_round(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0]), "atc", 0.5, 0.2, weights)
         # (1 - 0.5*0.2)*0 + 0.5*1*(1 - 0) = 0.5, then combine over {self}
         assert np.isclose(phi[0, 0], 0.5, atol=1e-15)
         assert np.isclose(w[0, 0], 0.5, atol=1e-15)
 
     def test_cta_leaky_scalar_round(self):
         weights = single_node_weights()
-        spec = AlgorithmSpec(ordering="cta", mu=0.5, gamma=0.2)
-        w, combined = one_round(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), spec, weights)
+        w, combined = one_round(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), "cta", 0.5, 0.2, weights)
         # combined = 0.5, then 0.9*0.5 + 0.5*(1 - 0.5) = 0.7
         assert np.isclose(combined[0, 0], 0.5, atol=1e-15)
         assert np.isclose(w[0, 0], 0.7, atol=1e-15)
@@ -69,15 +54,13 @@ class TestRoundStructure:
 
     def test_zero_step_size_keeps_equal_states_fixed(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
-        spec = AlgorithmSpec(ordering="atc", mu=0.0, gamma=0.3)
-        w_new, phi = one_round(w, *self.frame(), spec, self.weights)
+        w_new, phi = one_round(w, *self.frame(), "atc", 0.0, 0.3, self.weights)
         assert np.allclose(phi, w, atol=1e-15)
         assert np.allclose(w_new, w, atol=1e-12)
 
     def test_cta_fixed_point_of_pure_averaging(self):
         w = np.tile(self.rng.standard_normal(3), (6, 1))
-        spec = AlgorithmSpec(ordering="cta", mu=0.0, gamma=0.0)
-        w_new, _ = one_round(w, *self.frame(), spec, self.weights)
+        w_new, _ = one_round(w, *self.frame(), "cta", 0.0, 0.0, self.weights)
         assert np.allclose(w_new, w, atol=1e-12)
 
     def test_consensus_on_truth_is_invariant_without_leak(self):
@@ -86,18 +69,18 @@ class TestRoundStructure:
         u = self.rng.standard_normal((6, 3))
         d = u @ w_o  # noiseless measurements
         for ordering in ("atc", "cta"):
-            w_new, _ = one_round(w, u, d, AlgorithmSpec(ordering=ordering, mu=0.4, gamma=0.0), self.weights)
+            w_new, _ = one_round(w, u, d, ordering, 0.4, 0.0, self.weights)
             assert np.allclose(w_new, w, atol=1e-12)
 
     def test_leak_contracts_norm_without_excitation(self):
         # complete graph on 4 nodes: degree 4 keeps uniform weights exact
         weights = uniform_weights(Topology(np.ones((4, 4), dtype=bool)))
-        spec = AlgorithmSpec(ordering="atc", mu=0.1, gamma=0.5)
+        mu, gamma = 0.1, 0.5
         w = np.tile(self.rng.standard_normal(3), (4, 1))
         for _ in range(50):
-            w_new, _ = one_round(w, np.zeros((4, 3)), np.zeros(4), spec, weights)
+            w_new, _ = one_round(w, np.zeros((4, 3)), np.zeros(4), "atc", mu, gamma, weights)
             ratio = np.linalg.norm(w_new) / np.linalg.norm(w)
-            assert np.isclose(ratio, 1.0 - spec.mu * spec.gamma, rtol=1e-12)
+            assert np.isclose(ratio, 1.0 - mu * gamma, rtol=1e-12)
             w = w_new
 
     def test_shape_mismatch_rejected(self):
@@ -106,6 +89,12 @@ class TestRoundStructure:
         for u, d in ((np.zeros((5, 3)), np.zeros(5)), (np.zeros((6, 3)), np.zeros(1)), (np.zeros((6, 4)), np.zeros(6))):
             with pytest.raises(ValueError):
                 run_filter(self.weights, 0.1, 0.0, u[None, None], d[None, None], out=out, phi_out=np.zeros_like(out))
+        # measurements for 4 rounds of 10 are rejected before any round runs
+        out = np.zeros((11, 6, 3))
+        out[0] = 1.0
+        with pytest.raises(ValueError):
+            run_filter(self.weights, 0.1, 0.0, np.ones((10, 6, 3)), np.ones((4, 6)), out=out, phi_out=np.zeros_like(out))
+        assert not out[1:].any()
 
 
 class TestAgainstReference:
@@ -126,11 +115,11 @@ class TestAgainstReference:
         for topo, weights, w, u, d in self.cases():
             mu = 0.07
             ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = one_round(w, u, d, AlgorithmSpec("atc", mu, 0.0), weights)
+            out_w, out_phi = one_round(w, u, d, "atc", mu, 0.0, weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
             ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = one_round(w, u, d, AlgorithmSpec("cta", mu, 0.0), weights)
+            out_w, out_phi = one_round(w, u, d, "cta", mu, 0.0, weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
 
@@ -151,8 +140,8 @@ class TestReductions:
         weights = non_cooperative_weights(4)
         w = rng.standard_normal((4, 3))
         u, d = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        out_a, _ = one_round(w, u, d, AlgorithmSpec("atc", 0.2, 0.1), weights)
-        out_c, _ = one_round(w, u, d, AlgorithmSpec("cta", 0.2, 0.1), weights)
+        out_a, _ = one_round(w, u, d, "atc", 0.2, 0.1, weights)
+        out_c, _ = one_round(w, u, d, "cta", 0.2, 0.1, weights)
         assert np.array_equal(out_a, out_c)
 
     def test_non_cooperative_matches_standalone_filters(self):
@@ -162,8 +151,7 @@ class TestReductions:
         w_o = np.linspace(0.1, 0.4, m)
         stream = gaussian_source(np.full(n, 0.5), w_o, seed=12, horizon=steps, snr_db=10.0)
         for gamma in (0.0, 0.01):
-            spec = AlgorithmSpec("atc", 0.1, gamma)
-            snaps = trajectory(weights, spec, stream)
+            snaps = trajectory(weights, "atc", 0.1, gamma, stream)
             for k in range(n):
                 ref = standalone_leaky_lms(stream.u[:, k, :], stream.d[:, k], 0.1, gamma)
                 assert np.abs(snaps[:, k, :] - ref).max() <= 1e-13
@@ -171,10 +159,8 @@ class TestReductions:
     def test_single_node_orderings_coincide(self):
         weights = single_node_weights()
         stream = gaussian_source(np.array([0.35]), default_lowpass_system(5), seed=3, horizon=300)
-        spec_a = AlgorithmSpec("atc", 0.05, 0.002)
-        spec_c = AlgorithmSpec("cta", 0.05, 0.002)
-        run_a = trajectory(weights, spec_a, stream)
-        run_c = trajectory(weights, spec_c, stream)
+        run_a = trajectory(weights, "atc", 0.05, 0.002, stream)
+        run_c = trajectory(weights, "cta", 0.05, 0.002, stream)
         assert np.array_equal(run_a, run_c)
 
 
@@ -191,7 +177,7 @@ class TestRunFilter:
         topo = build_ring_lattice(20, 2)
         w_o = default_lowpass_system(5)
         stream = gaussian_source(np.full(20, 0.5), w_o, seed=0, horizon=3)
-        snaps = trajectory(uniform_weights(topo), AlgorithmSpec("atc", 0.1), first_rounds(stream, 0))
+        snaps = trajectory(uniform_weights(topo), "atc", 0.1, 0.0, first_rounds(stream, 0))
         network = linear_deviation(snaps, w_o)
         assert np.isclose(network[0], float(w_o @ w_o))
 
@@ -201,15 +187,14 @@ class TestRunFilter:
         sigma_sq = 0.35
         mu = 2.0 / sigma_sq / 50.0
         stream = gaussian_source(np.array([sigma_sq]), w_o, seed=21, horizon=10_000, noise_variance=0.0)
-        snaps = trajectory(weights, AlgorithmSpec("atc", mu, 0.0), stream)
+        snaps = trajectory(weights, "atc", mu, 0.0, stream)
         assert np.abs(snaps[-1, 0] - w_o).max() < 1e-6
 
     def test_divergence_is_not_masked(self):
         weights = single_node_weights()
         ones = np.ones((400, 1))
         stream = FrameStream(u=ones[..., None], d=ones, noise=np.zeros((400, 1)), noise_variance=np.zeros(1))
-        spec = AlgorithmSpec("atc", 5.0, 0.0)  # far beyond the stable range
-        snaps = trajectory(weights, spec, stream)
+        snaps = trajectory(weights, "atc", 5.0, 0.0, stream)  # far beyond the stable range
         assert not np.isfinite(snaps[-1]).all() or np.abs(snaps[-1]).max() > 1e6
 
 
@@ -224,10 +209,10 @@ class TestSharedRecursion:
 
     def test_cta_snapshots_are_the_atc_intermediates(self):
         stream = self.stream(4)
-        cta = trajectory(self.weights, AlgorithmSpec("cta", 0.3, 0.01), stream)
+        cta = trajectory(self.weights, "cta", 0.3, 0.01, stream)
         w = np.zeros((8, 3))
         for i, (u, d) in enumerate(zip(stream.u, stream.d), start=1):
-            w, phi = one_round(w, u, d, AlgorithmSpec("atc", 0.3, 0.01), self.weights)
+            w, phi = one_round(w, u, d, "atc", 0.3, 0.01, self.weights)
             assert np.array_equal(cta[i], phi)
             assert np.array_equal(self.weights.a.T @ cta[i], w)
 
@@ -253,8 +238,8 @@ class TestSharedRecursion:
         for j, stream in enumerate(streams):
             stream = first_rounds(stream, 11)
             for p, (step, leak) in enumerate(pairs):
-                atc = trajectory(self.weights, AlgorithmSpec("atc", step, leak), stream)
-                cta = trajectory(self.weights, AlgorithmSpec("cta", step, leak), stream)
+                atc = trajectory(self.weights, "atc", step, leak, stream)
+                cta = trajectory(self.weights, "cta", step, leak, stream)
                 assert np.array_equal(estimates[:, j, p], atc)
                 assert np.array_equal(intermediates[1:, j, p], cta[1:])
 
@@ -293,8 +278,8 @@ class TestRoundScratch:
         """(ATC estimates, CTA estimates) after each round, from all-zero tables."""
         atc, cta = [np.zeros((7, 4))], [np.zeros((7, 4))]
         for u, d in zip(stream.u, stream.d):
-            atc.append(one_round(atc[-1], u, d, AlgorithmSpec("atc", mu, gamma), self.weights)[0])
-            cta.append(one_round(cta[-1], u, d, AlgorithmSpec("cta", mu, gamma), self.weights)[0])
+            atc.append(one_round(atc[-1], u, d, "atc", mu, gamma, self.weights)[0])
+            cta.append(one_round(cta[-1], u, d, "cta", mu, gamma, self.weights)[0])
         return np.stack(atc), np.stack(cta)
 
     def kept_runs(self, mu, gamma, u, d, shape):
