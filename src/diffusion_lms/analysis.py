@@ -129,9 +129,12 @@ def detect_divergence(snapshots: np.ndarray) -> DivergenceReport:
     if not arr.size or (-DIVERGENCE_THRESHOLD <= arr.min() and arr.max() <= DIVERGENCE_THRESHOLD):
         clear = np.full(arr.shape[1:-2], -1)
         return DivergenceReport(divergent=False, first_iterations=clear, nodes=clear.copy())
-    # NaN fails every comparison, so this also flags non-finite entries
+    # NaN fails every comparison, so this also flags non-finite entries; two
+    # comparisons build boolean tables only, no float copy of the stack
     with np.errstate(invalid="ignore"):
-        bad_nodes = ~(np.abs(arr) <= DIVERGENCE_THRESHOLD).all(axis=-1)
+        inside = -DIVERGENCE_THRESHOLD <= arr
+        inside &= arr <= DIVERGENCE_THRESHOLD
+    bad_nodes = ~inside.all(axis=-1)
     bad_rounds = bad_nodes.any(axis=-1)
     first = np.argmax(bad_rounds, axis=0)
     nodes = np.argmax(np.take_along_axis(bad_nodes, first[None, ..., None], axis=0)[0], axis=-1)

@@ -84,7 +84,7 @@ PINNED_VARIANCE = 0.35
 
 # ensemble memory bound: bytes of stream, curve and buffer data per trial chunk
 CHUNK_BYTES = 4 * 2**20
-# rounds advanced between divergence scans; the block buffers hold this many
+# rounds advanced between divergence scans; the block buffer holds this many
 BLOCK_ROUNDS = 50
 
 
@@ -97,9 +97,10 @@ class ExperimentConfig:
     Construction checks every field and raises ConfigError, whose message
     starts with the offending key, so a config that exists is one that can
     run. Left to the setup and the streams, before any filter round: a
-    sample or edge-list file, whether ``scale_exponent`` keeps the
-    delay-line input's power a float, and whether the noise variance an
-    ``snr_db`` gives against the signal power fits in a float.
+    sample or edge-list file, whether the samples' own power and then
+    ``scale_exponent`` keep the delay-line input's power a float, and
+    whether the noise variance an ``snr_db`` gives against the signal
+    power fits in a float.
     """
 
     # network
@@ -321,15 +322,18 @@ def make_stream(
         )
     if samples is None:
         samples = _delay_line_samples(cfg)[0]
-    return delay_line_source(
-        samples,
-        setup.variances,
-        setup.w_o,
-        seed=seed,
-        snr_db=cfg.snr_db,
-        noise_variance=cfg.noise_variance,
-        scale_exponent=cfg.scale_exponent,
-    )
+    try:
+        return delay_line_source(
+            samples,
+            setup.variances,
+            setup.w_o,
+            seed=seed,
+            snr_db=cfg.snr_db,
+            noise_variance=cfg.noise_variance,
+            scale_exponent=cfg.scale_exponent,
+        )
+    except DataFileError as exc:
+        raise DataFileError(f"{cfg.sample_path}: {exc}") from exc
 
 
 def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergence]:
@@ -344,11 +348,15 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     combined tables are the ATC estimates and its intermediates the CTA
     estimates, so the run holds one ATC recursion per distinct (mu, gamma)
     pair. Trials run in chunks, each batched over (trial, pair) and sized
-    so that its streams, network deviation curves and block buffers fit in
+    so that its streams, network deviation curves and block buffer fit in
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
-    chunk advances BLOCK_ROUNDS rounds at a time, and after every block
-    each label's estimates are read in place in the block buffers, scanned
-    for divergence and reduced to one network deviation curve. Each label
+    chunk advances BLOCK_ROUNDS rounds at a time into one buffer holding
+    both outputs of every pair. After every block the requested labels'
+    estimates are read in place in it: when the labels fill a box of
+    (output, pair) slots, as every label, one label, or the pairs of one
+    output do, that box is one view, scanned for divergence and reduced to
+    deviation curves in one pass; otherwise each label is its own view,
+    so no slot is read that no label asks for. Each label
     is judged on its own estimates (ATC labels on the combined tables, CTA
     labels on the intermediates), so the labels of one recursion can keep
     and drop different trials. A (trial, label) that diverges anywhere is
@@ -414,7 +422,7 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
 def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int) -> int:
     """Trials per chunk under CHUNK_BYTES. A trial holds its stream (u, d
     and noise), one network deviation curve per label, and its rows of the
-    two block buffers."""
+    block buffer (both outputs of every pair)."""
     per_trial = 8 * (horizon * n * (m + 2) + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m)
     return max(1, CHUNK_BYTES // per_trial)
 
@@ -431,19 +439,30 @@ def _run_chunk(
     Fills ``net``, shape (horizon, trials, labels), with the linear network
     deviation curves, and returns per (trial, label) the first divergent
     round and node (-1 where none). Both are read after every block from
-    each label's view of the block buffers, with no copy; the taps are
-    summed one slab at a time. Curve rows of a (trial, label) that diverged
-    are not meaningful.
+    the block buffer, shape (rounds, output, trials, pairs, N, M), with no
+    copy: labels that fill their (output range x pair range) box are read
+    as one view of it, one divergence scan and one deviation reduction
+    per block, and other label sets one view per label. The per-element
+    results are then scattered to the label columns. Curve rows of a
+    (trial, label) that diverged are not meaningful.
     """
     horizon, n, m = streams[0].u.shape
     shape = (len(streams), len(pairs), n, m)
     steps = np.array(pairs)
     mu = np.tile(steps[:, 0, None, None], (len(streams), 1, 1, 1))
     gamma = steps[:, 1, None, None]
-    estimates = np.zeros((BLOCK_ROUNDS + 1,) + shape)
-    intermediates = np.zeros_like(estimates)
-    outputs = (estimates, intermediates)
+    # round-major: output 0 the combined (ATC) tables, 1 the intermediates (CTA)
+    outputs = np.zeros((BLOCK_ROUNDS + 1, 2) + shape)
     feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
+
+    # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
+    # with their (output, pair) offsets in it. Every pair feeds a label, so
+    # the labels' box spans all pairs and the outputs they read
+    lo, hi = min(o for o, _ in slots), max(o for o, _ in slots) + 1
+    if len(set(slots)) == (hi - lo) * len(pairs):
+        groups = [((lo, hi, 0, len(pairs)), [(s, o - lo, p) for s, (o, p) in enumerate(slots)])]
+    else:
+        groups = [((o, o + 1, p, p + 1), [(s, 0, 0)]) for s, (o, p) in enumerate(slots)]
 
     first_it = np.full((len(streams), len(slots)), -1)
     first_node = np.full((len(streams), len(slots)), -1)
@@ -457,23 +476,26 @@ def _run_chunk(
             gamma,
             np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
             np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
-            out=estimates[:rows],
-            phi_out=intermediates[:rows],
+            out=outputs[:rows, 0],
+            phi_out=outputs[:rows, 1],
         )
-        for s, (o, p) in enumerate(slots):
-            view = outputs[o][1:rows, :, p]
+        for (o0, o1, p0, p1), members in groups:
+            view = outputs[1:rows, o0:o1, :, p0:p1]
             report = detect_divergence(view)
-            if report.divergent:
-                fresh = (report.first_iterations >= 0) & (first_it[:, s] < 0)
-                first_it[fresh, s] = start + report.first_iterations[fresh]
-                first_node[fresh, s] = report.nodes[fresh]
             with np.errstate(over="ignore", invalid="ignore"):
-                net[start:stop, :, s] = linear_deviation(view, setup.w_o)
-        estimates[0] = estimates[rows - 1]
+                deviation = linear_deviation(view, setup.w_o)
+            for s, o, p in members:
+                if report.divergent:
+                    its = report.first_iterations[o, :, p]
+                    fresh = (its >= 0) & (first_it[:, s] < 0)
+                    first_it[fresh, s] = start + its[fresh]
+                    first_node[fresh, s] = report.nodes[o, :, p][fresh]
+                net[start:stop, :, s] = deviation[:, o, :, p]
+        outputs[0, 0] = outputs[rows - 1, 0]
         # a (trial, pair) is frozen once every label it feeds has diverged
         live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
         mu[~live] = 0.0
-        estimates[0][~live] = 0.0
+        outputs[0, 0][~live] = 0.0
     return first_it, first_node
 
 

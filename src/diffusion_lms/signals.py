@@ -171,8 +171,10 @@ def delay_line_source(
     variance itself. Noise variance is calibrated per node from the
     empirical power of the noiseless response u . w_o over the whole
     sequence (see :func:`_resolve_noise_variance` for silent inputs), or
-    fixed by ``noise_variance``; a scale that takes that power beyond the
-    float range raises ConfigError. One stream instant per input sample.
+    fixed by ``noise_variance``. When that power is beyond the float range,
+    samples whose own mean square already is raise DataFileError, and
+    otherwise the scale is at fault and raises ConfigError. One stream
+    instant per input sample.
 
     Layout: the stream holds one (N, T + M - 1) table whose row k is the
     time-reversed samples times node k's scale, followed by M - 1 zeros.
@@ -201,6 +203,10 @@ def delay_line_source(
         clean = u @ w_o
         signal_power = (clean * clean).mean(axis=0)
     if not np.isfinite(signal_power).all():
+        with np.errstate(over="ignore"):
+            own_power = (samples * samples).mean()
+        if not np.isfinite(own_power):
+            raise DataFileError("the samples' mean square is beyond the float range")
         raise ConfigError(
             f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
         )

@@ -217,6 +217,33 @@ class TestDetectDivergence:
         assert not clean.divergent and clean.first_iteration is None
         assert (clean.first_iterations == -1).all() and clean.first_iterations.shape == (2, 3)
 
+    def test_round_major_block_view_reads_like_each_element(self):
+        # a block buffer (rounds, outputs, trials, pairs, N, M), read as one
+        # view without its starting row, against each element's own stack
+        rng = np.random.default_rng(9)
+        w_o = rng.standard_normal(3)
+        block = rng.standard_normal((7, 2, 3, 2, 4, 3))
+        block[3, 1, 0, 1, 2, 0] = np.nan
+        block[5, 0, 2, 0, 1, 2] = -3e6
+        view = block[1:]
+        report = detect_divergence(view)
+        with np.errstate(invalid="ignore"):
+            deviation = linear_deviation(view, w_o)
+        assert report.first_iterations.shape == report.nodes.shape == (2, 3, 2)
+        assert deviation.shape == (6, 2, 3, 2)
+        assert (report.first_iteration, report.node) == (2, 2)
+        for index in np.ndindex(2, 3, 2):
+            element = np.ascontiguousarray(view[:, index[0], index[1], index[2]])
+            one = detect_divergence(element)
+            want = (one.first_iteration, one.node) if one.divergent else (-1, -1)
+            assert (report.first_iterations[index], report.nodes[index]) == want, index
+            with np.errstate(invalid="ignore"):
+                curve = linear_deviation(element, w_o)
+            assert np.array_equal(deviation[:, index[0], index[1], index[2]], curve, equal_nan=True), index
+        assert (report.first_iterations >= 0).sum() == 2
+        assert (report.first_iterations[1, 0, 1], report.nodes[1, 0, 1]) == (2, 2)
+        assert (report.first_iterations[0, 2, 0], report.nodes[0, 2, 0]) == (4, 1)
+
     def test_single_table_rejected(self):
         # a table is a one-round stack: table[None]
         table = np.full((4, 2), np.inf)

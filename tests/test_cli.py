@@ -341,6 +341,33 @@ class TestScaleExponentRange:
         assert capsys.readouterr().err.startswith(f"config error: scale_exponent: {exponent} ")
         assert not out.exists()
 
+    # the samples' own squares overflow, so no scale is to blame
+    @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
+    def test_sample_file_overflow_exits_5_naming_the_file(self, tmp_path, monkeypatch, capsys, command):
+        from diffusion_lms import experiment
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a filter round ran before the samples' power was checked")
+
+        monkeypatch.setattr(experiment, "run_filter", no_round)
+        samples = tmp_path / "loud.txt"
+        samples.write_text("1e200\n-1e200\n" * 50)
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 6\ntopology = ring_lattice\nhalf_width = 1\n\n"
+            f"[source]\nkind = delay_line\nsample_path = {samples}\n\n"
+            "[run]\ntrials = 2\nsteady_window = 20\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+            "denoise": ["denoise", "--node", "1"],
+        }[command] + ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {samples}: the samples' mean square ")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_window_longer_than_sample_file_fails_before_any_ensemble(self, tmp_path, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from diffusion_lms.analysis import (
     steady_state_msd,
 )
 from diffusion_lms.experiment import (
+    ALGORITHM_LABELS,
     BLOCK_ROUNDS,
     ConfigError,
     EnsembleDivergence,
@@ -121,6 +122,49 @@ class TestBatchedEnsembleMatchesReference:
     def test_label_subsets_exactly_equal(self, algorithms):
         cfg = replace(ORACLE, trials=3, mu=2.2, algorithms=algorithms)
         assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
+
+    # at mu 2.15 the ATC and CTA labels drop different trials; five trials
+    # run as two chunks of several blocks. The first two sets fill a box
+    # smaller than 2 x 2, the reversed four fill it, the last does not
+    @pytest.mark.parametrize(
+        "algorithms",
+        [
+            ("atc_dlms", "atc_leaky_dlms"),
+            ("cta_dlms", "atc_dlms"),
+            ("cta_leaky_dlms", "atc_leaky_dlms", "cta_dlms", "atc_dlms"),
+            ("atc_dlms", "cta_dlms", "cta_leaky_dlms"),
+        ],
+    )
+    def test_grouped_readout_exactly_equal(self, algorithms):
+        cfg = replace(ORACLE, trials=5, mu=2.15, algorithms=algorithms)
+        assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
+
+    @pytest.mark.parametrize(
+        "algorithms,gamma,boxes",
+        [
+            (ALGORITHM_LABELS, 0.002, [(2, 2)]),
+            (ALGORITHM_LABELS, 0.0, [(2, 1)]),
+            (("cta_leaky_dlms",), 0.002, [(1, 1)]),
+            (("atc_leaky_dlms", "atc_dlms"), 0.002, [(1, 2)]),
+            (("atc_dlms", "cta_leaky_dlms"), 0.002, [(1, 1), (1, 1)]),
+            (("atc_dlms", "cta_dlms", "cta_leaky_dlms"), 0.002, [(1, 1)] * 3),
+        ],
+    )
+    def test_readout_reads_only_requested_slots(self, monkeypatch, algorithms, gamma, boxes):
+        # one scan per (output, pair) box per block, and no box the labels leave part empty
+        from diffusion_lms import experiment
+
+        seen = []
+
+        def scan(view):
+            seen.append((view.shape[1], view.shape[3]))
+            return detect_divergence(view)
+
+        monkeypatch.setattr(experiment, "detect_divergence", scan)
+        cfg = replace(SMALL, trials=1, gamma=gamma, algorithms=algorithms)
+        run_ensemble(cfg)
+        blocks = -(-cfg.horizon // BLOCK_ROUNDS)
+        assert seen == boxes * blocks
 
     def test_zero_leakage_pairs_collapse(self):
         cfg = replace(ORACLE, trials=3, gamma=0.0)

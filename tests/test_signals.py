@@ -204,6 +204,15 @@ class TestDelayLineSource:
         with pytest.raises(ValueError):
             delay_line_source(np.ones(3), np.array([1.0]), w_o, seed=0)
 
+    def test_power_overflow_blames_the_samples_or_the_scale(self):
+        w_o = default_lowpass_system(5)
+        loud = np.tile([1e200, -1e200], 50)
+        with pytest.raises(DataFileError, match="the samples' mean square"):
+            delay_line_source(loud, np.array([0.5]), w_o, seed=0)
+        # samples of unit size whose scale 2**1000 is a float but whose power is not
+        with pytest.raises(ConfigError, match="^scale_exponent: 2000.0 "):
+            delay_line_source(np.ones(100), np.array([2.0]), w_o, seed=0, scale_exponent=2000.0)
+
 
 def test_delay_line_source_builds_no_full_regressor_table():
     horizon, n, m = 48_000, 20, 5
