@@ -421,10 +421,12 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
 
 def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int) -> int:
     """Trials per chunk under CHUNK_BYTES. A trial holds its stream (u, d
-    and noise), one network deviation curve per label, and its rows of the
-    block buffer (both outputs of every pair)."""
-    per_trial = 8 * (horizon * n * (m + 2) + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m)
-    return max(1, CHUNK_BYTES // per_trial)
+    and noise), one network deviation curve per label, its rows of the
+    block buffer (both outputs of every pair) and its rows of the data
+    block (one block's u and d)."""
+    stream_and_curves = horizon * n * (m + 2) + labels * horizon
+    blocks = 2 * pairs * (BLOCK_ROUNDS + 1) * n * m + BLOCK_ROUNDS * n * (m + 1)
+    return max(1, CHUNK_BYTES // (8 * (stream_and_curves + blocks)))
 
 
 def _run_chunk(
@@ -444,7 +446,9 @@ def _run_chunk(
     as one view of it, one divergence scan and one deviation reduction
     per block, and other label sets one view per label. The per-element
     results are then scattered to the label columns. Curve rows of a
-    (trial, label) that diverged are not meaningful.
+    (trial, label) that diverged are not meaningful. Each block's
+    regressors and measurements are copied into one data block allocated
+    per chunk and refilled in place, not stacked anew.
     """
     horizon, n, m = streams[0].u.shape
     shape = (len(streams), len(pairs), n, m)
@@ -464,18 +468,24 @@ def _run_chunk(
     else:
         groups = [((o, o + 1, p, p + 1), [(s, 0, 0)]) for s, (o, p) in enumerate(slots)]
 
+    # the block's data, one trial axis that broadcasts over the pairs
+    u_block = np.empty((BLOCK_ROUNDS, len(streams), 1, n, m))
+    d_block = np.empty((BLOCK_ROUNDS, len(streams), 1, n))
+
     first_it = np.full((len(streams), len(slots)), -1)
     first_node = np.full((len(streams), len(slots)), -1)
     for start in range(0, horizon, BLOCK_ROUNDS):
         stop = min(start + BLOCK_ROUNDS, horizon)
         rows = stop - start + 1
-        # the stacked block is built in the call, so it is freed before the readout
+        for j, stream in enumerate(streams):
+            u_block[: stop - start, j, 0] = stream.u[start:stop]
+            d_block[: stop - start, j, 0] = stream.d[start:stop]
         run_filter(
             setup.weights,
             mu,
             gamma,
-            np.stack([s.u[start:stop] for s in streams], axis=1)[:, :, None],
-            np.stack([s.d[start:stop] for s in streams], axis=1)[:, :, None],
+            u_block[: stop - start],
+            d_block[: stop - start],
             out=outputs[:rows, 0],
             phi_out=outputs[:rows, 1],
         )

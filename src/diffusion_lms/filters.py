@@ -32,11 +32,15 @@ def run_filter(
     (T, *batch, N). ``mu`` and ``gamma`` are scalars or arrays, e.g. of
     shape (trials, pairs, 1, 1); they and the data's batch axes broadcast
     against the (*batch, N, M) estimate tables, so data shared by several
-    elements is passed once. ``out`` and ``phi_out`` are (T + 1, *batch,
-    N, M) buffers. Row 0 of ``out`` holds the estimates the run starts
-    from; round i writes its combined (ATC) tables to row i of ``out`` and
-    its intermediate (CTA) tables to row i of ``phi_out``. ``out`` is
-    returned. A zero step size holds an all-zero element at zero.
+    elements is passed once. ``mu`` and the leak 1 - mu * gamma are
+    expanded once per call to full (*batch, N, M) tables, so every round
+    multiplies same-shape arrays; a ``mu`` or ``gamma`` that does not
+    broadcast to the tables raises ValueError before any round. ``out`` and
+    ``phi_out`` are (T + 1, *batch, N, M) buffers. Row 0 of ``out`` holds
+    the estimates the run starts from; round i writes its combined (ATC)
+    tables to row i of ``out`` and its intermediate (CTA) tables to row i
+    of ``phi_out``. ``out`` is returned. A zero step size holds an all-zero
+    element at zero.
 
     Each round writes a row before it reads that row: round i reads row
     i - 1 of ``out`` and then only the rows it has just written. So a
@@ -70,7 +74,8 @@ def run_filter(
         raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit {out.shape}")
 
     w = out[0]
-    leak = 1.0 - mu * gamma
+    leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
+    mu = np.array(np.broadcast_to(mu, w.shape))
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
     errors = np.empty(batch + (n, n))
     innovation = np.empty(batch + w.shape[-2:])

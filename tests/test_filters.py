@@ -15,7 +15,13 @@ from diffusion_lms.network import (
     non_cooperative_weights,
     uniform_weights,
 )
-from diffusion_lms.signals import FrameStream, default_lowpass_system, gaussian_source
+from diffusion_lms.signals import (
+    FrameStream,
+    default_lowpass_system,
+    delay_line_source,
+    gaussian_source,
+    synthetic_speech,
+)
 
 
 def single_node_weights():
@@ -316,3 +322,61 @@ class TestRoundScratch:
                 atc, cta = self.stepped(stream, mu[j, p], gamma[p])
                 assert np.array_equal(runs["atc"][:, j, p], atc)
                 assert np.array_equal(runs["cta"][1:, j, p], cta[1:])
+
+
+class TestOperandForms:
+    """``mu`` and ``gamma`` in every accepted form give bitwise the same
+    run: a Python float, a 0-d array, a (..., 1, 1) array and a full
+    (*batch, N, M) array."""
+
+    def setup_method(self):
+        self.weights = uniform_weights(build_random_geometric(6, 0.6, 4))
+
+    @staticmethod
+    def forms(value, shape):
+        """Every form of one operand that is ``value`` (an array of the
+        batch shape, or a scalar) in each element of tables of ``shape``."""
+        value = np.asarray(value, dtype=float)
+        ones = value.reshape(value.shape + (1, 1))
+        found = [ones, np.array(np.broadcast_to(ones, shape))]
+        if value.ndim == 0:
+            found += [float(value), value]
+        return found
+
+    def runs(self, mu, gamma, u, d, shape):
+        """(out, phi_out) of one run for every pair of operand forms."""
+        for mu_form in self.forms(mu, shape):
+            for gamma_form in self.forms(gamma, shape):
+                out, phi_out = np.zeros((len(u) + 1,) + shape), np.zeros((len(u) + 1,) + shape)
+                run_filter(self.weights, mu_form, gamma_form, u, d, out=out, phi_out=phi_out)
+                yield out, phi_out
+
+    def assert_forms_agree(self, mu, gamma, u, d, shape):
+        (out, phi_out), *others = self.runs(mu, gamma, u, d, shape)
+        assert np.isfinite(out).all() and out[-1].any()
+        for other_out, other_phi_out in others:
+            assert np.array_equal(other_out, out)
+            assert np.array_equal(other_phi_out, phi_out)
+
+    def test_unbatched_delay_line_run(self):
+        # the denoise shape: one (T, N, M) trajectory of a delay-line stream
+        stream = delay_line_source(synthetic_speech(80, 5), np.linspace(0.2, 1.0, 6), default_lowpass_system(4), seed=6)
+        self.assert_forms_agree(0.3, 0.02, stream.u, stream.d, (6, 4))
+
+    def test_batch_mixing_plain_and_leaky_pairs(self):
+        # 2 trials x 3 pairs; the data's trial axis broadcasts over the pairs
+        streams = [gaussian_source(np.linspace(0.2, 1.0, 6), default_lowpass_system(4), seed=s, horizon=40) for s in (7, 8)]
+        u = np.stack([s.u for s in streams], axis=1)[:, :, None]
+        d = np.stack([s.d for s in streams], axis=1)[:, :, None]
+        shape = (2, 3, 6, 4)
+        gamma = np.array([[0.0, 0.05, 0.0]] * 2)
+        self.assert_forms_agree(0.2, gamma, u, d, shape)
+        self.assert_forms_agree(np.array([[0.2, 0.2, 0.4], [0.1, 0.3, 0.2]]), gamma, u, d, shape)
+
+    def test_operands_that_do_not_broadcast_are_rejected(self):
+        stream = gaussian_source(np.linspace(0.2, 1.0, 6), default_lowpass_system(4), seed=9, horizon=10)
+        for mu, gamma in ((np.full((3, 1, 1), 0.1), 0.0), (0.1, np.full((3, 1, 1), 0.01)), (np.full((6, 3), 0.1), 0.0)):
+            out, phi_out = np.full((11, 6, 4), 2.0), np.full((11, 6, 4), 3.0)
+            with pytest.raises(ValueError):
+                run_filter(self.weights, mu, gamma, stream.u, stream.d, out=out, phi_out=phi_out)
+            assert (out == 2.0).all() and (phi_out == 3.0).all()
