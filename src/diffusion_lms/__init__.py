@@ -18,7 +18,6 @@ from diffusion_lms.analysis import (
     step_size_upper_bound,
 )
 from diffusion_lms.experiment import (
-    EnsembleDivergence,
     ExperimentConfig,
     denoise_speech,
     run_ensemble,
@@ -46,7 +45,6 @@ from diffusion_lms.signals import (
 
 __all__ = [
     "CombinationWeights",
-    "EnsembleDivergence",
     "ExperimentConfig",
     "FrameStream",
     "MsdTrace",

@@ -26,18 +26,22 @@ DIVERGENCE_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class MsdTrace:
-    """Ensemble-averaged network MSD learning curve.
+    """One algorithm's ensemble result: its network MSD learning curve and
+    the trials it lost.
 
     ``per_iteration_db[i]`` is the network MSD in dB after round i + 1,
     averaged in the linear domain over the non-divergent trials and then
-    converted to dB. Divergent trials are excluded from the average and
-    counted. Exactly-zero deviation appears as the -inf sentinel, never as
-    a floor value.
+    converted to dB; it is None when every trial diverged. Divergent trials
+    are excluded from the average and counted, and ``first_divergence`` is
+    the 0-based (round, node) of the first of them in trial order (None
+    when none diverged). Exactly-zero deviation appears as the -inf
+    sentinel, never as a floor value.
     """
 
-    per_iteration_db: np.ndarray
+    per_iteration_db: np.ndarray | None
     trials: int
     divergent_trials: int
+    first_divergence: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,11 @@ def detect_divergence(snapshots: np.ndarray) -> DivergenceReport:
 
 
 def steady_state_msd(trace: MsdTrace, window: int) -> float:
-    """Mean of the final ``window`` dB values of a trace's learning curve."""
+    """Mean of the final ``window`` dB values of a trace's learning curve;
+    ValueError for a trace whose every trial diverged, which has none."""
     arr = trace.per_iteration_db
+    if arr is None:
+        raise ValueError(f"no learning curve: all {trace.trials} trials diverged")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > arr.shape[0]:

@@ -21,15 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from diffusion_lms import __version__
-from diffusion_lms.analysis import MsdTrace
 from diffusion_lms.config import ConfigError, format_config, parse_config
-from diffusion_lms.experiment import (
-    EnsembleDivergence,
-    denoise_speech,
-    run_ensemble,
-    sweep_leakage,
-    sweep_step_size,
-)
+from diffusion_lms.experiment import denoise_speech, run_ensemble, sweep_leakage, sweep_step_size
 from diffusion_lms.signals import DataFileError, wav_bytes
 
 __all__ = ["main"]
@@ -152,8 +145,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     results = run_ensemble(cfg)
     cfg_text = format_config(cfg)
 
-    traces = {k: v for k, v in results.items() if isinstance(v, MsdTrace)}
-    failures = {k: v for k, v in results.items() if isinstance(v, EnsembleDivergence)}
+    traces = {k: v for k, v in results.items() if v.per_iteration_db is not None}
+    failures = {k: v for k, v in results.items() if v.per_iteration_db is None}
 
     files: dict[str, str] = {RESOLVED_CONFIG_NAME: cfg_text}
     for label, trace in traces.items():
@@ -161,11 +154,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             "iteration,msd_db", "%d,%.17g\n", _indexed(1, trace.per_iteration_db)
         )
     if traces:
-        labels = [label for label in cfg.algorithms if label in traces]
         files["comparison.csv"] = _csv(
-            "iteration," + ",".join(labels),
-            "%d" + ",%.17g" * len(labels) + "\n",
-            _indexed(1, *(traces[label].per_iteration_db for label in labels)),
+            "iteration," + ",".join(traces),
+            "%d" + ",%.17g" * len(traces) + "\n",
+            _indexed(1, *(trace.per_iteration_db for trace in traces.values())),
         )
 
     written = _write_outputs(Path(args.out), files, "run", cfg.base_seed, cfg_text)
@@ -179,9 +171,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     if failures:
         for label, failure in failures.items():
+            iteration, node = failure.first_divergence
             print(
                 f"error: {label}: all {failure.trials} trials diverged"
-                f" (first at iteration {failure.first_iteration + 1}, node {failure.node + 1})",
+                f" (first at iteration {iteration + 1}, node {node + 1})",
                 file=sys.stderr,
             )
         return EXIT_DIVERGENCE

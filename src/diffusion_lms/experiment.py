@@ -48,7 +48,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentSetup",
-    "EnsembleDivergence",
     "DenoiseResult",
     "build_setup",
     "make_stream",
@@ -212,15 +211,6 @@ class ExperimentSetup:
 
 
 @dataclass(frozen=True)
-class EnsembleDivergence:
-    """Marker result for an algorithm whose every trial diverged."""
-
-    trials: int
-    first_iteration: int | None
-    node: int | None
-
-
-@dataclass(frozen=True)
 class DenoiseResult:
     """Single-run denoising byproducts at one node.
 
@@ -336,13 +326,14 @@ def make_stream(
         raise DataFileError(f"{cfg.sample_path}: {exc}") from exc
 
 
-def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergence]:
-    """Ensemble-averaged learning curves, one per algorithm label.
+def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
+    """Ensemble-averaged learning curves, one result per algorithm label.
 
     Each trial draws one stream (seed base_seed + trial) shared by all
-    algorithms. An algorithm whose every trial diverged maps to an
-    EnsembleDivergence marker instead of a trace; other labels are
-    unaffected. Deterministic for a fixed config.
+    algorithms. An algorithm whose every trial diverged has no curve
+    (``per_iteration_db`` None); other labels are unaffected. Every result
+    carries the first divergence in trial order. Deterministic for a fixed
+    config.
 
     ATC and CTA labels with the same (mu, gamma) share one recursion: its
     combined tables are the ATC estimates and its intermediates the CTA
@@ -379,7 +370,7 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
     samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     horizon = cfg.horizon if samples is None else samples.size
     n = setup.topology.node_count
-    chunk = min(cfg.trials, _chunk_trials(horizon, n, setup.w_o.size, len(pairs), len(slots)))
+    chunk = min(cfg.trials, _chunk_trials(horizon, n, setup.w_o.size, len(pairs), len(slots), samples is not None))
     acc_net = np.zeros((len(slots), horizon))
     # the chunk's deviation curves, reused by every chunk
     net = np.empty((horizon, chunk, len(slots)))
@@ -403,28 +394,29 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace | EnsembleDivergen
                     acc_net[s] += net[:, j, s]
                     kept[s] += 1
 
-    results: dict[str, MsdTrace | EnsembleDivergence] = {}
+    results: dict[str, MsdTrace] = {}
     for s, label in enumerate(cfg.algorithms):
-        if kept[s] == 0:
-            it, k = first_failure[s]
-            results[label] = EnsembleDivergence(trials=cfg.trials, first_iteration=it, node=k)
-            continue
-        with np.errstate(divide="ignore"):
-            net_db = 10.0 * np.log10(acc_net[s] / kept[s])
+        net_db = None
+        if kept[s]:
+            with np.errstate(divide="ignore"):
+                net_db = 10.0 * np.log10(acc_net[s] / kept[s])
         results[label] = MsdTrace(
             per_iteration_db=net_db,
             trials=cfg.trials,
             divergent_trials=cfg.trials - kept[s],
+            first_divergence=first_failure.get(s),
         )
     return results
 
 
-def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int) -> int:
-    """Trials per chunk under CHUNK_BYTES. A trial holds its stream (u, d
-    and noise), one network deviation curve per label, its rows of the
-    block buffer (both outputs of every pair) and its rows of the data
-    block (one block's u and d)."""
-    stream_and_curves = horizon * n * (m + 2) + labels * horizon
+def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool = False) -> int:
+    """Trials per chunk under CHUNK_BYTES. A trial holds its stream (the
+    regressors, d and noise), one network deviation curve per label, its
+    rows of the block buffer (both outputs of every pair) and its rows of
+    the data block (one block's u and d). Delay-line regressors are a view
+    of one (N, T + M - 1) table, not a (T, N, M) array."""
+    regressors = n * (horizon + m - 1) if delay_line else horizon * n * m
+    stream_and_curves = regressors + 2 * horizon * n + labels * horizon
     blocks = 2 * pairs * (BLOCK_ROUNDS + 1) * n * m + BLOCK_ROUNDS * n * (m + 1)
     return max(1, CHUNK_BYTES // (8 * (stream_and_curves + blocks)))
 
@@ -520,12 +512,9 @@ def _sweep(
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})
-        results = run_ensemble(point_cfg)
-        for label, res in results.items():
-            if isinstance(res, EnsembleDivergence):
-                out[label].append((float(value), None))
-            else:
-                out[label].append((float(value), steady_state_msd(res, cfg.steady_window)))
+        for label, res in run_ensemble(point_cfg).items():
+            db = None if res.per_iteration_db is None else steady_state_msd(res, cfg.steady_window)
+            out[label].append((float(value), db))
     return {label: tuple(points) for label, points in out.items()}
 
 

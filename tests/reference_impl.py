@@ -16,7 +16,7 @@ import numpy as np
 from kernel_rounds import trajectory
 
 from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation
-from diffusion_lms.experiment import EnsembleDivergence, build_setup, make_stream
+from diffusion_lms.experiment import build_setup, make_stream
 
 
 def atc_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
@@ -124,14 +124,14 @@ def ensemble_reference(cfg):
 
     results = {}
     for label in cfg.algorithms:
-        if kept[label] == 0:
-            it, node = first_failure[label]
-            results[label] = EnsembleDivergence(trials=cfg.trials, first_iteration=it, node=node)
-            continue
-        with np.errstate(divide="ignore"):
-            results[label] = MsdTrace(
-                per_iteration_db=10.0 * np.log10(acc_net[label] / kept[label]),
-                trials=cfg.trials,
-                divergent_trials=cfg.trials - kept[label],
-            )
+        curve = None
+        if kept[label]:
+            with np.errstate(divide="ignore"):
+                curve = 10.0 * np.log10(acc_net[label] / kept[label])
+        results[label] = MsdTrace(
+            per_iteration_db=curve,
+            trials=cfg.trials,
+            divergent_trials=cfg.trials - kept[label],
+            first_divergence=first_failure.get(label),
+        )
     return results

@@ -285,6 +285,11 @@ class TestSteadyState:
         with pytest.raises(AttributeError):
             steady_state_msd(np.full(10, -18.0), 5)
 
+    def test_wholly_divergent_result_has_no_steady_state(self):
+        failed = MsdTrace(per_iteration_db=None, trials=3, divergent_trials=3, first_divergence=(25, 0))
+        with pytest.raises(ValueError, match="^no learning curve: all 3 trials diverged$"):
+            steady_state_msd(failed, 1)
+
     def test_oversized_window_rejected(self):
         with pytest.raises(ValueError):
             steady_state_msd(db_trace(np.zeros(3)), 4)

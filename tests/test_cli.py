@@ -211,6 +211,44 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: atc_dlms: all 2 trials diverged (first at iteration 26, node 1)" in err
 
+    def test_one_wholly_divergent_label_exits_3_and_keeps_the_others(self, tmp_path, capsys):
+        # 1 - mu * gamma = -1.4 with the default mu 0.08: only the leak diverges
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 6\nradius = 0.5\n\n"
+            "[run]\nalgorithms = atc_dlms, atc_leaky_dlms\ngamma = 30\n"
+            "trials = 2\nhorizon = 200\nsteady_window = 20\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGENCE
+        names = {p.name for p in out.iterdir()}
+        assert names == {"resolved_config.cfg", "manifest.json", "trace_atc_dlms.csv", "comparison.csv"}
+        header, rows = read_csv(out / "comparison.csv")
+        assert header == ["iteration", "atc_dlms"] and len(rows) == 200
+        assert (out / "comparison.csv").read_text().split("\n", 1)[1] == (
+            (out / "trace_atc_dlms.csv").read_text().split("\n", 1)[1]
+        )
+        err = capsys.readouterr().err
+        assert err == "error: atc_leaky_dlms: all 2 trials diverged (first at iteration 49, node 1)\n"
+
+    def test_partially_divergent_run_notes_each_label_and_exits_0(self, tmp_path, capsys):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 10\nradius = 0.5\n\n"
+            "[run]\ntrials = 6\nhorizon = 300\nsteady_window = 50\nmu = 1.6\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        names = {p.name for p in out.iterdir()}
+        labels = ("atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms")
+        assert names == {"resolved_config.cfg", "manifest.json", "comparison.csv"} | {
+            f"trace_{label}.csv" for label in labels
+        }
+        err = capsys.readouterr().err
+        assert err == "".join(
+            f"note: {label}: {k}/6 trials diverged and were excluded\n" for label, k in zip(labels, (3, 3, 2, 3))
+        )
+
     def test_malformed_sample_file_exits_5_without_outputs(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         cfg = tmp_path / "bad.cfg"

@@ -9,7 +9,6 @@ from reference_impl import ensemble_reference, label_rule
 
 from diffusion_lms.analysis import (
     DIVERGENCE_THRESHOLD,
-    MsdTrace,
     detect_divergence,
     linear_deviation,
     steady_state_msd,
@@ -18,7 +17,6 @@ from diffusion_lms.experiment import (
     ALGORITHM_LABELS,
     BLOCK_ROUNDS,
     ConfigError,
-    EnsembleDivergence,
     ExperimentConfig,
     build_setup,
     denoise_speech,
@@ -66,18 +64,23 @@ class TestConfigMaterialization:
 
 # 20 x 5 network: three trials per chunk; the horizon is not a multiple of the block
 ORACLE = ExperimentConfig(horizon=777, steady_window=50)
+# every trial shares the synthetic input and draws its own noise
+DELAY_ORACLE = replace(ORACLE, source="delay_line", trials=7)
 
 
 def assert_same_results(got, want):
     assert list(got) == list(want)
     for label, ref in want.items():
         res = got[label]
-        assert type(res) is type(ref), label
-        if isinstance(ref, EnsembleDivergence):
-            assert res == ref, label
+        assert (res.trials, res.divergent_trials, res.first_divergence) == (
+            ref.trials,
+            ref.divergent_trials,
+            ref.first_divergence,
+        ), label
+        if ref.per_iteration_db is None:
+            assert res.per_iteration_db is None, label
         else:
             assert np.array_equal(res.per_iteration_db, ref.per_iteration_db), label
-            assert (res.trials, res.divergent_trials) == (ref.trials, ref.divergent_trials), label
 
 
 class TestBatchedEnsembleMatchesReference:
@@ -87,6 +90,20 @@ class TestBatchedEnsembleMatchesReference:
         assert ORACLE.horizon % BLOCK_ROUNDS != 0
         assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 3
         assert _chunk_trials(1000, 20, 5, 2, 4) == 3
+
+    def test_delay_line_trials_are_budgeted_by_the_table_they_hold(self):
+        # one (N, T + M - 1) table behind the (T, N, M) view: the default
+        # delay-line run takes 5 trials per chunk, and DELAY_ORACLE's seven
+        # trials run as chunks of 6 and 1 where a full table would give 3, 3, 1
+        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=True) == 5
+        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4, delay_line=True) == 6
+        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4) == 3
+
+    # at mu 5 atc_leaky_dlms loses 5 of the 7 trials and every other label all of them
+    @pytest.mark.parametrize("mu", [0.08, 5.0])
+    def test_delay_line_exactly_equal(self, mu):
+        cfg = replace(DELAY_ORACLE, mu=mu)
+        assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
 
     # mu 0.08 converges, at 2.15 and 2.2 some (trial, label) runs diverge
     # (at 2.15 trial 4's CTA labels from round 310 while its ATC labels
@@ -223,8 +240,8 @@ class TestRunEnsemble:
         results = run_ensemble(cfg)
         setup = build_setup(cfg)
         for label, trace in results.items():
-            assert isinstance(trace, MsdTrace)
             assert 0 < trace.divergent_trials < cfg.trials
+            assert trace.first_divergence is not None
             assert np.isfinite(trace.per_iteration_db).all()
             # recompute the survivor-only average independently
             ordering, gamma = label_rule(label, cfg.gamma)
@@ -244,9 +261,9 @@ class TestRunEnsemble:
         results = run_ensemble(cfg)
         for label in cfg.algorithms:
             failure = results[label]
-            assert isinstance(failure, EnsembleDivergence)
-            assert failure.trials == 3
-            assert failure.first_iteration is not None and failure.node is not None
+            assert failure.per_iteration_db is None
+            assert failure.trials == failure.divergent_trials == 3
+            assert failure.first_divergence is not None
 
     @pytest.mark.parametrize("field", ["mu", "gamma"])
     def test_non_finite_step_or_leakage_fails_before_any_stream(self, monkeypatch, field):
