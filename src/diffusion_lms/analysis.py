@@ -20,7 +20,8 @@ __all__ = [
 ]
 
 # max-norm above which an estimate counts as divergent: far above any
-# converging trajectory at these scales, far below float overflow
+# converging trajectory at these scales, far below float overflow. An
+# ensemble multiplies it by max(1, max|w_o|), the scale of its unknown vector
 DIVERGENCE_THRESHOLD = 1e6
 
 
@@ -115,9 +116,9 @@ def step_size_upper_bound(sigma_u_sq: float, gamma: float = 0.0) -> float:
     return 2.0 / (gamma + sigma_u_sq)
 
 
-def detect_divergence(snapshots: np.ndarray) -> DivergenceReport:
+def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRESHOLD) -> DivergenceReport:
     """Flag the first estimate with a non-finite entry or max-norm above
-    DIVERGENCE_THRESHOLD.
+    ``threshold``.
 
     ``snapshots`` is a stack (T, ..., N, M) whose middle axes, if any, are
     independent elements; the reported iterations are indices into it.
@@ -130,14 +131,14 @@ def detect_divergence(snapshots: np.ndarray) -> DivergenceReport:
         raise ValueError(f"expected a (T, ..., N, M) stack, got shape {arr.shape}")
     # whole-stack fast path; NaN propagates through min and max and fails
     # both comparisons, so a stack holding one takes the full scan
-    if not arr.size or (-DIVERGENCE_THRESHOLD <= arr.min() and arr.max() <= DIVERGENCE_THRESHOLD):
+    if not arr.size or (-threshold <= arr.min() and arr.max() <= threshold):
         clear = np.full(arr.shape[1:-2], -1)
         return DivergenceReport(divergent=False, first_iterations=clear, nodes=clear.copy())
     # NaN fails every comparison, so this also flags non-finite entries; two
     # comparisons build boolean tables only, no float copy of the stack
     with np.errstate(invalid="ignore"):
-        inside = -DIVERGENCE_THRESHOLD <= arr
-        inside &= arr <= DIVERGENCE_THRESHOLD
+        inside = -threshold <= arr
+        inside &= arr <= threshold
     bad_nodes = ~inside.all(axis=-1)
     bad_rounds = bad_nodes.any(axis=-1)
     first = np.argmax(bad_rounds, axis=0)

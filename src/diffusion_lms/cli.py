@@ -86,30 +86,31 @@ def _listed_outputs(manifest_path: Path) -> set[str]:
     }
 
 
-def _write_outputs(
-    out_dir: Path, files: dict[str, str | bytes], command: str, base_seed: int, cfg_text: str
-) -> list[str]:
-    """Write all prepared files plus the manifest; nothing touches disk
-    before every payload is ready.
+def _write_outputs(args: argparse.Namespace, cfg, command: str, files: dict[str, str | bytes]) -> None:
+    """Write all prepared files, the resolved config and the manifest into
+    ``args.out``, then print their names, the manifest last; nothing
+    touches disk before every payload is ready.
 
-    Every file is first written into a temporary sibling of ``out_dir``,
-    named after it and the process id. Only then is any old manifest in
-    ``out_dir`` deleted, with every file it lists that this run does not
-    write, and the files moved in, the manifest last. A failure part way
-    therefore leaves no manifest beside a mix of old and new files, and
-    the temporary directory is always removed. Files no manifest lists
-    are never touched.
+    Every file is first written into a temporary sibling of the output
+    directory, named after it and the process id. Only then is any old
+    manifest in the output directory deleted, with every file it lists
+    that this run does not write, and the files moved in, the manifest
+    last. A failure part way therefore leaves no manifest beside a mix of
+    old and new files, and the temporary directory is always removed.
+    Files no manifest lists are never touched.
     """
+    cfg_text = format_config(cfg)
+    files = {**files, RESOLVED_CONFIG_NAME: cfg_text}
     names = sorted(files)
     manifest = {
         "artifact": ARTIFACT,
         "version": __version__,
         "command": command,
-        "base_seed": base_seed,
+        "base_seed": cfg.base_seed,
         "config": cfg_text,
         "outputs": names,
     }
-    out_dir = out_dir.resolve()
+    out_dir = Path(args.out).resolve()
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = out_dir.with_name(f".{out_dir.name}.{os.getpid()}.partial")
     # only a process with this pid owns the name: a leftover is from one that was killed
@@ -137,18 +138,17 @@ def _write_outputs(
         shutil.rmtree(staging, ignore_errors=True)
         raise
     staging.rmdir()
-    return names + [MANIFEST_NAME]
+    for name in names + [MANIFEST_NAME]:
+        print(name)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     results = run_ensemble(cfg)
-    cfg_text = format_config(cfg)
-
     traces = {k: v for k, v in results.items() if v.per_iteration_db is not None}
     failures = {k: v for k, v in results.items() if v.per_iteration_db is None}
 
-    files: dict[str, str] = {RESOLVED_CONFIG_NAME: cfg_text}
+    files: dict[str, str] = {}
     for label, trace in traces.items():
         files[f"trace_{label}.csv"] = _csv(
             "iteration,msd_db", "%d,%.17g\n", _indexed(1, trace.per_iteration_db)
@@ -160,9 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             _indexed(1, *(trace.per_iteration_db for trace in traces.values())),
         )
 
-    written = _write_outputs(Path(args.out), files, "run", cfg.base_seed, cfg_text)
-    for name in written:
-        print(name)
+    _write_outputs(args, cfg, "run", files)
     for label, trace in traces.items():
         if trace.divergent_trials:
             print(
@@ -192,17 +190,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         results = sweep_leakage(cfg, grid)
 
-    cfg_text = format_config(cfg)
-    files: dict[str, str] = {RESOLVED_CONFIG_NAME: cfg_text}
+    files: dict[str, str] = {}
     for label, points in results.items():
         # a grid point whose every trial diverged holds the token "divergent"
         rows = [(value, "divergent" if db is None else "%.17g" % db) for value, db in points]
         table = np.array(rows, dtype=object)
         files[f"sweep_{args.param}_{label}.csv"] = _csv("param,steady_state_db", "%.17g,%s\n", table)
-
-    written = _write_outputs(Path(args.out), files, f"sweep_{args.param}", cfg.base_seed, cfg_text)
-    for name in written:
-        print(name)
+    _write_outputs(args, cfg, f"sweep_{args.param}", files)
     return EXIT_OK
 
 
@@ -211,10 +205,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     if not 1 <= args.node <= cfg.nodes:
         raise ConfigError(f"--node: {args.node} out of range 1..{cfg.nodes}")
     result = denoise_speech(cfg, args.node - 1)
-
-    cfg_text = format_config(cfg)
     files: dict[str, str | bytes] = {
-        RESOLVED_CONFIG_NAME: cfg_text,
         f"denoise_node{args.node}.csv": _csv(
             "t,noisy,filtered,residual",
             "%d,%.17g,%.17g,%.17g\n",
@@ -228,10 +219,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             ("residual", result.residual),
         ):
             files[f"denoise_node{args.node}_{name}.wav"] = wav_bytes(data, result.sample_rate)
-    written = _write_outputs(Path(args.out), files, "denoise", cfg.base_seed, cfg_text)
-    for name in written:
-        print(name)
-
+    _write_outputs(args, cfg, "denoise", files)
     if not np.isfinite(result.filtered).all():
         print("error: filter output is not finite (divergent run)", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from diffusion_lms.analysis import (
+    DIVERGENCE_THRESHOLD,
     MsdTrace,
     detect_divergence,
     linear_deviation,
@@ -227,51 +228,30 @@ class DenoiseResult:
     sample_rate: int | None
 
 
-def build_topology(cfg: ExperimentConfig) -> Topology:
-    if cfg.topology == "ring_lattice":
-        return build_ring_lattice(cfg.nodes, cfg.half_width)
-    if cfg.topology == "random_geometric":
-        return build_random_geometric(cfg.nodes, cfg.radius, cfg.topology_seed)
-    return load_edge_list(cfg.edge_list_path, cfg.nodes)
-
-
-def build_weights(cfg: ExperimentConfig, topology: Topology) -> CombinationWeights:
-    if cfg.weights == "uniform":
-        return uniform_weights(topology)
-    return non_cooperative_weights(topology.node_count)
-
-
-def resolve_system(cfg: ExperimentConfig) -> np.ndarray:
-    """The unknown vector: explicit coefficients or the moving-average default."""
-    if cfg.coefficients is not None:
-        return np.asarray(cfg.coefficients, dtype=float)
-    return default_lowpass_system(cfg.taps)
-
-
-def resolve_variances(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-node regressor variances: explicit, or the seeded heterogeneous
-    profile (uniform on VARIANCE_RANGE, node 14 pinned to 0.35 when N=20).
-
-    The profile RNG is derived from base_seed on a spawn key so it never
-    collides with the per-trial stream seeds base_seed + t.
-    """
-    if cfg.regressor_variances is not None:
-        return np.asarray(cfg.regressor_variances, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(1,)))
-    var = rng.uniform(VARIANCE_RANGE[0], VARIANCE_RANGE[1], cfg.nodes)
-    if cfg.nodes == 20:
-        var[PINNED_NODE] = PINNED_VARIANCE
-    return var
-
-
 def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
-    topology = build_topology(cfg)
-    return ExperimentSetup(
-        topology=topology,
-        weights=build_weights(cfg, topology),
-        w_o=resolve_system(cfg),
-        variances=resolve_variances(cfg),
-    )
+    """The network and model of ``cfg``: its topology and combination
+    weights, the unknown vector (explicit coefficients or the
+    moving-average default) and the per-node regressor variances
+    (explicit, or the seeded heterogeneous profile: uniform on
+    VARIANCE_RANGE, node 14 pinned to 0.35 when N=20)."""
+    if cfg.topology == "ring_lattice":
+        topology = build_ring_lattice(cfg.nodes, cfg.half_width)
+    elif cfg.topology == "random_geometric":
+        topology = build_random_geometric(cfg.nodes, cfg.radius, cfg.topology_seed)
+    else:
+        topology = load_edge_list(cfg.edge_list_path, cfg.nodes)
+    weights = uniform_weights(topology) if cfg.weights == "uniform" else non_cooperative_weights(topology.node_count)
+    w_o = default_lowpass_system(cfg.taps) if cfg.coefficients is None else np.asarray(cfg.coefficients, dtype=float)
+    if cfg.regressor_variances is not None:
+        variances = np.asarray(cfg.regressor_variances, dtype=float)
+    else:
+        # the profile RNG is derived from base_seed on a spawn key so it
+        # never collides with the per-trial stream seeds base_seed + t
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(1,)))
+        variances = rng.uniform(VARIANCE_RANGE[0], VARIANCE_RANGE[1], cfg.nodes)
+        if cfg.nodes == 20:
+            variances[PINNED_NODE] = PINNED_VARIANCE
+    return ExperimentSetup(topology=topology, weights=weights, w_o=w_o, variances=variances)
 
 
 def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
@@ -284,14 +264,6 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
     if loaded.data.size < cfg.taps:
         raise DataFileError(f"{cfg.sample_path}: {loaded.data.size} samples, fewer than taps = {cfg.taps}")
     return loaded.data, loaded.sample_rate
-
-
-def _trace_length(cfg: ExperimentConfig) -> int:
-    """Rounds per trial: the sample count of a delay-line input file, else
-    the configured horizon (the synthetic signal is generated at it)."""
-    if cfg.source == "delay_line" and cfg.sample_path != SYNTHETIC_SAMPLE_PATH:
-        return _delay_line_samples(cfg)[0].size
-    return cfg.horizon
 
 
 def make_stream(
@@ -450,6 +422,8 @@ def _run_chunk(
     # round-major: output 0 the combined (ATC) tables, 1 the intermediates (CTA)
     outputs = np.zeros((BLOCK_ROUNDS + 1, 2) + shape)
     feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
+    # a large unknown vector is not divergence: the bound grows with its largest tap
+    bound = DIVERGENCE_THRESHOLD * max(1.0, float(np.abs(setup.w_o).max()))
 
     # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
     # with their (output, pair) offsets in it. Every pair feeds a label, so
@@ -483,7 +457,7 @@ def _run_chunk(
         )
         for (o0, o1, p0, p1), members in groups:
             view = outputs[1:rows, o0:o1, :, p0:p1]
-            report = detect_divergence(view)
+            report = detect_divergence(view, bound)
             with np.errstate(over="ignore", invalid="ignore"):
                 deviation = linear_deviation(view, setup.w_o)
             for s, o, p in members:
@@ -506,9 +480,11 @@ def _sweep(
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
     if len(grid) == 0:
         raise ConfigError("sweep grid must be nonempty")
-    length = _trace_length(cfg)
-    if cfg.steady_window > length:
-        raise ConfigError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
+    # ExperimentConfig holds steady_window to the horizon; a sample file sets its own length
+    if cfg.source == "delay_line" and cfg.sample_path != SYNTHETIC_SAMPLE_PATH:
+        length = _delay_line_samples(cfg)[0].size
+        if cfg.steady_window > length:
+            raise ConfigError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})

@@ -237,6 +237,8 @@ def _load_wav(path: str | os.PathLike) -> LoadedSamples:
             if wf.getsampwidth() != 2:
                 raise DataFileError(f"{path}: only 16-bit PCM WAV is supported")
             rate = wf.getframerate()
+            if rate < 1:
+                raise DataFileError(f"{path}: WAV sample rate must be positive, got {rate}")
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise DataFileError(f"{path}: malformed WAV file ({exc})") from exc

@@ -6,7 +6,8 @@ order, no code shared with the production kernel. The ensemble
 oracle is the one-(trial, label)-at-a-time loop that the batched ensemble
 replaced: one kernel trajectory per (trial, label), then the analysis
 calls. It maps a label to its ordering and leakage by its own rule,
-``label_rule``, not by the library's label table.
+``label_rule``, not by the library's label table, and writes out its own
+divergence bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from kernel_rounds import trajectory
 
-from diffusion_lms.analysis import MsdTrace, detect_divergence, linear_deviation
+from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, MsdTrace, detect_divergence, linear_deviation
 from diffusion_lms.experiment import build_setup, make_stream
 
 
@@ -105,6 +106,8 @@ def ensemble_reference(cfg):
     the linear domain. Returns the same mapping as ``run_ensemble``.
     """
     setup = build_setup(cfg)
+    # the threshold grows with the largest |tap| of the unknown vector, never below 1e6
+    bound = DIVERGENCE_THRESHOLD * max([1.0] + [abs(float(v)) for v in setup.w_o])
     rules = {label: label_rule(label, cfg.gamma) for label in cfg.algorithms}
     acc_net = {label: None for label in cfg.algorithms}
     kept = {label: 0 for label in cfg.algorithms}
@@ -114,7 +117,7 @@ def ensemble_reference(cfg):
         for label in cfg.algorithms:
             ordering, gamma = rules[label]
             snapshots = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)
-            report = detect_divergence(snapshots[1:])
+            report = detect_divergence(snapshots[1:], bound)
             if report.divergent:
                 first_failure.setdefault(label, (report.first_iteration, report.node))
                 continue

@@ -265,6 +265,34 @@ class TestRun:
             assert capsys.readouterr().err == f"data error: {samples}{problem}\n"
             assert not out.exists()
 
+    # a WAV needs a rate to be written back: without one, no command may run a round
+    @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
+    def test_wav_without_sample_rate_exits_5_before_any_round(self, tmp_path, monkeypatch, capsys, command):
+        from diffusion_lms import experiment
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a filter round ran before the sample rate was checked")
+
+        monkeypatch.setattr(experiment, "run_filter", no_round)
+        blob = bytearray(wav_bytes(0.8 * synthetic_speech(300, 3), 8000))
+        blob[24:32] = bytes(8)  # the header's sample rate and byte rate
+        samples = tmp_path / "norate.wav"
+        samples.write_bytes(bytes(blob))
+        cfg = tmp_path / "norate.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 4\nradius = 0.6\n\n[source]\nkind = delay_line\nsample_path = {samples}\n\n"
+            "[run]\ntrials = 2\nsteady_window = 50\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+            "denoise": ["denoise", "--node", "1"],
+        }[command] + ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {samples}: WAV sample rate must be positive, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content,code,message",
         [
@@ -405,6 +433,29 @@ class TestScaleExponentRange:
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {samples}: the samples' mean square ")
         assert not out.exists()
+
+
+class TestStdout:
+    @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
+    def test_prints_the_written_files_then_the_manifest(self, tmp_path, capsys, command):
+        samples = tmp_path / "speech.wav"
+        samples.write_bytes(wav_bytes(0.8 * synthetic_speech(300, 3), 8000))
+        cfg = tmp_path / "speech.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 4\nradius = 0.6\n\n[source]\nkind = delay_line\nsample_path = {samples}\n\n"
+            "[run]\ntrials = 2\nsteady_window = 50\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "gamma", "--grid", "0,0.002"],
+            "denoise": ["denoise", "--node", "2"],
+        }[command] + ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert written == json.loads((out / "manifest.json").read_text())["outputs"]
+        assert len(written) == {"run": 6, "sweep": 5, "denoise": 5}[command]
+        assert capsys.readouterr().out == "".join(f"{name}\n" for name in written + ["manifest.json"])
 
 
 class TestSweep:

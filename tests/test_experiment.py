@@ -26,6 +26,13 @@ from diffusion_lms.experiment import (
     sweep_leakage,
     sweep_step_size,
 )
+from diffusion_lms.network import (
+    build_random_geometric,
+    build_ring_lattice,
+    load_edge_list,
+    non_cooperative_weights,
+    uniform_weights,
+)
 from diffusion_lms.signals import default_lowpass_system
 
 SMALL = ExperimentConfig(nodes=8, radius=0.5, trials=3, horizon=120, steady_window=40)
@@ -60,6 +67,35 @@ class TestConfigMaterialization:
         setup = build_setup(cfg)
         assert np.array_equal(setup.variances, [0.2, 0.3, 0.4])
         assert np.array_equal(setup.w_o, [1.0, -1.0])
+
+    @pytest.mark.parametrize("weights", ["uniform", "non_cooperative"])
+    @pytest.mark.parametrize("topology", ["ring_lattice", "random_geometric", "edge_list"])
+    def test_setup_is_what_the_named_builders_return(self, tmp_path, topology, weights):
+        path = tmp_path / "net.txt"
+        write_edge_list(build_random_geometric(7, 0.6, 5), path)
+        fields = dict(nodes=7, half_width=2, radius=0.45, topology_seed=9, edge_list_path=str(path))
+        cfg = ExperimentConfig(topology=topology, weights=weights, base_seed=77, **fields)
+        want_topology = {
+            "ring_lattice": lambda: build_ring_lattice(7, 2),
+            "random_geometric": lambda: build_random_geometric(7, 0.45, 9),
+            "edge_list": lambda: load_edge_list(path, 7),
+        }[topology]()
+        want_weights = uniform_weights(want_topology) if weights == "uniform" else non_cooperative_weights(7)
+        setup = build_setup(cfg)
+        assert np.array_equal(setup.topology.adjacency, want_topology.adjacency)
+        assert np.array_equal(setup.weights.a, want_weights.a)
+        assert np.array_equal(setup.weights.c, want_weights.c)
+        assert np.array_equal(setup.w_o, default_lowpass_system(5))
+        # the profile: uniform on [0.1, 1) from base_seed on spawn key 1, no pinned node off N = 20
+        rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(1,)))
+        assert np.array_equal(setup.variances, rng.uniform(0.1, 1.0, 7))
+
+        explicit = build_setup(
+            replace(cfg, taps=3, coefficients=(0.5, -2.0, 4.0), regressor_variances=(0.3,) * 6 + (2.0,))
+        )
+        assert explicit.w_o.dtype == float and explicit.w_o.tolist() == [0.5, -2.0, 4.0]
+        assert explicit.variances.dtype == float and explicit.variances.tolist() == [0.3] * 6 + [2.0]
+        assert np.array_equal(explicit.topology.adjacency, want_topology.adjacency)
 
 
 # 20 x 5 network: three trials per chunk; the horizon is not a multiple of the block
@@ -173,9 +209,9 @@ class TestBatchedEnsembleMatchesReference:
 
         seen = []
 
-        def scan(view):
+        def scan(view, *bound):
             seen.append((view.shape[1], view.shape[3]))
-            return detect_divergence(view)
+            return detect_divergence(view, *bound)
 
         monkeypatch.setattr(experiment, "detect_divergence", scan)
         cfg = replace(SMALL, trials=1, gamma=gamma, algorithms=algorithms)
@@ -256,6 +292,20 @@ class TestRunEnsemble:
             assert kept == cfg.trials - trace.divergent_trials
             assert np.allclose(trace.per_iteration_db, 10 * np.log10(acc / kept), atol=0.0)
 
+    def test_divergence_bound_scales_with_the_unknown_vector(self):
+        # a power-of-two gain scales every stream value, estimate and
+        # deviation exactly, so the scaled run keeps every trial and its
+        # curves move by the gain in dB; its estimates pass 1e6
+        cfg = ExperimentConfig(nodes=8, radius=0.5, trials=3, horizon=600, steady_window=100)
+        scaled = replace(cfg, coefficients=tuple(default_lowpass_system(cfg.taps) * 2.0**23))
+        base, big = run_ensemble(cfg), run_ensemble(scaled)
+        assert_same_results(big, ensemble_reference(scaled))
+        for label in cfg.algorithms:
+            assert base[label].divergent_trials == big[label].divergent_trials == 0
+            assert np.allclose(
+                big[label].per_iteration_db, base[label].per_iteration_db + 10 * np.log10(2.0**46), rtol=0, atol=1e-9
+            )
+
     def test_wholly_divergent_algorithm_reports_failure(self):
         cfg = ExperimentConfig(nodes=10, radius=0.5, trials=3, horizon=200, mu=2.6, steady_window=50)
         results = run_ensemble(cfg)
@@ -290,8 +340,6 @@ class TestRunEnsemble:
         assert gap < 0.5
 
     def test_edge_list_topology_round_trips_through_config(self, tmp_path):
-        from diffusion_lms.network import build_random_geometric
-
         topo = build_random_geometric(6, 0.5, 3)
         path = tmp_path / "net.txt"
         write_edge_list(topo, path)

@@ -333,6 +333,20 @@ class TestLoadSamples:
         with pytest.raises(DataFileError):
             load_samples(path)
 
+    def test_wav_rejects_zero_sample_rate(self, tmp_path):
+        # hand-built 16-bit mono PCM header whose rate field is 0
+        import struct
+
+        fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)
+        data = bytes(8)
+        body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", len(data)) + data
+        path = tmp_path / "norate.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(DataFileError) as exc:
+            load_samples(path)
+        assert str(exc.value) == f"{path}: WAV sample rate must be positive, got 0"
+
     def test_wav_rejects_truncated_file(self, tmp_path):
         blob = wav_bytes(np.zeros(8), 8000)
         path = tmp_path / "cut.wav"
