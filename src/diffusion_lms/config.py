@@ -1,11 +1,13 @@
 """Line-oriented experiment configs: ``key = value`` entries under
 ``[section]`` headers, ``#`` comments.
 
-Every key is optional; an empty file resolves to the headline defaults
-(mu 0.08, gamma 0.002, 50 trials, horizon 1000, 0 dB SNR), and ``taps``
-defaults to the length of ``coefficients`` when only they are given.
-Unknown sections or keys are hard errors, as are type violations, each
-naming the offending key; the constraints are ``ExperimentConfig``'s own.
+Each key is parsed as its ``ExperimentConfig`` field is annotated. Every
+key is optional; an empty file resolves to the headline defaults (mu 0.08,
+gamma 0.002, 50 trials, horizon 1000, 0 dB SNR), an empty value leaves a
+field that defaults to None unset, and ``taps`` defaults to the length of
+``coefficients`` when only they are given. Unknown sections or keys are
+hard errors, as are type violations, each naming the offending key; the
+constraints are ``ExperimentConfig``'s own.
 ``format_config`` emits the fully resolved config with 17-significant-digit
 floats so that parse(format(cfg)) == cfg exactly.
 """
@@ -15,76 +17,58 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import fields
+from typing import get_type_hints
 
 from diffusion_lms.experiment import ConfigError, ExperimentConfig
 
 __all__ = ["ConfigError", "parse_config", "parse_config_text", "format_config"]
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+def _number_parser(kind: type, expected: str):
+    def parse(key: str, raw: str) -> int | float:
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+
+    return parse
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_str(key: str, raw: str) -> str:
-    return raw.strip()
-
-
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
+def _parse_list(key: str, raw: str, numbers: bool = False) -> tuple:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list of numbers")
-    return tuple(_parse_float(key, p) for p in parts)
+        raise ConfigError(f"{key}: expected a comma-separated list{' of numbers' if numbers else ''}")
+    return tuple(_PARSERS[float](key, p) for p in parts) if numbers else tuple(parts)
 
 
-def _parse_str_list(key: str, raw: str) -> tuple[str, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list")
-    return tuple(parts)
+# the parser of each annotated field type; X | None parses as X
+_PARSERS = {
+    int: _number_parser(int, "an integer"),
+    float: _number_parser(float, "a number"),
+    str: lambda key, raw: raw.strip(),
+    tuple[float, ...]: lambda key, raw: _parse_list(key, raw, numbers=True),
+    tuple[str, ...]: _parse_list,
+}
+_PARSERS |= {hint | None: parse for hint, parse in _PARSERS.items()}
+_HINTS = get_type_hints(ExperimentConfig)
 
 
-# section -> key -> (config field, parser)
-_SCHEMA = {
-    "network": {
-        "nodes": ("nodes", _parse_int),
-        "topology": ("topology", _parse_str),
-        "radius": ("radius", _parse_float),
-        "half_width": ("half_width", _parse_int),
-        "edge_list_path": ("edge_list_path", lambda k, v: v.strip() or None),
-        "topology_seed": ("topology_seed", _parse_int),
-        "weights": ("weights", _parse_str),
-    },
-    "model": {
-        "taps": ("taps", _parse_int),
-        "coefficients": ("coefficients", _parse_float_list),
-        "snr_db": ("snr_db", _parse_float),
-        "noise_variance": ("noise_variance", _parse_float),
-        "regressor_variances": ("regressor_variances", _parse_float_list),
-    },
-    "source": {
-        "kind": ("source", _parse_str),
-        "sample_path": ("sample_path", _parse_str),
-        "scale_exponent": ("scale_exponent", _parse_float),
-    },
-    "run": {
-        "algorithms": ("algorithms", _parse_str_list),
-        "mu": ("mu", _parse_float),
-        "gamma": ("gamma", _parse_float),
-        "trials": ("trials", _parse_int),
-        "horizon": ("horizon", _parse_int),
-        "base_seed": ("base_seed", _parse_int),
-        "steady_window": ("steady_window", _parse_int),
-    },
+def _key(key: str) -> tuple:
+    field = "source" if key == "kind" else key
+    return field, _PARSERS[_HINTS[field]], getattr(ExperimentConfig, field) is None
+
+
+# section -> key -> (the field it sets: its own name, but ``source`` for
+# [source] kind; the parser of the field's type; whether an empty value
+# leaves the field unset, as it does every field that defaults to None)
+_KEYS = {
+    section: {key: _key(key) for key in keys}
+    for section, keys in {
+        "network": ("nodes", "topology", "radius", "half_width", "edge_list_path", "topology_seed", "weights"),
+        "model": ("taps", "coefficients", "snr_db", "noise_variance", "regressor_variances"),
+        "source": ("kind", "sample_path", "scale_exponent"),
+        "run": ("algorithms", "mu", "gamma", "trials", "horizon", "base_seed", "steady_window"),
+    }.items()
 }
 
 
@@ -104,12 +88,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field, parse = _SCHEMA[section][key]
+            field, parse, optional = _KEYS[section][key]
+            if optional and not raw.strip():
+                continue
             values[field] = parse(key, raw)
     if "coefficients" in values:
         values.setdefault("taps", len(values["coefficients"]))
@@ -131,8 +117,6 @@ def _fmt_value(value: object) -> str:
         raise TypeError("no boolean config fields")
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, tuple):
         return ", ".join(_fmt_value(v) for v in value)
     return str(value)
@@ -144,14 +128,14 @@ def format_config(cfg: ExperimentConfig) -> str:
     Keys holding None are omitted; re-parsing the result reproduces ``cfg``
     exactly, floats included.
     """
-    covered = {field for keys in _SCHEMA.values() for field, _ in keys.values()}
+    covered = {field for keys in _KEYS.values() for field, _, _ in keys.values()}
     missing = [f.name for f in fields(cfg) if f.name not in covered]
     if missing:
         raise AssertionError(f"schema does not cover config fields: {missing}")
     lines: list[str] = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        for key, (field, _) in keys.items():
+        for key, (field, _, _) in keys.items():
             value = getattr(cfg, field)
             if value is None or value == "":
                 continue

@@ -98,9 +98,9 @@ class ExperimentConfig:
     starts with the offending key, so a config that exists is one that can
     run. Left to the setup and the streams, before any filter round: a
     sample or edge-list file, whether the samples' own power and then
-    ``scale_exponent`` keep the delay-line input's power a float, and
-    whether the noise variance an ``snr_db`` gives against the signal
-    power fits in a float.
+    ``scale_exponent`` keep the delay-line input's power a float, whether
+    ``regressor_variances`` keep the Gaussian one's, and whether the noise
+    variance an ``snr_db`` gives against the signal power fits in a float.
     """
 
     # network
@@ -173,6 +173,8 @@ class ExperimentConfig:
         if self.coefficients is not None:
             if any(not math.isfinite(v) for v in self.coefficients):
                 raise ConfigError("coefficients: entries must be finite")
+            if not math.isfinite(sum(v * v for v in self.coefficients)):  # where every learning curve starts
+                raise ConfigError("coefficients: the squared norm is beyond the float range")
             if len(self.coefficients) != self.taps:
                 raise ConfigError(
                     f"coefficients: {len(self.coefficients)} entries contradict taps = {self.taps}"

@@ -51,11 +51,11 @@ def run_filter(
     Both orderings run the ATC recursion: its combined tables are the ATC
     estimates and its intermediates the CTA estimates for the same
     (mu, gamma), because a CTA round combines exactly what the previous ATC
-    round combined. Non-finite states are written as-is (overflow during
-    divergence is silenced, never masked); detection is the analysis
-    layer's job. Deterministic given deterministic data. The weights'
-    support is not checked here; ``weights.validate_support(topology)``
-    does that once per setup.
+    round combined. Non-finite states are written as-is (overflow, in a
+    diverging round or a huge leak, is silenced, never masked); detection
+    is the analysis layer's job. Deterministic given deterministic data.
+    The weights' support is not checked here;
+    ``weights.validate_support(topology)`` does that once per setup.
 
     One round on (..., N, M) estimate tables w: the adaptation forms the
     intermediates phi_k = leak * w_k + mu * sum over l of
@@ -74,13 +74,13 @@ def run_filter(
         raise ValueError(f"regressors {u.shape} and measurements {d.shape} do not fit {out.shape}")
 
     w = out[0]
-    leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
-    mu = np.array(np.broadcast_to(mu, w.shape))
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
     errors = np.empty(batch + (n, n))
     innovation = np.empty(batch + w.shape[-2:])
     a_t, c_t = weights.a.T, np.ascontiguousarray(weights.c.T)
     with np.errstate(over="ignore", invalid="ignore"):
+        leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
+        mu = np.array(np.broadcast_to(mu, w.shape))
         for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], out[1:], phi_out[1:]):
             np.matmul(w, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)

@@ -131,8 +131,9 @@ def gaussian_source(
     with covariance variances[k] * I. Noise is independent Gaussian with
     per-node variance calibrated from ``snr_db`` (signal power
     variances[k] * ||w_o||^2), or fixed by ``noise_variance`` when given
-    (0 yields a noiseless stream). Deterministic for a fixed seed: all
-    regressors are drawn first, then all noise.
+    (0 yields a noiseless stream). A signal power beyond the float range
+    raises ConfigError naming the variances. Deterministic for a fixed
+    seed: all regressors are drawn first, then all noise.
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -140,7 +141,10 @@ def gaussian_source(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = variances.shape[0]
     m = w_o.shape[0]
-    signal_power = variances * float(w_o @ w_o)
+    with np.errstate(over="ignore"):
+        signal_power = variances * float(w_o @ w_o)
+    if not np.isfinite(signal_power).all():
+        raise ConfigError("regressor_variances: the response power variances * ||w_o||^2 is beyond the float range")
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 import wave
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from diffusion_lms.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
 from diffusion_lms.config import parse_config
-from diffusion_lms.experiment import denoise_speech
+from diffusion_lms.experiment import ALGORITHM_LABELS, denoise_speech
 from diffusion_lms.signals import synthetic_speech, wav_bytes
 
 SMALL_CFG = """
@@ -210,6 +211,19 @@ class TestRun:
         # both from 1, like the trace CSVs' iterations and the --node option
         err = capsys.readouterr().err
         assert "error: atc_dlms: all 2 trials diverged (first at iteration 26, node 1)" in err
+
+    def test_overflowing_leak_exits_3_without_a_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 6\nradius = 0.6\n\n"
+            "[run]\ntrials = 2\nhorizon = 100\nsteady_window = 50\nmu = 1e300\ngamma = 1e300\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        for label in ALGORITHM_LABELS:
+            assert f"error: {label}: all 2 trials diverged (first at iteration 1, node 1)" in err
 
     def test_one_wholly_divergent_label_exits_3_and_keeps_the_others(self, tmp_path, capsys):
         # 1 - mu * gamma = -1.4 with the default mu 0.08: only the leak diverges
@@ -432,6 +446,44 @@ class TestScaleExponentRange:
         }[command] + ["--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {samples}: the samples' mean square ")
+        assert not out.exists()
+
+
+class TestResponsePowerRange:
+    # an unknown system whose squared norm is beyond the float range could
+    # only give +inf dB curves; a response power variances * ||w_o||^2
+    # beyond it is the variances' fault, the norm being a float
+    @pytest.mark.parametrize(
+        "source,model,key",
+        [
+            ("white_gaussian", "coefficients = 1e200, 1e200\n", "coefficients"),
+            ("delay_line", "coefficients = 1e200, 1e200\n", "coefficients"),
+            ("white_gaussian", "coefficients = 1e160, 1e160\nnoise_variance = 1\n", "coefficients"),
+            (
+                "white_gaussian",
+                "coefficients = 1e5, 1e5\nregressor_variances = 1e300, 1, 1, 1, 1, 1\n",
+                "regressor_variances",
+            ),
+        ],
+        ids=["gaussian_norm", "delay_line_norm", "fixed_noise_norm", "gaussian_power"],
+    )
+    def test_overflow_exits_2_naming_the_key_before_any_round(self, tmp_path, monkeypatch, capsys, source, model, key):
+        from diffusion_lms import experiment
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a filter round ran before the response power was checked")
+
+        monkeypatch.setattr(experiment, "run_filter", no_round)
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(
+            f"[network]\nnodes = 6\ntopology = ring_lattice\nhalf_width = 1\n\n[model]\n{model}\n"
+            f"[source]\nkind = {source}\n\n[run]\ntrials = 2\nhorizon = 60\nsteady_window = 20\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
 

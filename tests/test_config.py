@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from diffusion_lms.config import ConfigError, format_config, parse_config, parse_config_text
@@ -48,6 +50,20 @@ REJECTED = [
         dict(source="delay_line", horizon=3, steady_window=3),
     ),
     ("[model]\ntaps = 4\ncoefficients = 1.0, 2.0\n", "coefficients", dict(taps=4, coefficients=(1.0, 2.0))),
+    # every learning curve starts at the squared norm of the coefficients
+    ("[model]\ncoefficients = 1e200, 1e200\n", "coefficients", dict(taps=2, coefficients=(1e200, 1e200))),
+    (
+        "[model]\ncoefficients = 1e160, 1e160\nnoise_variance = 1\n",
+        "coefficients",
+        dict(taps=2, coefficients=(1e160, 1e160), noise_variance=1.0),
+    ),
+]
+# the keys whose fields default to None: an empty value leaves them unset
+OPTIONAL = [
+    ("network", "edge_list_path"),
+    ("model", "coefficients"),
+    ("model", "noise_variance"),
+    ("model", "regressor_variances"),
 ]
 
 
@@ -91,6 +107,28 @@ class TestParsing:
         assert cfg.coefficients == (0.5, 0.25, 0.25)
         assert cfg.taps == 3
         assert cfg.algorithms == ("atc_dlms", "cta_dlms")
+
+    def test_optional_keys_are_the_fields_that_default_to_none(self):
+        assert [key for _, key in OPTIONAL] == [f.name for f in fields(ExperimentConfig) if f.default is None]
+
+    @pytest.mark.parametrize("section,key", OPTIONAL)
+    def test_empty_optional_key_is_unset(self, section, key):
+        cfg = parse_config_text(f"[{section}]\n{key} =\n")
+        assert getattr(cfg, key) is None
+        assert cfg == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "snippet,message",
+        [
+            ("[run]\nalgorithms =\n", "algorithms: expected a comma-separated list"),
+            ("[run]\nmu =\n", "mu: expected a number, got ''"),
+        ],
+    )
+    def test_empty_required_key_is_a_type_error(self, snippet, message):
+        # an empty sample_path is a REJECTED row: it parses, and the config rejects it
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(snippet)
+        assert str(err.value) == message
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -166,3 +204,33 @@ class TestRoundTrip:
         assert parse_config_text(text) == cfg
         # a second round trip is byte-stable
         assert format_config(parse_config_text(text)) == text
+
+    def test_every_field_set_off_its_default_round_trips(self):
+        # a key missing from the section table, or setting the wrong field,
+        # would lose or move one of these values
+        cfg = ExperimentConfig(
+            nodes=6,
+            topology="edge_list",
+            radius=0.5,
+            half_width=1,
+            edge_list_path="net.txt",
+            topology_seed=7,
+            weights="non_cooperative",
+            taps=3,
+            coefficients=(0.1, -0.7, 1.0 / 3.0),
+            snr_db=-2.5,
+            noise_variance=0.125,
+            regressor_variances=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+            source="delay_line",
+            sample_path="speech.wav",
+            scale_exponent=1.0,
+            algorithms=("atc_leaky_dlms", "cta_dlms"),
+            mu=0.05,
+            gamma=1e-4,
+            trials=3,
+            horizon=64,
+            base_seed=17,
+            steady_window=16,
+        )
+        assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
+        assert parse_config_text(format_config(cfg)) == cfg

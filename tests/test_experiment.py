@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +315,16 @@ class TestRunEnsemble:
             assert failure.per_iteration_db is None
             assert failure.trials == failure.divergent_trials == 3
             assert failure.first_divergence is not None
+
+    def test_overflowing_leak_diverges_every_trial_without_a_warning(self):
+        # mu * gamma overflows, so the leak 1 - mu * gamma is -inf
+        cfg = ExperimentConfig(nodes=6, radius=0.6, trials=2, horizon=100, steady_window=50, mu=1e300, gamma=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_ensemble(cfg)
+        for label in cfg.algorithms:
+            assert results[label].per_iteration_db is None
+            assert results[label].trials == results[label].divergent_trials == 2
 
     @pytest.mark.parametrize("field", ["mu", "gamma"])
     def test_non_finite_step_or_leakage_fails_before_any_stream(self, monkeypatch, field):

@@ -257,7 +257,9 @@ def configs(draw):
     topology = draw(st.sampled_from(["ring_lattice", "random_geometric", "edge_list"]))
     half_width = draw(st.integers(0, (nodes - 1) // 2 if topology == "ring_lattice" else 10))
     taps = draw(st.integers(1, 16))
-    coefficients = draw(st.none() | st.lists(finite, min_size=taps, max_size=taps).map(tuple))
+    # entries within 2**500, so that the squared norm of up to 16 is a float
+    coefficient = st.floats(-(2.0**500), 2.0**500)
+    coefficients = draw(st.none() | st.lists(coefficient, min_size=taps, max_size=taps).map(tuple))
     source = draw(st.sampled_from(SOURCE_KINDS))
     sample_path = draw(st.just("synthetic") | paths)
     # a synthetic delay-line signal of horizon samples must fill the taps

@@ -140,6 +140,12 @@ class TestGaussianSource:
         with pytest.raises(ValueError):
             gaussian_source(np.array([0.0]), default_lowpass_system(2), seed=0, horizon=5)
 
+    @pytest.mark.parametrize("noise_variance", [None, 1.0])
+    def test_power_overflow_blames_the_variances(self, noise_variance):
+        # ||w_o||^2 = 2e10 is a float; times the variance 1e300 it is not
+        with pytest.raises(ConfigError, match="^regressor_variances: "):
+            gaussian_source(np.array([1.0, 1e300]), np.full(2, 1e5), seed=0, horizon=5, noise_variance=noise_variance)
+
 
 class TestDelayLineSource:
     def test_constant_input_has_unit_dc_response(self):
