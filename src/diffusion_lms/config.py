@@ -137,7 +137,7 @@ def format_config(cfg: ExperimentConfig) -> str:
         lines.append(f"[{section}]")
         for key, (field, _, _) in keys.items():
             value = getattr(cfg, field)
-            if value is None or value == "":
+            if value is None:
                 continue
             lines.append(f"{key} = {_fmt_value(value)}")
         lines.append("")

@@ -97,10 +97,11 @@ class ExperimentConfig:
     Construction checks every field and raises ConfigError, whose message
     starts with the offending key, so a config that exists is one that can
     run. Left to the setup and the streams, before any filter round: a
-    sample or edge-list file, whether the samples' own power and then
-    ``scale_exponent`` keep the delay-line input's power a float, whether
-    ``regressor_variances`` keep the Gaussian one's, and whether the noise
-    variance an ``snr_db`` gives against the signal power fits in a float.
+    sample or edge-list file, whether the samples' own power,
+    ``regressor_variances`` and ``scale_exponent`` keep the delay-line
+    input's power a float, whether ``regressor_variances`` keep the
+    Gaussian one's, and whether the noise variance an ``snr_db`` gives
+    against the signal power fits in a float.
     """
 
     # network
@@ -166,7 +167,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"half_width: {self.half_width} too large for {self.nodes} nodes (need 2*half_width < nodes)"
             )
-        if self.topology == "edge_list" and not self.edge_list_path:
+        # an empty path would format as an empty value, which parses as unset
+        if self.edge_list_path == "":
+            raise ConfigError("edge_list_path: must name a file when given")
+        if self.topology == "edge_list" and self.edge_list_path is None:
             raise ConfigError("edge_list_path: required when topology = edge_list")
         if not self.sample_path:
             raise ConfigError("sample_path: must name a file or synthetic")
@@ -326,9 +330,9 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     labels on the intermediates), so the labels of one recursion can keep
     and drop different trials. A (trial, label) that diverges anywhere is
     dropped whole when the chunk ends; a (trial, pair) whose labels have
-    all diverged is held at zero. Every chunk runs the whole horizon, so
-    the cost of a run does not depend on where or whether its trials
-    diverge. The averages match running every (trial, label) on its own
+    all diverged is held at zero, and a chunk stops once every one of its
+    (trial, pair)s is held; a chunk with any live pair runs the whole
+    horizon. The averages match running every (trial, label) on its own
     exactly.
     """
     setup = build_setup(cfg)
@@ -412,7 +416,10 @@ def _run_chunk(
     as one view of it, one divergence scan and one deviation reduction
     per block, and other label sets one view per label. The per-element
     results are then scattered to the label columns. Curve rows of a
-    (trial, label) that diverged are not meaningful. Each block's
+    (trial, label) that diverged are not meaningful. The loop ends after
+    the block that leaves no (trial, pair) live, with later rows unwritten:
+    every (trial, label) is then dropped, its first divergence recorded.
+    Each block's
     regressors and measurements are copied into one data block allocated
     per chunk and refilled in place, not stacked anew.
     """
@@ -472,6 +479,8 @@ def _run_chunk(
         outputs[0, 0] = outputs[rows - 1, 0]
         # a (trial, pair) is frozen once every label it feeds has diverged
         live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
+        if not live.any():
+            break
         mu[~live] = 0.0
         outputs[0, 0][~live] = 0.0
     return first_it, first_node

@@ -176,8 +176,9 @@ def delay_line_source(
     empirical power of the noiseless response u . w_o over the whole
     sequence (see :func:`_resolve_noise_variance` for silent inputs), or
     fixed by ``noise_variance``. When that power is beyond the float range,
-    samples whose own mean square already is raise DataFileError, and
-    otherwise the scale is at fault and raises ConfigError. One stream
+    samples whose own mean square already is raise DataFileError; otherwise
+    ConfigError names ``scale_exponent`` if the default exponent would keep
+    the power a float, and ``regressor_variances`` if not. One stream
     instant per input sample.
 
     Layout: the stream holds one (N, T + M - 1) table whose row k is the
@@ -211,9 +212,16 @@ def delay_line_source(
             own_power = (samples * samples).mean()
         if not np.isfinite(own_power):
             raise DataFileError("the samples' mean square is beyond the float range")
-        raise ConfigError(
-            f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
-        )
+        # the default exponent 2 scales by the variances themselves: the
+        # exponent is at fault only when that keeps the power a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_default = variances[:, None] * (np.lib.stride_tricks.sliding_window_view(reversed_padded, m) @ w_o)
+            default_power = (at_default * at_default).mean(axis=1)
+        if np.isfinite(default_power).all():
+            raise ConfigError(
+                f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
+            )
+        raise ConfigError("regressor_variances: the samples' response power is beyond the float range")
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)

@@ -464,8 +464,14 @@ class TestResponsePowerRange:
                 "coefficients = 1e5, 1e5\nregressor_variances = 1e300, 1, 1, 1, 1, 1\n",
                 "regressor_variances",
             ),
+            # the default exponent: the scale is the variances themselves
+            (
+                "delay_line",
+                "coefficients = 1e5, 1e5\nregressor_variances = 1e300, 1, 1, 1, 1, 1\n",
+                "regressor_variances",
+            ),
         ],
-        ids=["gaussian_norm", "delay_line_norm", "fixed_noise_norm", "gaussian_power"],
+        ids=["gaussian_norm", "delay_line_norm", "fixed_noise_norm", "gaussian_power", "delay_line_power"],
     )
     def test_overflow_exits_2_naming_the_key_before_any_round(self, tmp_path, monkeypatch, capsys, source, model, key):
         from diffusion_lms import experiment

@@ -162,6 +162,11 @@ class TestRejections:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig(**kwargs)
 
+    def test_empty_edge_list_path_rejected(self):
+        # it would format as an empty value, which parses back as unset
+        with pytest.raises(ConfigError, match="^edge_list_path: "):
+            ExperimentConfig(edge_list_path="")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[run]\nmu = 0.1\nmu = 0.2\n")

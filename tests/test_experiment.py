@@ -151,6 +151,30 @@ class TestBatchedEnsembleMatchesReference:
         cfg = replace(ORACLE, trials=trials, mu=mu)
         assert_same_results(run_ensemble(cfg), ensemble_reference(cfg))
 
+    # a chunk stops after the block that freezes its last live (trial, pair):
+    # at 3.0 every pair of the one chunk diverges early; at 2.15 trial 4's
+    # ATC labels converge, so its chunk runs the whole horizon
+    @pytest.mark.parametrize("mu,trials,full", [(0.08, 5, True), (2.15, 5, True), (3.0, 3, False)])
+    def test_chunk_stops_once_every_pair_is_frozen(self, monkeypatch, mu, trials, full):
+        from diffusion_lms import experiment
+
+        rows = []
+        real = experiment.run_filter
+
+        def counted(weights, mu, gamma, u, d, **buffers):
+            rows.append(u.shape[0])
+            return real(weights, mu, gamma, u, d, **buffers)
+
+        monkeypatch.setattr(experiment, "run_filter", counted)
+        cfg = replace(ORACLE, trials=trials, mu=mu)
+        results = run_ensemble(cfg)
+        chunks = -(-trials // _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4))
+        if full:
+            assert sum(rows) == cfg.horizon * chunks
+        else:
+            assert chunks == 1 and sum(rows) < cfg.horizon
+            assert all(res.divergent_trials == trials for res in results.values())
+
     def test_each_label_is_judged_on_its_own_estimates(self):
         # trial 4 at mu 2.15 peaks just under the threshold in the shared
         # recursion's combined (ATC) tables and above it in its intermediates

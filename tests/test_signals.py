@@ -218,6 +218,9 @@ class TestDelayLineSource:
         # samples of unit size whose scale 2**1000 is a float but whose power is not
         with pytest.raises(ConfigError, match="^scale_exponent: 2000.0 "):
             delay_line_source(np.ones(100), np.array([2.0]), w_o, seed=0, scale_exponent=2000.0)
+        # variances whose power is beyond the float range at the default exponent too
+        with pytest.raises(ConfigError, match="^regressor_variances: "):
+            delay_line_source(np.ones(100), np.array([1e300, 1.0]), 1e5 * w_o, seed=0, scale_exponent=1.5)
 
 
 def test_delay_line_source_builds_no_full_regressor_table():
