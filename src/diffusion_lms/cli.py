@@ -1,11 +1,12 @@
 """Command-line front end: run, sweep, denoise, validate.
 
 Exit codes: 0 success, 1 internal error (a bug; Python prints the
-traceback), 2 config error, 3 runtime divergence, 4 I/O error, 5 data error
-(a malformed sample or edge-list file). All numbers are serialized with 17
-significant digits, so reruns of the same config produce byte-identical
-files. Node indices and iterations on the command line and in messages are
-1-based, matching the edge-list file format and the trace CSVs.
+traceback), 2 config error (also a run too large to allocate), 3 runtime
+divergence, 4 I/O error, 5 data error (a malformed sample or edge-list
+file). All numbers are serialized with 17 significant digits, so reruns of
+the same config produce byte-identical files. Node indices and iterations
+on the command line and in messages are 1-based, matching the edge-list
+file format and the trace CSVs.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # numpy's MemoryError names the size
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

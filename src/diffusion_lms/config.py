@@ -1,15 +1,16 @@
 """Line-oriented experiment configs: ``key = value`` entries under
 ``[section]`` headers, ``#`` comments.
 
-Each key is parsed as its ``ExperimentConfig`` field is annotated. Every
-key is optional; an empty file resolves to the headline defaults (mu 0.08,
-gamma 0.002, 50 trials, horizon 1000, 0 dB SNR), an empty value leaves a
-field that defaults to None unset, and ``taps`` defaults to the length of
-``coefficients`` when only they are given. Unknown sections or keys are
-hard errors, as are type violations, each naming the offending key; the
-constraints are ``ExperimentConfig``'s own.
-``format_config`` emits the fully resolved config with 17-significant-digit
-floats so that parse(format(cfg)) == cfg exactly.
+Sections and keys follow ``ExperimentConfig``'s field order; each key is
+named after its field (``[source] kind`` sets ``source``) and parsed as the
+field is annotated. Every key is optional; an empty file resolves to the
+headline defaults (mu 0.08, gamma 0.002, 50 trials, horizon 1000, 0 dB
+SNR), an empty value leaves a field that defaults to None unset, and
+``taps`` defaults to the length of ``coefficients`` when only they are
+given. Unknown sections or keys are hard errors, as are type violations,
+each naming the offending key; the constraints are ``ExperimentConfig``'s
+own. ``format_config`` emits the fully resolved config with
+17-significant-digit floats so that parse(format(cfg)) == cfg exactly.
 """
 
 from __future__ import annotations
@@ -52,24 +53,17 @@ _PARSERS = {
 _PARSERS |= {hint | None: parse for hint, parse in _PARSERS.items()}
 _HINTS = get_type_hints(ExperimentConfig)
 
-
-def _key(key: str) -> tuple:
-    field = "source" if key == "kind" else key
-    return field, _PARSERS[_HINTS[field]], getattr(ExperimentConfig, field) is None
-
-
-# section -> key -> (the field it sets: its own name, but ``source`` for
-# [source] kind; the parser of the field's type; whether an empty value
-# leaves the field unset, as it does every field that defaults to None)
-_KEYS = {
-    section: {key: _key(key) for key in keys}
-    for section, keys in {
-        "network": ("nodes", "topology", "radius", "half_width", "edge_list_path", "topology_seed", "weights"),
-        "model": ("taps", "coefficients", "snr_db", "noise_variance", "regressor_variances"),
-        "source": ("kind", "sample_path", "scale_exponent"),
-        "run": ("algorithms", "mu", "gamma", "trials", "horizon", "base_seed", "steady_window"),
-    }.items()
-}
+# the file layout: the field that opens each section, and the one key not
+# named after its field
+_SECTION_STARTS = {"nodes": "network", "taps": "model", "source": "source", "algorithms": "run"}
+_KEY_NAMES = {"source": "kind"}
+# section -> key -> (the field it sets; the parser of its type; whether an
+# empty value leaves it unset, as for every field defaulting to None)
+_KEYS: dict[str, dict[str, tuple]] = {}
+for _f in fields(ExperimentConfig):
+    if _f.name in _SECTION_STARTS:
+        _section = _KEYS[_SECTION_STARTS[_f.name]] = {}
+    _section[_KEY_NAMES.get(_f.name, _f.name)] = (_f.name, _PARSERS[_HINTS[_f.name]], _f.default is None)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -128,10 +122,6 @@ def format_config(cfg: ExperimentConfig) -> str:
     Keys holding None are omitted; re-parsing the result reproduces ``cfg``
     exactly, floats included.
     """
-    covered = {field for keys in _KEYS.values() for field, _, _ in keys.values()}
-    missing = [f.name for f in fields(cfg) if f.name not in covered]
-    if missing:
-        raise AssertionError(f"schema does not cover config fields: {missing}")
     lines: list[str] = []
     for section, keys in _KEYS.items():
         lines.append(f"[{section}]")

@@ -167,13 +167,21 @@ class ExperimentConfig:
             raise ConfigError(
                 f"half_width: {self.half_width} too large for {self.nodes} nodes (need 2*half_width < nodes)"
             )
-        # an empty path would format as an empty value, which parses as unset
-        if self.edge_list_path == "":
-            raise ConfigError("edge_list_path: must name a file when given")
         if self.topology == "edge_list" and self.edge_list_path is None:
             raise ConfigError("edge_list_path: required when topology = edge_list")
-        if not self.sample_path:
-            raise ConfigError("sample_path: must name a file or synthetic")
+        # a path is written back as one config value, which the parser reads
+        # as unset when empty, strips, ends at a line break and cuts at a "#"
+        # that starts it or follows whitespace
+        for key in ("edge_list_path", "sample_path"):
+            path = getattr(self, key)
+            if path is None:
+                continue
+            comment = any(c == "#" and before.isspace() for before, c in zip(" " + path, path))
+            if not path or path != path.strip() or "\n" in path or "\r" in path or comment:
+                raise ConfigError(
+                    f"{key}: must be non-empty, with no surrounding whitespace, line break, "
+                    f"or '#' at its start or after whitespace; got {path!r}"
+                )
         if self.coefficients is not None:
             if any(not math.isfinite(v) for v in self.coefficients):
                 raise ConfigError("coefficients: entries must be finite")
@@ -273,12 +281,10 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
 
 
 def make_stream(
-    cfg: ExperimentConfig,
-    setup: ExperimentSetup,
-    seed: int,
-    samples: np.ndarray | None = None,
+    cfg: ExperimentConfig, setup: ExperimentSetup, seed: int, samples: np.ndarray | None = None
 ) -> FrameStream:
-    """Materialize one trial's measurement stream from its derived seed."""
+    """Materialize one trial's measurement stream from its derived seed;
+    a delay-line source takes the config's ``samples``, read once per run."""
     if cfg.source == "white_gaussian":
         return gaussian_source(
             setup.variances,
@@ -288,8 +294,6 @@ def make_stream(
             snr_db=cfg.snr_db,
             noise_variance=cfg.noise_variance,
         )
-    if samples is None:
-        samples = _delay_line_samples(cfg)[0]
     try:
         return delay_line_source(
             samples,
@@ -419,9 +423,8 @@ def _run_chunk(
     (trial, label) that diverged are not meaningful. The loop ends after
     the block that leaves no (trial, pair) live, with later rows unwritten:
     every (trial, label) is then dropped, its first divergence recorded.
-    Each block's
-    regressors and measurements are copied into one data block allocated
-    per chunk and refilled in place, not stacked anew.
+    Each block's regressors and measurements are copied into one data block
+    allocated per chunk and refilled in place, not stacked anew.
     """
     horizon, n, m = streams[0].u.shape
     shape = (len(streams), len(pairs), n, m)
@@ -436,7 +439,10 @@ def _run_chunk(
 
     # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
     # with their (output, pair) offsets in it. Every pair feeds a label, so
-    # the labels' box spans all pairs and the outputs they read
+    # the labels' box spans all pairs and the outputs they read. Both readouts
+    # stay, each chosen from the label set, with a benchmark workload on each
+    # side: headline_run and mu_sweep read one box, and large_network, whose
+    # two labels fill half of theirs, one view per label
     lo, hi = min(o for o, _ in slots), max(o for o, _ in slots) + 1
     if len(set(slots)) == (hi - lo) * len(pairs):
         groups = [((lo, hi, 0, len(pairs)), [(s, o - lo, p) for s, (o, p) in enumerate(slots)])]

@@ -17,7 +17,7 @@ import numpy as np
 from kernel_rounds import trajectory
 
 from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, MsdTrace, detect_divergence, linear_deviation
-from diffusion_lms.experiment import build_setup, make_stream
+from diffusion_lms.experiment import _delay_line_samples, build_setup, make_stream
 
 
 def atc_dlms_step(w, u, d, mu, a, c, node_order=None, gamma=0.0):
@@ -112,8 +112,9 @@ def ensemble_reference(cfg):
     acc_net = {label: None for label in cfg.algorithms}
     kept = {label: 0 for label in cfg.algorithms}
     first_failure = {}
+    samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     for t in range(cfg.trials):
-        stream = make_stream(cfg, setup, cfg.base_seed + t)
+        stream = make_stream(cfg, setup, cfg.base_seed + t, samples=samples)
         for label in cfg.algorithms:
             ordering, gamma = rules[label]
             snapshots = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)
@@ -138,3 +139,20 @@ def ensemble_reference(cfg):
             first_divergence=first_failure.get(label),
         )
     return results
+
+
+def assert_same_results(got, want):
+    """``run_ensemble`` results ``got`` equal ``want`` field by field, curves
+    bit for bit, labels in the same order."""
+    assert list(got) == list(want)
+    for label, ref in want.items():
+        res = got[label]
+        assert (res.trials, res.divergent_trials, res.first_divergence) == (
+            ref.trials,
+            ref.divergent_trials,
+            ref.first_divergence,
+        ), label
+        if ref.per_iteration_db is None:
+            assert res.per_iteration_db is None, label
+        else:
+            assert np.array_equal(res.per_iteration_db, ref.per_iteration_db), label

@@ -358,6 +358,21 @@ class TestRun:
             main(["run", "--config", str(small_config), "--out", str(tmp_path / "out")])
         assert "config error" not in capsys.readouterr().err
 
+    def test_run_too_large_to_allocate_exits_2_without_outputs(self, small_config, tmp_path, monkeypatch, capsys):
+        from diffusion_lms import cli
+
+        message = "Unable to allocate 29.1 TiB for an array with shape (4, 1000000000000) and data type float64"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        # what numpy raises for horizon = 1000000000000, without the allocation
+        monkeypatch.setattr(cli, "run_ensemble", too_large)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestSnrRange:
     @pytest.mark.parametrize(

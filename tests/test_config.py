@@ -24,6 +24,8 @@ REJECTED = [
     ("[network]\ntopology = star\n", "topology", dict(topology="star")),
     ("[source]\nkind = wav\n", "source", dict(source="wav")),
     ("[source]\nsample_path =\n", "sample_path", dict(sample_path="")),
+    # configparser joins an indented line onto the value before it
+    ("[source]\nsample_path = a\n  b\n", "sample_path", dict(sample_path="a\nb")),
     ("[network]\ntopology_seed = -1\n", "topology_seed", dict(topology_seed=-1)),
     ("[model]\ntaps = 0\n", "taps", dict(taps=0)),
     ("[model]\nnoise_variance = -0.5\n", "noise_variance", dict(noise_variance=-0.5)),
@@ -167,6 +169,22 @@ class TestRejections:
         with pytest.raises(ConfigError, match="^edge_list_path: "):
             ExperimentConfig(edge_list_path="")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(edge_list_path=" "),  # surrounding whitespace: the parser strips it
+            dict(sample_path="#x"),  # a '#' at the start opens a comment
+            dict(edge_list_path="net #1.txt"),  # so does one after whitespace
+            dict(sample_path="a\n  b"),  # a line break ends the value
+            dict(sample_path="a\rb"),  # and so does a carriage return, in a file
+        ],
+        ids=["whitespace", "hash_at_start", "hash_after_space", "newline", "carriage_return"],
+    )
+    def test_path_that_would_not_read_back_rejected(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig(**kwargs)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[run]\nmu = 0.1\nmu = 0.2\n")
@@ -239,3 +257,9 @@ class TestRoundTrip:
         )
         assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
         assert parse_config_text(format_config(cfg)) == cfg
+
+    def test_paths_with_inner_spaces_and_hashes_round_trip_through_a_file(self, tmp_path):
+        cfg = ExperimentConfig(edge_list_path="my net#1.txt", sample_path="a b\tc#d.wav")
+        path = tmp_path / "exp.cfg"
+        path.write_text(format_config(cfg), encoding="utf-8")
+        assert parse_config(path) == cfg

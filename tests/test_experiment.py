@@ -6,7 +6,7 @@ import pytest
 
 from edge_lists import write_edge_list
 from kernel_rounds import trajectory
-from reference_impl import ensemble_reference, label_rule
+from reference_impl import assert_same_results, ensemble_reference, label_rule
 
 from diffusion_lms.analysis import (
     DIVERGENCE_THRESHOLD,
@@ -22,6 +22,7 @@ from diffusion_lms.experiment import (
     build_setup,
     denoise_speech,
     _chunk_trials,
+    _delay_line_samples,
     make_stream,
     run_ensemble,
     sweep_leakage,
@@ -103,21 +104,6 @@ class TestConfigMaterialization:
 ORACLE = ExperimentConfig(horizon=777, steady_window=50)
 # every trial shares the synthetic input and draws its own noise
 DELAY_ORACLE = replace(ORACLE, source="delay_line", trials=7)
-
-
-def assert_same_results(got, want):
-    assert list(got) == list(want)
-    for label, ref in want.items():
-        res = got[label]
-        assert (res.trials, res.divergent_trials, res.first_divergence) == (
-            ref.trials,
-            ref.divergent_trials,
-            ref.first_divergence,
-        ), label
-        if ref.per_iteration_db is None:
-            assert res.per_iteration_db is None, label
-        else:
-            assert np.array_equal(res.per_iteration_db, ref.per_iteration_db), label
 
 
 class TestBatchedEnsembleMatchesReference:
@@ -475,7 +461,7 @@ class TestDenoise:
         cfg = self.speech_cfg(algorithms=(label,), gamma=0.01, horizon=300)
         result = denoise_speech(cfg, 5)
         setup = build_setup(cfg)
-        stream = make_stream(cfg, setup, cfg.base_seed)
+        stream = make_stream(cfg, setup, cfg.base_seed, samples=_delay_line_samples(cfg)[0])
         ordering, gamma = label_rule(label, cfg.gamma)
         w = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)[1:, 5]
         assert np.array_equal(result.filtered, np.einsum("im,im->i", stream.u[:, 5], w))

@@ -8,18 +8,20 @@ of the suite draws the same examples.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edge_lists import write_edge_list
-from reference_impl import atc_dlms_step, cta_dlms_step
+from reference_impl import assert_same_results, atc_dlms_step, cta_dlms_step, ensemble_reference
 
+from diffusion_lms import experiment
 from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, detect_divergence, linear_deviation
-from diffusion_lms.config import format_config, parse_config_text
-from diffusion_lms.experiment import ALGORITHM_LABELS, SOURCE_KINDS, WEIGHT_RULES, ExperimentConfig
+from diffusion_lms.config import ConfigError, format_config, parse_config, parse_config_text
+from diffusion_lms.experiment import ALGORITHM_LABELS, SOURCE_KINDS, WEIGHT_RULES, ExperimentConfig, run_ensemble
 from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     CombinationWeights,
@@ -245,8 +247,9 @@ def test_batched_run_filter_matches_reference_steps(network, m, trials, steps, r
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# a config value is one stripped line without comment or list separators
-paths = st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True)
+# any text: configs() discards the paths ExperimentConfig rejects
+paths = st.text()
+PATH_KEYS = ("edge_list_path", "sample_path")
 seeds = st.integers(0, 2**70)
 
 
@@ -267,7 +270,7 @@ def configs(draw):
     # the window is checked against the horizon unless a sample file sets the length
     window_cap = horizon if source == "white_gaussian" or sample_path == "synthetic" else 10**6
     labels = draw(st.permutations(ALGORITHM_LABELS))
-    return ExperimentConfig(
+    kwargs = dict(
         nodes=nodes,
         topology=topology,
         radius=draw(positive),
@@ -292,6 +295,12 @@ def configs(draw):
         base_seed=draw(seeds),
         steady_window=draw(st.integers(1, window_cap)),
     )
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        # a drawn path that would not read back as written
+        assume(not str(exc).startswith(PATH_KEYS))
+        raise
 
 
 @PROPERTY
@@ -300,3 +309,47 @@ def test_config_text_round_trips_exactly(cfg):
     text = format_config(cfg)
     assert parse_config_text(text) == cfg
     assert format_config(parse_config_text(text)) == text
+    # a file is read with universal newlines, which a string is not
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert parse_config(path) == cfg
+
+
+@st.composite
+def ensemble_configs(draw):
+    """Small runnable configs over both generated topologies, both weight
+    rules, both sources and any label subset in any order, from stable to
+    diverging step sizes and leaks."""
+    nodes = draw(st.integers(2, 8))
+    labels = draw(st.permutations(ALGORITHM_LABELS))
+    return ExperimentConfig(
+        nodes=nodes,
+        topology=draw(st.sampled_from(["ring_lattice", "random_geometric"])),
+        radius=draw(st.floats(0.1, 1.0)),
+        half_width=draw(st.integers(0, (nodes - 1) // 2)),
+        topology_seed=draw(st.integers(0, 1000)),
+        weights=draw(st.sampled_from(WEIGHT_RULES)),
+        taps=draw(st.integers(1, 4)),
+        source=draw(st.sampled_from(SOURCE_KINDS)),
+        algorithms=tuple(labels[: draw(st.integers(1, len(labels)))]),
+        mu=draw(st.floats(0.01, 6.0)),
+        gamma=draw(st.floats(0.0, 30.0)),
+        trials=draw(st.integers(1, 6)),
+        horizon=draw(st.integers(10, 160)),
+        base_seed=draw(st.integers(0, 10**6)),
+        steady_window=1,
+    )
+
+
+@settings(PROPERTY, max_examples=100)
+@given(cfg=ensemble_configs(), chunk_bytes=st.integers(1, 200_000), block_rounds=st.integers(1, 60))
+def test_ensemble_matches_per_trial_oracle(cfg, chunk_bytes, block_rounds):
+    # chunks of one trial to all of them, blocks of one round to more than
+    # the horizon; a label set that fills no box is read one view per label
+    with (
+        mock.patch.object(experiment, "CHUNK_BYTES", chunk_bytes),
+        mock.patch.object(experiment, "BLOCK_ROUNDS", block_rounds),
+    ):
+        got = run_ensemble(cfg)
+    assert_same_results(got, ensemble_reference(cfg))
