@@ -9,6 +9,8 @@ leakage coefficient to zero recovers plain diffusion LMS exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from diffusion_lms.network import CombinationWeights
@@ -61,9 +63,15 @@ def run_filter(
     intermediates phi_k = leak * w_k + mu * sum over l of
     c[l, k] * (d_l - u_l . w_k) * u_l, with leak = 1 - mu * gamma, and the
     combination a-averages them into the next w. The weighted errors form
-    one (..., N, N) table with entry (k, l) = c[l, k] * (d_l - w_k . u_l),
-    built in place, so that its product with u is the (..., N, M)
-    innovation table.
+    a table with entry (k, l) = c[l, k] * (d_l - w_k . u_l), built in
+    place, so that its product with u is the (..., N, M) innovation table.
+    With one tile (``weights.halo_tiles`` is None) that table is one dense
+    (..., N, N) table. Otherwise each tile of nodes k pairs only with its
+    halo of nodes l, whose rows of u and d are gathered every round: the
+    tiles' tables form one (..., tiles, size, width) stack, and each
+    product is one stacked matmul. The terms left out all have c[l, k] = 0.
+    The combination stays one dense product with a, so a non-finite
+    intermediate reaches every node as it does with one tile.
     """
     n = weights.node_count
     if out.shape != phi_out.shape:
@@ -75,19 +83,43 @@ def run_filter(
 
     w = out[0]
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
-    errors = np.empty(batch + (n, n))
     innovation = np.empty(batch + w.shape[-2:])
-    a_t, c_t = weights.a.T, np.ascontiguousarray(weights.c.T)
+    tiles = weights.halo_tiles
+    if tiles is None:
+        c_t = np.ascontiguousarray(weights.c.T)
+        innovation_tables = innovation
+        rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], phi_out[1:])
+    else:
+        halo, c_t = tiles
+        innovation_tables = innovation.reshape(batch + c_t.shape[:2] + w.shape[-1:])
+        rounds = _halo_rounds(u, d, halo, out, phi_out)
+    errors = np.empty(batch + c_t.shape)
+    a_t = weights.a.T
     with np.errstate(over="ignore", invalid="ignore"):
         leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
         mu = np.array(np.broadcast_to(mu, w.shape))
-        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], out[1:], phi_out[1:]):
-            np.matmul(w, u_t, out=errors)
+        for u_i, u_t, d_col, w_tiles, w_row, phi_row in rounds:
+            np.matmul(w_tiles, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)
             errors *= c_t
-            np.matmul(errors, u_i, out=innovation)
+            np.matmul(errors, u_i, out=innovation_tables)
             innovation *= mu
             np.multiply(w, leak, out=phi_row)
             phi_row += innovation
             w = np.matmul(a_t, phi_row, out=w_row)
     return out
+
+
+def _halo_rounds(
+    u: np.ndarray, d: np.ndarray, halo: np.ndarray, out: np.ndarray, phi_out: np.ndarray
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The tiled loop's operands per round: the halos' regressors
+    (..., tiles, width, M), their transposes, the halos' measurements
+    (..., tiles, 1, width), the round's starting estimates as
+    (..., tiles, size, M), and its rows of ``out`` and ``phi_out``."""
+    # splitting the node axis is a view, so it shows the rows each round writes
+    w_tables = np.reshape(out, out.shape[:-2] + (len(halo), -1) + out.shape[-1:], copy=False)
+    d_halo = halo[:, None, :]
+    for u_i, d_i, w_tiles, w_row, phi_row in zip(u, d, w_tables, out[1:], phi_out[1:]):
+        u_h = np.take(u_i, halo, axis=-2)
+        yield u_h, u_h.swapaxes(-1, -2), np.take(d_i, d_halo, axis=-1), w_tiles, w_row, phi_row

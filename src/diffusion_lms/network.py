@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
 
 # absolute tolerance on column sums of weight tables
 STOCHASTIC_TOL = 1e-12
+# the smallest tile of nodes the filter kernel adapts apart from the others
+MIN_TILE = 20
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,34 @@ class CombinationWeights:
     @property
     def node_count(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def halo_tiles(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The data table cut into tiles of consecutive nodes, or None for one tile.
+
+        The N nodes split into equal tiles whose size is the smallest
+        divisor of N that is at least ``MIN_TILE``. A tile's halo is the
+        nodes l with ``c[l, k] != 0`` for some node k of the tile. Returns
+        (halo, tile_c): ``halo`` (tiles, width) holds each halo in
+        ascending order, padded at its end with the lowest other nodes to
+        the widest halo's width, and ``tile_c`` (tiles, size, width) holds
+        ``c[halo[t, p], k]`` for the tile's nodes k, so that it is zero on
+        the padding. None when N has no such divisor below N, or when the
+        tiled (N, width) table would hold more than half of N * N entries.
+        Computed on first use and kept.
+        """
+        n = self.node_count
+        size = next((s for s in range(MIN_TILE, n) if n % s == 0), n)
+        # weighs[t, l]: some node of tile t weighs node l's data
+        weighs = (self.c != 0.0).T.reshape(n // size, size, n).any(axis=1)
+        width = int(weighs.sum(axis=1).max())
+        if size == n or 2 * width > n:
+            return None
+        halo = np.argsort(~weighs, axis=1, kind="stable")[:, :width]
+        tile_c = np.take_along_axis(self.c.T.reshape(n // size, size, n), halo[:, None, :], axis=2)
+        halo.setflags(write=False)
+        tile_c.setflags(write=False)
+        return halo, tile_c
 
     def validate_support(self, topology: Topology) -> None:
         """Raise if any nonzero weight falls on an unlinked pair."""

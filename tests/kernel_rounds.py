@@ -1,5 +1,7 @@
 """Kernel runs the tests take through ``run_filter``: one round from a given
-estimate table, and a whole stream's trajectory from all-zero tables.
+estimate table, and a whole stream's trajectory from all-zero tables. Also
+``dense_run_filter``, the kernel's one-tile round on any network, as an
+oracle for the halo tiles.
 
 An ATC round from ``w`` is a one-round run whose row 0 of ``out`` is ``w``.
 A CTA round from ``w`` is the adaptation half of an ATC round started from
@@ -50,3 +52,36 @@ def trajectory(
     phi_out = np.zeros_like(out)
     run_filter(weights, mu, gamma, stream.u, stream.d, out=out, phi_out=phi_out)
     return out if ordering == "atc" else phi_out
+
+
+def dense_run_filter(
+    weights: CombinationWeights,
+    mu: float | np.ndarray,
+    gamma: float | np.ndarray,
+    u: np.ndarray,
+    d: np.ndarray,
+    *,
+    out: np.ndarray,
+    phi_out: np.ndarray,
+) -> np.ndarray:
+    """``run_filter`` with one dense (..., N, N) weighted-error table in
+    every round, whatever the support of ``weights.c``; no checks."""
+    n = weights.node_count
+    w = out[0]
+    batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
+    errors = np.empty(batch + (n, n))
+    innovation = np.empty(batch + w.shape[-2:])
+    a_t, c_t = weights.a.T, np.ascontiguousarray(weights.c.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
+        mu = np.array(np.broadcast_to(mu, w.shape))
+        for u_i, u_t, d_col, w_row, phi_row in zip(u, u.swapaxes(-1, -2), d[..., None, :], out[1:], phi_out[1:]):
+            np.matmul(w, u_t, out=errors)
+            np.subtract(d_col, errors, out=errors)
+            errors *= c_t
+            np.matmul(errors, u_i, out=innovation)
+            innovation *= mu
+            np.multiply(w, leak, out=phi_row)
+            phi_row += innovation
+            w = np.matmul(a_t, phi_row, out=w_row)
+    return out

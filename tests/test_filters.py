@@ -3,15 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernel_rounds import one_round, trajectory
+from edge_lists import write_edge_list
+from kernel_rounds import dense_run_filter, one_round, trajectory
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
 from diffusion_lms.analysis import linear_deviation
+from diffusion_lms.experiment import ExperimentConfig, build_setup
 from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
     Topology,
     build_random_geometric,
     build_ring_lattice,
+    load_edge_list,
     non_cooperative_weights,
     uniform_weights,
 )
@@ -103,35 +106,70 @@ class TestRoundStructure:
         assert not out[1:].any()
 
 
+def banded_topology(n):
+    """Node k links to the next k % 4 nodes, with no wrap: halos of tiles
+    of 20 differ in width."""
+    adj = np.eye(n, dtype=bool)
+    for k in range(n):
+        adj[k, k : k + k % 4 + 1] = adj[k : k + k % 4 + 1, k] = True
+    return Topology(adj)
+
+
 class TestAgainstReference:
-    """Kernel rounds versus the independently coded per-node recursions."""
+    """Kernel rounds versus the independently coded per-node recursions,
+    on one-tile networks and on networks the kernel cuts into halo tiles."""
 
-    def cases(self):
+    @staticmethod
+    def networks(tmp_path):
+        for n, tap_counts in ((1, (1, 5)), (3, (1, 5)), (20, (5,))):
+            yield uniform_weights(build_ring_lattice(n, min(2, (n - 1) // 2))), tap_counts
+        path = tmp_path / "banded.txt"
+        write_edge_list(banded_topology(100), path)
+        tiled = [
+            uniform_weights(build_ring_lattice(60, 2)),
+            uniform_weights(build_ring_lattice(200, 3)),
+            non_cooperative_weights(80),
+            uniform_weights(load_edge_list(path, 100)),
+        ]
+        # the banded network's halos differ in width: the narrower ones are padded
+        halo_widths = (tiled[3].halo_tiles[1] != 0.0).any(axis=1).sum(axis=1)
+        assert halo_widths.min() < halo_widths.max()
+        for weights in tiled:
+            assert weights.halo_tiles is not None
+            yield weights, (4,)
+
+    def cases(self, tmp_path):
         rng = np.random.default_rng(99)
-        for n, m in [(1, 1), (1, 5), (3, 1), (3, 5), (20, 5)]:
-            topo = build_ring_lattice(n, min(2, (n - 1) // 2))
-            weights = uniform_weights(topo)
-            for _ in range(5):
-                w = rng.standard_normal((n, m))
-                u = rng.standard_normal((n, m))
-                d = rng.standard_normal(n)
-                yield topo, weights, w, u, d
+        for weights, tap_counts in self.networks(tmp_path):
+            n = weights.node_count
+            for m in tap_counts:
+                for _ in range(5 if n <= 20 else 2):
+                    w = rng.standard_normal((n, m))
+                    u = rng.standard_normal((n, m))
+                    d = rng.standard_normal(n)
+                    yield weights, w, u, d
 
-    def test_plain_reduction_matches_reference(self):
-        for topo, weights, w, u, d in self.cases():
-            mu = 0.07
-            ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = one_round(w, u, d, "atc", mu, 0.0, weights)
+    def assert_reduction_matches_reference(self, tmp_path, gamma):
+        mu = 0.07
+        for weights, w, u, d in self.cases(tmp_path):
+            ref_w, ref_phi = atc_dlms_step(w, u, d, mu, weights.a, weights.c, gamma=gamma)
+            out_w, out_phi = one_round(w, u, d, "atc", mu, gamma, weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
-            ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c)
-            out_w, out_phi = one_round(w, u, d, "cta", mu, 0.0, weights)
+            ref_w, ref_phi = cta_dlms_step(w, u, d, mu, weights.a, weights.c, gamma=gamma)
+            out_w, out_phi = one_round(w, u, d, "cta", mu, gamma, weights)
             assert np.abs(out_w - ref_w).max() <= 1e-15
             assert np.abs(out_phi - ref_phi).max() <= 1e-15
 
-    def test_node_update_order_is_immaterial(self):
-        for topo, weights, w, u, d in self.cases():
-            n = topo.node_count
+    def test_plain_reduction_matches_reference(self, tmp_path):
+        self.assert_reduction_matches_reference(tmp_path, 0.0)
+
+    def test_leaky_reduction_matches_reference(self, tmp_path):
+        self.assert_reduction_matches_reference(tmp_path, 0.5)
+
+    def test_node_update_order_is_immaterial(self, tmp_path):
+        for weights, w, u, d in self.cases(tmp_path):
+            n = weights.node_count
             forward = atc_dlms_step(w, u, d, 0.1, weights.a, weights.c, node_order=range(n))
             reverse = atc_dlms_step(w, u, d, 0.1, weights.a, weights.c, node_order=range(n - 1, -1, -1))
             assert np.array_equal(forward[0], reverse[0])
@@ -322,6 +360,111 @@ class TestRoundScratch:
                 atc, cta = self.stepped(stream, mu[j, p], gamma[p])
                 assert np.array_equal(runs["atc"][:, j, p], atc)
                 assert np.array_equal(runs["cta"][1:, j, p], cta[1:])
+
+
+class TestHaloTiles:
+    """The kernel's tiling of the data-sharing product by halo, against
+    ``dense_run_filter``, the one-tile round on the same network."""
+
+    @staticmethod
+    def ring(n, half_width):
+        return uniform_weights(build_ring_lattice(n, half_width))
+
+    @staticmethod
+    def batched_data(rng, rounds, n, m):
+        """(mu, gamma, u, d) of 2 trials x 2 pairs, one plain and one leaky;
+        the data's trial axis broadcasts over the pairs."""
+        mu = np.array([[0.05, 0.02], [0.03, 0.04]])[..., None, None]
+        gamma = np.array([0.0, 0.5])[:, None, None]
+        return mu, gamma, rng.standard_normal((rounds, 2, 1, n, m)), rng.standard_normal((rounds, 2, 1, n))
+
+    @staticmethod
+    def both_runs(weights, mu, gamma, u, d, start):
+        """(out, phi_out) of run_filter and of dense_run_filter from ``start``."""
+        runs = []
+        for kernel in (run_filter, dense_run_filter):
+            out = np.empty((len(u) + 1,) + start.shape)
+            out[0] = start
+            phi_out = np.zeros_like(out)
+            kernel(weights, mu, gamma, u, d, out=out, phi_out=phi_out)
+            runs.append((out, phi_out))
+        return runs
+
+    def test_one_tile_networks(self):
+        assert build_setup(ExperimentConfig()).weights.halo_tiles is None
+        # the narrowest halos there are, each node weighing only its own data
+        for n in range(1, 40):
+            assert non_cooperative_weights(n).halo_tiles is None
+        assert non_cooperative_weights(199).halo_tiles is None  # prime
+        assert uniform_weights(build_random_geometric(200, 0.1, 1)).halo_tiles is None
+        # the tiny large_network: 2 tiles of 20 with halo 26 fill 1,040 > 800 entries
+        assert self.ring(40, 3).halo_tiles is None
+
+    def test_ring_of_200_cuts_into_ten_tiles(self):
+        weights = self.ring(200, 3)
+        halo, tile_c = weights.halo_tiles
+        assert halo.shape == (10, 26) and tile_c.shape == (10, 20, 26)
+        assert weights.halo_tiles is weights.halo_tiles
+        assert halo[0].tolist() == list(range(23)) + [197, 198, 199]
+        assert halo[1].tolist() == list(range(17, 43))
+        for t in range(10):
+            assert np.array_equal(tile_c[t], weights.c[halo[t]][:, 20 * t : 20 * t + 20].T)
+
+    def test_bitwise_dense_at_the_benchmark_shape(self):
+        # large_network's shape: 200 nodes, 16 taps
+        rng = np.random.default_rng(3)
+        mu, gamma, u, d = self.batched_data(rng, 30, 200, 16)
+        (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(self.ring(200, 3), mu, gamma, u, d, np.zeros((2, 2, 200, 16)))
+        assert np.array_equal(out, dense_out)
+        assert np.array_equal(phi_out, dense_phi_out)
+
+    def test_dense_within_a_reassociation_per_round(self):
+        rng = np.random.default_rng(4)
+        for weights, m in [
+            (self.ring(200, 3), 1),
+            (self.ring(200, 3), 4),
+            (self.ring(200, 3), 32),
+            (self.ring(600, 3), 16),
+            (self.ring(60, 2), 5),
+            (non_cooperative_weights(80), 3),
+            (uniform_weights(banded_topology(100)), 2),
+        ]:
+            assert weights.halo_tiles is not None
+            n = weights.node_count
+            for _ in range(3):
+                mu, gamma, u, d = self.batched_data(rng, 1, n, m)
+                start = rng.standard_normal((2, 2, n, m))
+                (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(weights, mu, gamma, u, d, start)
+                assert np.abs(out[1] - dense_out[1]).max() <= 1e-15
+                assert np.abs(phi_out[1] - dense_phi_out[1]).max() <= 1e-15
+
+    def test_overflow_spreads_as_with_one_tile(self):
+        rng = np.random.default_rng(5)
+        weights = self.ring(60, 2)
+        assert weights.halo_tiles is not None
+        start = rng.standard_normal((60, 4))
+        start[7, 2] = 1e308
+        # the leak 1 - mu * gamma = -6 overflows node 7's estimate in one round
+        (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(
+            weights, 0.5, 14.0, rng.standard_normal((1, 60, 4)), rng.standard_normal((1, 60)), start
+        )
+        for got, dense in ((out[1], dense_out[1]), (phi_out[1], dense_phi_out[1])):
+            nodes = np.flatnonzero(~np.isfinite(got).all(axis=-1))
+            assert nodes.size
+            assert np.array_equal(nodes, np.flatnonzero(~np.isfinite(dense).all(axis=-1)))
+
+    def test_zero_stride_buffer_equals_full_buffers(self):
+        weights = self.ring(200, 3)
+        rng = np.random.default_rng(6)
+        u, d = rng.standard_normal((12, 200, 3)), rng.standard_normal((12, 200))
+        full_out, full_phi_out = np.zeros((13, 200, 3)), np.zeros((13, 200, 3))
+        run_filter(weights, 0.05, 0.1, u, d, out=full_out, phi_out=full_phi_out)
+        for ordering in ("atc", "cta"):
+            kept, table = np.zeros((13, 200, 3)), np.zeros((200, 3))
+            unread = np.lib.stride_tricks.as_strided(table, kept.shape, (0,) + table.strides)
+            out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
+            run_filter(weights, 0.05, 0.1, u, d, out=out, phi_out=phi_out)
+            assert np.array_equal(kept, full_out if ordering == "atc" else full_phi_out)
 
 
 class TestOperandForms:
