@@ -147,8 +147,6 @@ def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRES
     report = DivergenceReport(
         divergent=bool(hit.any()), first_iterations=np.where(hit, first, -1), nodes=np.where(hit, nodes, -1)
     )
-    if not report.divergent:
-        return report
     t, rest = divmod(int(np.argmax(bad_nodes)), bad_nodes[0].size)
     return replace(report, first_iteration=t, node=rest % bad_nodes.shape[-1])
 

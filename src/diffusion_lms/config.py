@@ -98,7 +98,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     """Read and resolve a config file; missing keys take the defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -107,8 +107,6 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
 
 
 def _fmt_value(value: object) -> str:
-    if isinstance(value, bool):  # guard: bools are ints
-        raise TypeError("no boolean config fields")
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):

@@ -10,7 +10,7 @@ and counted, never silently folded in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -132,6 +132,11 @@ class ExperimentConfig:
     steady_window: int = 200
 
     def __post_init__(self) -> None:
+        # bools are ints to Python; neither they nor floats can size or seed a run
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name}: must be an integer, got {value!r}")
         for key, allowed in (("topology", TOPOLOGY_KINDS), ("weights", WEIGHT_RULES), ("source", SOURCE_KINDS)):
             value = getattr(self, key)
             if value not in allowed:
@@ -323,8 +328,11 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     pair. Trials run in chunks, each batched over (trial, pair) and sized
     so that its streams, network deviation curves and block buffer fit in
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
-    chunk advances BLOCK_ROUNDS rounds at a time into one buffer holding
-    both outputs of every pair. After every block the requested labels'
+    chunk advances BLOCK_ROUNDS rounds at a time into one block buffer of
+    shape (rounds, output, trials, pairs, N, M), output 0 the combined
+    tables and 1 the intermediates, from one data block that is refilled
+    in place; both are allocated once per run, and a shorter last chunk
+    uses their leading trials. After every block the requested labels'
     estimates are read in place in it: when the labels fill a box of
     (output, pair) slots, as every label, one label, or the pairs of one
     output do, that box is one view, scanned for divergence and reduced to
@@ -333,11 +341,11 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     is judged on its own estimates (ATC labels on the combined tables, CTA
     labels on the intermediates), so the labels of one recursion can keep
     and drop different trials. A (trial, label) that diverges anywhere is
-    dropped whole when the chunk ends; a (trial, pair) whose labels have
-    all diverged is held at zero, and a chunk stops once every one of its
-    (trial, pair)s is held; a chunk with any live pair runs the whole
-    horizon. The averages match running every (trial, label) on its own
-    exactly.
+    dropped whole when the chunk ends, and its curve rows hold no
+    meaningful values; a (trial, pair) whose labels have all diverged is
+    held at zero, and a chunk stops once every one of its (trial, pair)s
+    is held; a chunk with any live pair runs the whole horizon. The
+    averages match running every (trial, label) on its own exactly.
     """
     setup = build_setup(cfg)
     setup.weights.validate_support(setup.topology)
@@ -348,27 +356,84 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     ]
     pairs = list(dict.fromkeys(pair for _, pair in labels))
     slots = [(output, pairs.index(pair)) for output, pair in labels]
+    steps = np.array(pairs)
+    gamma = steps[:, 1, None, None]
+    feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
+    # a large unknown vector is not divergence: the bound grows with its largest tap
+    bound = DIVERGENCE_THRESHOLD * max(1.0, float(np.abs(setup.w_o).max()))
+
+    # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
+    # with their (output, pair) offsets in it. Every pair feeds a label, so
+    # the labels' box spans all pairs and the outputs they read. Both readouts
+    # stay, each chosen from the label set, with a benchmark workload on each
+    # side: headline_run and mu_sweep read one box, and large_network, whose
+    # two labels fill half of theirs, one view per label
+    lo, hi = min(o for o, _ in slots), max(o for o, _ in slots) + 1
+    if len(set(slots)) == (hi - lo) * len(pairs):
+        groups = [((lo, hi, 0, len(pairs)), [(s, o - lo, p) for s, (o, p) in enumerate(slots)])]
+    else:
+        groups = [((o, o + 1, p, p + 1), [(s, 0, 0)]) for s, (o, p) in enumerate(slots)]
 
     samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     horizon = cfg.horizon if samples is None else samples.size
-    n = setup.topology.node_count
-    chunk = min(cfg.trials, _chunk_trials(horizon, n, setup.w_o.size, len(pairs), len(slots), samples is not None))
-    acc_net = np.zeros((len(slots), horizon))
-    # the chunk's deviation curves, reused by every chunk
+    n, m = setup.topology.node_count, setup.w_o.size
+    chunk = min(cfg.trials, _chunk_trials(horizon, n, m, len(pairs), len(slots), samples is not None))
+    # the chunk buffers, reused by every chunk: the block buffer, the block's
+    # data with one trial axis that broadcasts over the pairs, and the curves
+    outputs = np.empty((BLOCK_ROUNDS + 1, 2, chunk, len(pairs), n, m))
+    u_block = np.empty((BLOCK_ROUNDS, chunk, 1, n, m))
+    d_block = np.empty((BLOCK_ROUNDS, chunk, 1, n))
     net = np.empty((horizon, chunk, len(slots)))
+    acc_net = np.zeros((len(slots), horizon))
     kept = [0] * len(slots)
     first_failure: dict[int, tuple[int, int]] = {}
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
-        first_it, first_node = _run_chunk(
-            setup,
-            [make_stream(cfg, setup, cfg.base_seed + t, samples=samples) for t in trials],
-            pairs,
-            slots,
-            net[:, : len(trials)],
-        )
+    for first in range(0, cfg.trials, chunk):
+        trials = range(first, min(first + chunk, cfg.trials))
+        streams = [make_stream(cfg, setup, cfg.base_seed + t, samples=samples) for t in trials]
+        k = len(trials)
+        buffer = outputs[:, :, :k]
+        buffer[0, 0] = 0.0
+        mu = np.tile(steps[:, 0, None, None], (k, 1, 1, 1))
+        first_it = np.full((k, len(slots)), -1)
+        first_node = np.full((k, len(slots)), -1)
+        for start in range(0, horizon, BLOCK_ROUNDS):
+            stop = min(start + BLOCK_ROUNDS, horizon)
+            rows = stop - start + 1
+            for j in range(k):
+                u_block[: stop - start, j, 0] = streams[j].u[start:stop]
+                d_block[: stop - start, j, 0] = streams[j].d[start:stop]
+            run_filter(
+                setup.weights,
+                mu,
+                gamma,
+                u_block[: stop - start, :k],
+                d_block[: stop - start, :k],
+                out=buffer[:rows, 0],
+                phi_out=buffer[:rows, 1],
+            )
+            for (o0, o1, p0, p1), members in groups:
+                view = buffer[1:rows, o0:o1, :, p0:p1]
+                report = detect_divergence(view, bound)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    deviation = linear_deviation(view, setup.w_o)
+                for s, o, p in members:
+                    if report.divergent:
+                        its = report.first_iterations[o, :, p]
+                        fresh = (its >= 0) & (first_it[:, s] < 0)
+                        first_it[fresh, s] = start + its[fresh]
+                        first_node[fresh, s] = report.nodes[o, :, p][fresh]
+                    net[start:stop, :k, s] = deviation[:, o, :, p]
+            buffer[0, 0] = buffer[rows - 1, 0]
+            # a (trial, pair) is frozen once every label it feeds has diverged
+            live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
+            if not live.any():
+                break
+            mu[~live] = 0.0
+            buffer[0, 0][~live] = 0.0
+        # streams are most of a chunk's memory: free these before the next chunk's are built
+        del streams
         # trial order, so that the sums do not depend on the chunking
-        for j in range(len(trials)):
+        for j in range(k):
             for s in range(len(slots)):
                 if first_it[j, s] >= 0:
                     first_failure.setdefault(s, (int(first_it[j, s]), int(first_node[j, s])))
@@ -401,95 +466,6 @@ def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_l
     stream_and_curves = regressors + 2 * horizon * n + labels * horizon
     blocks = 2 * pairs * (BLOCK_ROUNDS + 1) * n * m + BLOCK_ROUNDS * n * (m + 1)
     return max(1, CHUNK_BYTES // (8 * (stream_and_curves + blocks)))
-
-
-def _run_chunk(
-    setup: ExperimentSetup,
-    streams: list[FrameStream],
-    pairs: list[tuple[float, float]],
-    slots: list[tuple[int, int]],
-    net: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one chunk of trials, batched over (trial, pair).
-
-    Fills ``net``, shape (horizon, trials, labels), with the linear network
-    deviation curves, and returns per (trial, label) the first divergent
-    round and node (-1 where none). Both are read after every block from
-    the block buffer, shape (rounds, output, trials, pairs, N, M), with no
-    copy: labels that fill their (output range x pair range) box are read
-    as one view of it, one divergence scan and one deviation reduction
-    per block, and other label sets one view per label. The per-element
-    results are then scattered to the label columns. Curve rows of a
-    (trial, label) that diverged are not meaningful. The loop ends after
-    the block that leaves no (trial, pair) live, with later rows unwritten:
-    every (trial, label) is then dropped, its first divergence recorded.
-    Each block's regressors and measurements are copied into one data block
-    allocated per chunk and refilled in place, not stacked anew.
-    """
-    horizon, n, m = streams[0].u.shape
-    shape = (len(streams), len(pairs), n, m)
-    steps = np.array(pairs)
-    mu = np.tile(steps[:, 0, None, None], (len(streams), 1, 1, 1))
-    gamma = steps[:, 1, None, None]
-    # round-major: output 0 the combined (ATC) tables, 1 the intermediates (CTA)
-    outputs = np.zeros((BLOCK_ROUNDS + 1, 2) + shape)
-    feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
-    # a large unknown vector is not divergence: the bound grows with its largest tap
-    bound = DIVERGENCE_THRESHOLD * max(1.0, float(np.abs(setup.w_o).max()))
-
-    # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
-    # with their (output, pair) offsets in it. Every pair feeds a label, so
-    # the labels' box spans all pairs and the outputs they read. Both readouts
-    # stay, each chosen from the label set, with a benchmark workload on each
-    # side: headline_run and mu_sweep read one box, and large_network, whose
-    # two labels fill half of theirs, one view per label
-    lo, hi = min(o for o, _ in slots), max(o for o, _ in slots) + 1
-    if len(set(slots)) == (hi - lo) * len(pairs):
-        groups = [((lo, hi, 0, len(pairs)), [(s, o - lo, p) for s, (o, p) in enumerate(slots)])]
-    else:
-        groups = [((o, o + 1, p, p + 1), [(s, 0, 0)]) for s, (o, p) in enumerate(slots)]
-
-    # the block's data, one trial axis that broadcasts over the pairs
-    u_block = np.empty((BLOCK_ROUNDS, len(streams), 1, n, m))
-    d_block = np.empty((BLOCK_ROUNDS, len(streams), 1, n))
-
-    first_it = np.full((len(streams), len(slots)), -1)
-    first_node = np.full((len(streams), len(slots)), -1)
-    for start in range(0, horizon, BLOCK_ROUNDS):
-        stop = min(start + BLOCK_ROUNDS, horizon)
-        rows = stop - start + 1
-        for j, stream in enumerate(streams):
-            u_block[: stop - start, j, 0] = stream.u[start:stop]
-            d_block[: stop - start, j, 0] = stream.d[start:stop]
-        run_filter(
-            setup.weights,
-            mu,
-            gamma,
-            u_block[: stop - start],
-            d_block[: stop - start],
-            out=outputs[:rows, 0],
-            phi_out=outputs[:rows, 1],
-        )
-        for (o0, o1, p0, p1), members in groups:
-            view = outputs[1:rows, o0:o1, :, p0:p1]
-            report = detect_divergence(view, bound)
-            with np.errstate(over="ignore", invalid="ignore"):
-                deviation = linear_deviation(view, setup.w_o)
-            for s, o, p in members:
-                if report.divergent:
-                    its = report.first_iterations[o, :, p]
-                    fresh = (its >= 0) & (first_it[:, s] < 0)
-                    first_it[fresh, s] = start + its[fresh]
-                    first_node[fresh, s] = report.nodes[o, :, p][fresh]
-                net[start:stop, :, s] = deviation[:, o, :, p]
-        outputs[0, 0] = outputs[rows - 1, 0]
-        # a (trial, pair) is frozen once every label it feeds has diverged
-        live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
-        if not live.any():
-            break
-        mu[~live] = 0.0
-        outputs[0, 0][~live] = 0.0
-    return first_it, first_node
 
 
 def _sweep(

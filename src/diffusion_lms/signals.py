@@ -265,7 +265,7 @@ def _load_wav(path: str | os.PathLike) -> LoadedSamples:
 def _load_text(path: str | os.PathLike) -> LoadedSamples:
     values: list[float] = []
     # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

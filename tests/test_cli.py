@@ -279,6 +279,17 @@ class TestRun:
             assert capsys.readouterr().err == f"data error: {samples}{problem}\n"
             assert not out.exists()
 
+    def test_sample_file_led_by_a_byte_order_mark_reads_as_without_it(self, tmp_path):
+        text = "".join(f"{v:.6f}\n" for v in synthetic_speech(80, 0))
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            samples = tmp_path / f"{name}.txt"
+            samples.write_bytes(data)
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"[network]\nnodes = 6\nradius = 0.5\n[source]\nkind = delay_line\nsample_path = {samples}\n")
+            assert main(["denoise", "--config", str(cfg), "--out", str(tmp_path / name), "--node", "1"]) == EXIT_OK
+        bom, plain = ((tmp_path / name / "denoise_node1.csv").read_bytes() for name in ("bom", "plain"))
+        assert bom == plain
+
     # a WAV needs a rate to be written back: without one, no command may run a round
     @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
     def test_wav_without_sample_rate_exits_5_before_any_round(self, tmp_path, monkeypatch, capsys, command):
@@ -783,3 +794,11 @@ class TestValidate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\ntrials = none\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_config_led_by_a_byte_order_mark_reads_as_without_it(self, small_config, tmp_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + small_config.read_bytes())
+        assert main(["validate", "--config", str(small_config)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(["validate", "--config", str(bom)]) == EXIT_OK
+        assert capsys.readouterr().out == plain

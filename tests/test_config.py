@@ -9,6 +9,10 @@ from diffusion_lms.experiment import ExperimentConfig
 # same fault as ExperimentConfig arguments
 REJECTED = [
     ("[network]\nnodes = 0\n", "nodes", dict(nodes=0)),
+    # an int field takes neither a float nor a bool, which Python counts as an int
+    ("[network]\nnodes = 20.5\n", "nodes", dict(nodes=20.5)),
+    ("[model]\ntaps = 5.0\n", "taps", dict(taps=5.0)),
+    ("[run]\ntrials = true\n", "trials", dict(trials=True)),
     ("[network]\nradius = 0\n", "radius", dict(radius=0.0)),
     (
         "[network]\ntopology = ring_lattice\nnodes = 4\nhalf_width = 2\n",

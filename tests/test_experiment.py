@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -242,6 +243,23 @@ class TestBatchedEnsembleMatchesReference:
 
 
 class TestRunEnsemble:
+    def test_holds_at_most_one_chunk_of_streams(self):
+        # one trial per chunk: a stream kept alive while the next chunk's is built doubles the peak
+        cfg = ExperimentConfig(
+            nodes=60, topology="ring_lattice", half_width=3, taps=16, trials=3, horizon=1000, algorithms=("atc_dlms",)
+        )
+        assert _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 1, 1) == 1
+        stream = make_stream(cfg, build_setup(cfg), cfg.base_seed)
+        stream_bytes = stream.u.nbytes + stream.d.nbytes + stream.noise.nbytes
+        del stream
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stream_bytes
+
     def test_no_adaptation_gives_flat_trace_at_initial_msd(self):
         cfg = ExperimentConfig(
             nodes=5, radius=0.6, trials=1, horizon=1, mu=0.0, algorithms=("atc_dlms",), steady_window=1
