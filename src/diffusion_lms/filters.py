@@ -66,12 +66,15 @@ def run_filter(
     a table with entry (k, l) = c[l, k] * (d_l - w_k . u_l), built in
     place, so that its product with u is the (..., N, M) innovation table.
     With one tile (``weights.halo_tiles`` is None) that table is one dense
-    (..., N, N) table. Otherwise each tile of nodes k pairs only with its
-    halo of nodes l, whose rows of u and d are gathered every round: the
-    tiles' tables form one (..., tiles, size, width) stack, and each
-    product is one stacked matmul. The terms left out all have c[l, k] = 0.
-    The combination stays one dense product with a, so a non-finite
-    intermediate reaches every node as it does with one tile.
+    (..., N, N) table, and the combination one dense product with a.
+    Otherwise each tile of nodes k pairs only with its halo of nodes l,
+    whose rows of u, d and the intermediates are gathered every round: the
+    tiles' weight tables form (..., tiles, size, width) stacks, and each
+    product is one stacked matmul. The terms left out all have
+    c[l, k] = a[l, k] = 0, so with finite intermediates they add exact
+    zeros. A round whose intermediates do not sum to a finite number
+    combines them in one dense product instead, so that a non-finite
+    intermediate reaches every node (0 * inf is NaN) as with one tile.
     """
     n = weights.node_count
     if out.shape != phi_out.shape:
@@ -88,17 +91,18 @@ def run_filter(
     if tiles is None:
         c_t = np.ascontiguousarray(weights.c.T)
         innovation_tables = innovation
-        rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], phi_out[1:])
+        rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], out[1:], phi_out[1:])
     else:
-        halo, c_t = tiles
+        halo, c_t, tile_a = tiles
         innovation_tables = innovation.reshape(batch + c_t.shape[:2] + w.shape[-1:])
+        phi_halos = np.empty(batch + halo.shape + w.shape[-1:])
         rounds = _halo_rounds(u, d, halo, out, phi_out)
     errors = np.empty(batch + c_t.shape)
     a_t = weights.a.T
     with np.errstate(over="ignore", invalid="ignore"):
         leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
         mu = np.array(np.broadcast_to(mu, w.shape))
-        for u_i, u_t, d_col, w_tiles, w_row, phi_row in rounds:
+        for u_i, u_t, d_col, w_tiles, w_row_tiles, w_row, phi_row in rounds:
             np.matmul(w_tiles, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)
             errors *= c_t
@@ -106,7 +110,12 @@ def run_filter(
             innovation *= mu
             np.multiply(w, leak, out=phi_row)
             phi_row += innovation
-            w = np.matmul(a_t, phi_row, out=w_row)
+            if tiles is None or not np.isfinite(phi_row.sum()):
+                np.matmul(a_t, phi_row, out=w_row)
+            else:
+                # mode "raise" would take into a temporary; every index is in range
+                np.matmul(tile_a, np.take(phi_row, halo, axis=-2, out=phi_halos, mode="clip"), out=w_row_tiles)
+            w = w_row
     return out
 
 
@@ -115,11 +124,12 @@ def _halo_rounds(
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """The tiled loop's operands per round: the halos' regressors
     (..., tiles, width, M), their transposes, the halos' measurements
-    (..., tiles, 1, width), the round's starting estimates as
-    (..., tiles, size, M), and its rows of ``out`` and ``phi_out``."""
+    (..., tiles, 1, width), the round's starting estimates and the row of
+    ``out`` it writes, both as (..., tiles, size, M), and its rows of
+    ``out`` and ``phi_out``."""
     # splitting the node axis is a view, so it shows the rows each round writes
     w_tables = np.reshape(out, out.shape[:-2] + (len(halo), -1) + out.shape[-1:], copy=False)
     d_halo = halo[:, None, :]
-    for u_i, d_i, w_tiles, w_row, phi_row in zip(u, d, w_tables, out[1:], phi_out[1:]):
+    for u_i, d_i, w_tiles, w_row_tiles, w_row, phi_row in zip(u, d, w_tables, w_tables[1:], out[1:], phi_out[1:]):
         u_h = np.take(u_i, halo, axis=-2)
-        yield u_h, u_h.swapaxes(-1, -2), np.take(d_i, d_halo, axis=-1), w_tiles, w_row, phi_row
+        yield u_h, u_h.swapaxes(-1, -2), np.take(d_i, d_halo, axis=-1), w_tiles, w_row_tiles, w_row, phi_row

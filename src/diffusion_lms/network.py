@@ -111,32 +111,36 @@ class CombinationWeights:
         return self.a.shape[0]
 
     @cached_property
-    def halo_tiles(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The data table cut into tiles of consecutive nodes, or None for one tile.
+    def halo_tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Both tables cut into tiles of consecutive nodes, or None for one tile.
 
         The N nodes split into equal tiles whose size is the smallest
         divisor of N that is at least ``MIN_TILE``. A tile's halo is the
-        nodes l with ``c[l, k] != 0`` for some node k of the tile. Returns
-        (halo, tile_c): ``halo`` (tiles, width) holds each halo in
-        ascending order, padded at its end with the lowest other nodes to
-        the widest halo's width, and ``tile_c`` (tiles, size, width) holds
-        ``c[halo[t, p], k]`` for the tile's nodes k, so that it is zero on
+        nodes l with ``a[l, k] != 0`` or ``c[l, k] != 0`` for some node k
+        of the tile. Returns (halo, tile_c, tile_a): ``halo`` (tiles, width)
+        holds each halo in ascending order, padded at its end with the
+        lowest other nodes to the widest halo's width; ``tile_c`` (tiles,
+        size, width) holds ``c[halo[t, p], k]`` for the tile's nodes k, and
+        ``tile_a`` likewise ``a[halo[t, p], k]``, so that both are zero on
         the padding. None when N has no such divisor below N, or when the
         tiled (N, width) table would hold more than half of N * N entries.
         Computed on first use and kept.
         """
         n = self.node_count
         size = next((s for s in range(MIN_TILE, n) if n % s == 0), n)
-        # weighs[t, l]: some node of tile t weighs node l's data
-        weighs = (self.c != 0.0).T.reshape(n // size, size, n).any(axis=1)
+        # weighs[t, l]: some node of tile t weighs node l's data or estimate
+        weighs = ((self.a != 0.0) | (self.c != 0.0)).T.reshape(n // size, size, n).any(axis=1)
         width = int(weighs.sum(axis=1).max())
         if size == n or 2 * width > n:
             return None
         halo = np.argsort(~weighs, axis=1, kind="stable")[:, :width]
-        tile_c = np.take_along_axis(self.c.T.reshape(n // size, size, n), halo[:, None, :], axis=2)
-        halo.setflags(write=False)
-        tile_c.setflags(write=False)
-        return halo, tile_c
+        tile_c, tile_a = (
+            np.take_along_axis(table.T.reshape(n // size, size, n), halo[:, None, :], axis=2)
+            for table in (self.c, self.a)
+        )
+        for table in (halo, tile_c, tile_a):
+            table.setflags(write=False)
+        return halo, tile_c, tile_a
 
     def validate_support(self, topology: Topology) -> None:
         """Raise if any nonzero weight falls on an unlinked pair."""

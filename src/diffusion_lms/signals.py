@@ -148,9 +148,10 @@ def gaussian_source(
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     rng = np.random.default_rng(seed)
-    # scaled in place: no second regressor-sized array
-    u = rng.standard_normal((horizon, n, m))
-    u *= np.sqrt(variances)[None, :, None]
+    # scaled in place, each round's N * M draws by one contiguous row of scales
+    u = rng.standard_normal((horizon, n * m))
+    u *= np.repeat(np.sqrt(variances), m)
+    u = u.reshape(horizon, n, m)
     noise = rng.standard_normal((horizon, n))
     noise *= np.sqrt(sigma_v_sq)[None, :]
     d = u @ w_o

@@ -64,8 +64,9 @@ def dense_run_filter(
     out: np.ndarray,
     phi_out: np.ndarray,
 ) -> np.ndarray:
-    """``run_filter`` with one dense (..., N, N) weighted-error table in
-    every round, whatever the support of ``weights.c``; no checks."""
+    """``run_filter`` with both products dense in every round: one
+    (..., N, N) weighted-error table and one combination with all of
+    ``weights.a``, whatever the supports of the tables; no checks."""
     n = weights.node_count
     w = out[0]
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])

@@ -9,7 +9,8 @@ import pytest
 
 from diffusion_lms.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
 from diffusion_lms.config import parse_config
-from diffusion_lms.experiment import ALGORITHM_LABELS, denoise_speech
+from diffusion_lms.experiment import ALGORITHM_LABELS, build_setup, denoise_speech
+from diffusion_lms.network import CombinationWeights
 from diffusion_lms.signals import synthetic_speech, wav_bytes
 
 SMALL_CFG = """
@@ -224,6 +225,33 @@ class TestRun:
         err = capsys.readouterr().err
         for label in ALGORITHM_LABELS:
             assert f"error: {label}: all 2 trials diverged (first at iteration 1, node 1)" in err
+
+    def test_one_round_overflow_on_tiles_reports_as_one_tile(self, tmp_path, monkeypatch, capsys):
+        # the kernel cuts this 60-node ring into 3 tiles. Node 41's regressors
+        # dwarf all others', and the leak 1 - mu * gamma = -1e306 overflows the
+        # intermediates around it in round 2, when those of the first tile are
+        # still far below the divergence threshold: only the overflow's spread
+        # to every node makes node 1 the first to diverge
+        variances = ["1e-300"] * 60
+        variances[40] = "1e6"
+        cfg = tmp_path / "tiled.cfg"
+        cfg.write_text(
+            "[network]\nnodes = 60\ntopology = ring_lattice\nhalf_width = 2\n\n"
+            f"[model]\nregressor_variances = {', '.join(variances)}\n\n"
+            "[run]\nalgorithms = atc_leaky_dlms, cta_leaky_dlms\nmu = 1.0\ngamma = 1e306\n"
+            "trials = 2\nhorizon = 20\nsteady_window = 10\n"
+        )
+        assert build_setup(parse_config(cfg)).weights.halo_tiles is not None
+        runs = []
+        for name in ("tiled", "one_tile"):
+            if name == "one_tile":
+                monkeypatch.setattr(CombinationWeights, "halo_tiles", property(lambda self: None))
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGENCE
+            runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        # the overflow reaches every node's estimate in the round it happens
+        assert "error: atc_leaky_dlms: all 2 trials diverged (first at iteration 2, node 1)" in runs[0][1]
 
     def test_one_wholly_divergent_label_exits_3_and_keeps_the_others(self, tmp_path, capsys):
         # 1 - mu * gamma = -1.4 with the default mu 0.08: only the leak diverges

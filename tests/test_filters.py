@@ -11,6 +11,7 @@ from diffusion_lms.analysis import linear_deviation
 from diffusion_lms.experiment import ExperimentConfig, build_setup
 from diffusion_lms.filters import run_filter
 from diffusion_lms.network import (
+    CombinationWeights,
     Topology,
     build_random_geometric,
     build_ring_lattice,
@@ -402,13 +403,46 @@ class TestHaloTiles:
 
     def test_ring_of_200_cuts_into_ten_tiles(self):
         weights = self.ring(200, 3)
-        halo, tile_c = weights.halo_tiles
-        assert halo.shape == (10, 26) and tile_c.shape == (10, 20, 26)
+        halo, tile_c, tile_a = weights.halo_tiles
+        assert halo.shape == (10, 26) and tile_c.shape == tile_a.shape == (10, 20, 26)
         assert weights.halo_tiles is weights.halo_tiles
         assert halo[0].tolist() == list(range(23)) + [197, 198, 199]
         assert halo[1].tolist() == list(range(17, 43))
         for t in range(10):
             assert np.array_equal(tile_c[t], weights.c[halo[t]][:, 20 * t : 20 * t + 20].T)
+            assert np.array_equal(tile_a[t], weights.a[halo[t]][:, 20 * t : 20 * t + 20].T)
+
+    def test_narrower_halos_are_padded_with_zero_weights(self):
+        weights = uniform_weights(banded_topology(100))
+        halo, tile_c, tile_a = weights.halo_tiles
+        padded = 0
+        for t in range(5):
+            weighed = np.flatnonzero(weights.a[:, 20 * t : 20 * t + 20].any(axis=1))
+            padding = ~np.isin(halo[t], weighed)
+            padded += padding.sum()
+            assert not tile_c[t][:, padding].any() and not tile_a[t][:, padding].any()
+        assert padded
+
+    def test_halos_cover_both_tables(self):
+        # a on ring half-width 3 and c on half-width 1, then the other way round
+        rng = np.random.default_rng(7)
+        wide, narrow = self.ring(200, 3), self.ring(200, 1)
+        mu, gamma, u, d = self.batched_data(rng, 30, 200, 16)
+        for a, c in ((wide.a, narrow.c), (narrow.a, wide.c)):
+            weights = CombinationWeights(a=a, c=c)
+            assert weights.halo_tiles[0].shape == (10, 26)
+            for _ in range(3):
+                round_mu, round_gamma, round_u, round_d = self.batched_data(rng, 1, 200, 4)
+                start = rng.standard_normal((2, 2, 200, 4))
+                (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(
+                    weights, round_mu, round_gamma, round_u, round_d, start
+                )
+                assert np.abs(out[1] - dense_out[1]).max() <= 1e-15
+                assert np.abs(phi_out[1] - dense_phi_out[1]).max() <= 1e-15
+            # bitwise at large_network's shape: 200 nodes, 16 taps
+            (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(weights, mu, gamma, u, d, np.zeros((2, 2, 200, 16)))
+            assert np.array_equal(out, dense_out)
+            assert np.array_equal(phi_out, dense_phi_out)
 
     def test_bitwise_dense_at_the_benchmark_shape(self):
         # large_network's shape: 200 nodes, 16 taps
@@ -452,6 +486,27 @@ class TestHaloTiles:
             nodes = np.flatnonzero(~np.isfinite(got).all(axis=-1))
             assert nodes.size
             assert np.array_equal(nodes, np.flatnonzero(~np.isfinite(dense).all(axis=-1)))
+
+    def test_overflow_partway_through_a_batch_runs_dense(self):
+        # the leaky pair's leak 1 - mu * gamma, about -1e10, overflows the
+        # intermediates near node 100, which starts far above the others,
+        # some 30 rounds in and in a round whose error products are all
+        # finite. The plain pair stays finite to the end
+        rng = np.random.default_rng(8)
+        mu, _, u, d = self.batched_data(rng, 40, 200, 16)
+        gamma = np.array([0.0, 2e11])[:, None, None]
+        start = np.zeros((2, 2, 200, 16))
+        start[:, 1, 100] = 1e20
+        (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(self.ring(200, 3), mu, gamma, u, d, start)
+        overflowed = ~np.isfinite(phi_out[:, :, 1]).all(axis=-1)
+        first = np.argmax(overflowed.any(axis=-1), axis=0)
+        assert (10 < first).all() and overflowed[-1].all()
+        # the first overflow reaches the nodes around node 100 only
+        for trial in range(2):
+            assert not overflowed[first[trial], trial, :30].any()
+        assert np.isfinite(out[:, :, 0]).all()
+        assert np.array_equal(out, dense_out, equal_nan=True)
+        assert np.array_equal(phi_out, dense_phi_out, equal_nan=True)
 
     def test_zero_stride_buffer_equals_full_buffers(self):
         weights = self.ring(200, 3)
