@@ -4,7 +4,7 @@ bias fixed point, mean-stability step-size bounds, and steady-state readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,14 @@ class DivergenceReport:
     """First non-finite or threshold-crossing estimate in a snapshot stack.
 
     ``first_iterations`` and ``nodes`` give each batch element's first bad
-    index and node (-1 where it stays bounded), and the scalar fields
-    describe the earliest one (None when nothing diverged).
+    index and node (-1 where it stays bounded). ``first_iteration`` is the
+    earliest of those indices (None when nothing diverged).
     """
 
     divergent: bool
     first_iterations: np.ndarray
     nodes: np.ndarray
     first_iteration: int | None = None
-    node: int | None = None
 
 
 def linear_deviation(snapshots: np.ndarray, w_o: np.ndarray) -> np.ndarray:
@@ -123,8 +122,8 @@ def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRES
     ``snapshots`` is a stack (T, ..., N, M) whose middle axes, if any, are
     independent elements; the reported iterations are indices into it.
     ``first_iterations`` and ``nodes`` have the shape of the middle axes
-    (0-d for a (T, N, M) stack), and the scalar fields name the first bad
-    (iteration, element, node) in that order.
+    (0-d for a (T, N, M) stack), and ``first_iteration`` is their earliest
+    bad index.
     """
     arr = np.asarray(snapshots)
     if arr.ndim < 3:
@@ -144,11 +143,8 @@ def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRES
     first = np.argmax(bad_rounds, axis=0)
     nodes = np.argmax(np.take_along_axis(bad_nodes, first[None, ..., None], axis=0)[0], axis=-1)
     hit = bad_rounds.any(axis=0)
-    report = DivergenceReport(
-        divergent=bool(hit.any()), first_iterations=np.where(hit, first, -1), nodes=np.where(hit, nodes, -1)
-    )
-    t, rest = divmod(int(np.argmax(bad_nodes)), bad_nodes[0].size)
-    return replace(report, first_iteration=t, node=rest % bad_nodes.shape[-1])
+    # a stack that fails the fast path holds a bad entry, so some element is hit
+    return DivergenceReport(True, np.where(hit, first, -1), np.where(hit, nodes, -1), int(first[hit].min()))
 
 
 def steady_state_msd(trace: MsdTrace, window: int) -> float:

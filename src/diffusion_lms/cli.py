@@ -62,6 +62,11 @@ def _indexed(first: int, *columns: np.ndarray) -> np.ndarray:
 
 
 def _load_config(args: argparse.Namespace):
+    # the outputs are staged in a sibling of the output directory, named after
+    # it: a directory with no name, such as the root, has no such sibling
+    out = getattr(args, "out", None)
+    if out is not None and not Path(out).resolve().name:
+        raise ConfigError(f"--out: {out!r} resolves to {Path(out).resolve()}, a directory with no name")
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)

@@ -279,10 +279,10 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
         # noise streams seeded with base_seed + t
         seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(2,))
         return synthetic_speech(cfg.horizon, seed), None
-    loaded = load_samples(cfg.sample_path)
-    if loaded.data.size < cfg.taps:
-        raise DataFileError(f"{cfg.sample_path}: {loaded.data.size} samples, fewer than taps = {cfg.taps}")
-    return loaded.data, loaded.sample_rate
+    samples, sample_rate = load_samples(cfg.sample_path)
+    if samples.size < cfg.taps:
+        raise DataFileError(f"{cfg.sample_path}: {samples.size} samples, fewer than taps = {cfg.taps}")
+    return samples, sample_rate
 
 
 def make_stream(

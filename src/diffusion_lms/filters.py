@@ -71,10 +71,14 @@ def run_filter(
     whose rows of u, d and the intermediates are gathered every round: the
     tiles' weight tables form (..., tiles, size, width) stacks, and each
     product is one stacked matmul. The terms left out all have
-    c[l, k] = a[l, k] = 0, so with finite intermediates they add exact
-    zeros. A round whose intermediates do not sum to a finite number
-    combines them in one dense product instead, so that a non-finite
-    intermediate reaches every node (0 * inf is NaN) as with one tile.
+    c[l, k] = a[l, k] = 0, so they add exact zeros while each is finite:
+    every product w_k . u_l and every intermediate. A round whose
+    intermediates do not sum to a finite number combines them in one dense
+    product instead, so that a non-finite intermediate reaches every node
+    (0 * inf is NaN) as with one tile. An overflowing w_k . u_l with a
+    non-neighbour l has no such guard (one tile reads 0 * inf = NaN, the
+    tiles leave the term out); a reported first divergence is the first
+    crossing of the divergence bound, which comes rounds before that.
     """
     n = weights.node_count
     if out.shape != phi_out.shape:

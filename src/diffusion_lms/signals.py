@@ -21,7 +21,6 @@ __all__ = [
     "ConfigError",
     "DataFileError",
     "FrameStream",
-    "LoadedSamples",
     "default_lowpass_system",
     "gaussian_source",
     "delay_line_source",
@@ -232,21 +231,11 @@ def delay_line_source(
     return FrameStream(u=u, d=clean, noise=noise, noise_variance=sigma_v_sq)
 
 
-@dataclass(frozen=True)
-class LoadedSamples:
-    """A mono sample sequence plus the WAV sample rate when one was present."""
-
-    data: np.ndarray
-    sample_rate: int | None
-
-
-def _load_wav(path: str | os.PathLike) -> LoadedSamples:
+def _load_wav(path: str | os.PathLike) -> tuple[np.ndarray, int]:
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getnchannels() != 1:
                 raise DataFileError(f"{path}: multi-channel WAV is not supported")
-            if wf.getcomptype() != "NONE":
-                raise DataFileError(f"{path}: only uncompressed PCM WAV is supported")
             if wf.getsampwidth() != 2:
                 raise DataFileError(f"{path}: only 16-bit PCM WAV is supported")
             rate = wf.getframerate()
@@ -259,11 +248,10 @@ def _load_wav(path: str | os.PathLike) -> LoadedSamples:
         raise DataFileError(f"{path}: malformed WAV file (ends inside its header)") from exc
     if len(raw) % 2:
         raise DataFileError(f"{path}: malformed WAV file (ends inside a sample)")
-    data = np.frombuffer(raw, dtype="<i2").astype(float) / _PCM_SCALE
-    return LoadedSamples(data=data, sample_rate=rate)
+    return np.frombuffer(raw, dtype="<i2").astype(float) / _PCM_SCALE, rate
 
 
-def _load_text(path: str | os.PathLike) -> LoadedSamples:
+def _load_text(path: str | os.PathLike) -> tuple[np.ndarray, None]:
     values: list[float] = []
     # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
     with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
@@ -278,15 +266,17 @@ def _load_text(path: str | os.PathLike) -> LoadedSamples:
             if not math.isfinite(value):
                 raise DataFileError(f"{path}:{lineno}: not a decimal sample: {stripped!r}")
             values.append(value)
-    return LoadedSamples(data=np.array(values, dtype=float), sample_rate=None)
+    return np.array(values, dtype=float), None
 
 
-def load_samples(path: str | os.PathLike) -> LoadedSamples:
-    """Load a mono sample sequence from a 16-bit PCM WAV or a text file.
+def load_samples(path: str | os.PathLike) -> tuple[np.ndarray, int | None]:
+    """Load a mono sample sequence from a 16-bit PCM WAV or a text file, as
+    the pair (samples, sample_rate).
 
     WAV samples are normalized by 32768 into [-1, 1). Text files hold one
     finite decimal sample per line; lines starting with "#" are ignored.
-    The WAV sample rate is preserved for output purposes only.
+    ``sample_rate`` is the WAV's rate, kept for output purposes only, and
+    None for a text file.
     """
     with open(path, "rb") as fh:
         head = fh.read(12)

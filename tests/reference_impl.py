@@ -120,7 +120,7 @@ def ensemble_reference(cfg):
             snapshots = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)
             report = detect_divergence(snapshots[1:], bound)
             if report.divergent:
-                first_failure.setdefault(label, (report.first_iteration, report.node))
+                first_failure.setdefault(label, (int(report.first_iterations), int(report.nodes)))
                 continue
             net = linear_deviation(snapshots[1:], setup.w_o)
             acc_net[label] = net if acc_net[label] is None else acc_net[label] + net

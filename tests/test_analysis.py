@@ -174,7 +174,7 @@ class TestDetectDivergence:
     def test_zero_state_clean(self):
         report = detect_divergence(np.zeros((5, 3, 2)))
         assert not report.divergent
-        assert report.first_iteration is None and report.node is None
+        assert report.first_iteration is None
         # an unbatched stack reports through 0-d arrays
         assert report.first_iterations.shape == report.nodes.shape == ()
         assert report.first_iterations == report.nodes == -1
@@ -186,7 +186,6 @@ class TestDetectDivergence:
         report = detect_divergence(snaps)
         assert report.divergent
         assert report.first_iteration == 4
-        assert report.node == 1
         assert report.first_iterations.shape == report.nodes.shape == ()
         assert (report.first_iterations, report.nodes) == (4, 1)
 
@@ -194,7 +193,7 @@ class TestDetectDivergence:
         snaps = np.zeros((3, 2, 2))
         snaps[2, 0, 1] = 2e6
         report = detect_divergence(snaps)
-        assert report.divergent and report.first_iteration == 2 and report.node == 0
+        assert report.divergent and report.first_iteration == 2 and report.nodes == 0
         snaps[2, 0, 1] = DIVERGENCE_THRESHOLD
         assert not detect_divergence(snaps).divergent
 
@@ -204,7 +203,7 @@ class TestDetectDivergence:
         snaps[1, 1, 2, 3, 1] = 5e6
         snaps[4, 1, 2, 0, 0] = np.nan
         report = detect_divergence(snaps)
-        assert report.divergent and report.first_iteration == 1 and report.node == 3
+        assert report.divergent and report.first_iteration == 1
         assert np.array_equal(report.first_iterations, [[-1, 3, -1], [-1, -1, 1]])
         assert np.array_equal(report.nodes, [[-1, 2, -1], [-1, -1, 3]])
         for j in range(2):
@@ -212,7 +211,7 @@ class TestDetectDivergence:
                 one = detect_divergence(snaps[:, j, p])
                 assert one.divergent == (report.first_iterations[j, p] >= 0)
                 if one.divergent:
-                    assert (one.first_iteration, one.node) == (report.first_iterations[j, p], report.nodes[j, p])
+                    assert (one.first_iterations, one.nodes) == (report.first_iterations[j, p], report.nodes[j, p])
         clean = detect_divergence(np.zeros((5, 2, 3, 4, 2)))
         assert not clean.divergent and clean.first_iteration is None
         assert (clean.first_iterations == -1).all() and clean.first_iterations.shape == (2, 3)
@@ -231,11 +230,11 @@ class TestDetectDivergence:
             deviation = linear_deviation(view, w_o)
         assert report.first_iterations.shape == report.nodes.shape == (2, 3, 2)
         assert deviation.shape == (6, 2, 3, 2)
-        assert (report.first_iteration, report.node) == (2, 2)
+        assert report.first_iteration == 2
         for index in np.ndindex(2, 3, 2):
             element = np.ascontiguousarray(view[:, index[0], index[1], index[2]])
             one = detect_divergence(element)
-            want = (one.first_iteration, one.node) if one.divergent else (-1, -1)
+            want = (one.first_iterations, one.nodes)
             assert (report.first_iterations[index], report.nodes[index]) == want, index
             with np.errstate(invalid="ignore"):
                 curve = linear_deviation(element, w_o)
@@ -295,3 +294,19 @@ class TestSteadyState:
             steady_state_msd(db_trace(np.zeros(3)), 4)
         with pytest.raises(ValueError):
             steady_state_msd(db_trace(np.zeros(3)), 0)
+
+
+# input checks of the theory oracles, one row each
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: leaky_fixed_point(np.eye(2), -0.1, np.ones(2)), "gamma must be >= 0, got -0.1"),
+        (lambda: leaky_fixed_point(np.eye(3), 0.1, np.ones(2)), "R must be 2 x 2, got (3, 3)"),
+        (lambda: step_size_upper_bound(1.0, -0.1), "gamma must be >= 0, got -0.1"),
+    ],
+    ids=["fixed_point_negative_gamma", "fixed_point_r_shape", "bound_negative_gamma"],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

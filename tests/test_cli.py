@@ -350,11 +350,13 @@ class TestRun:
         "content,code,message",
         [
             ("6\n1 x\n", EXIT_DATA, "data error: {path}: malformed edge line '1 x'"),
+            ("six\n1 2\n", EXIT_DATA, "data error: {path}: first line must be the node count"),
+            ("0\n1 2\n", EXIT_DATA, "data error: {path}: node count must be >= 1, got 0"),
             ("5\n1 2\n", EXIT_CONFIG, "config error: nodes: 6, but edge list {path} has 5 nodes"),
             # no node table of this size can be allocated: the header is checked first
             (f"{10**18}\n1 2\n", EXIT_CONFIG, f"config error: nodes: 6, but edge list {{path}} has {10**18} nodes"),
         ],
-        ids=["malformed", "node_count", "huge_header"],
+        ids=["malformed", "header_not_an_integer", "header_below_one", "node_count", "huge_header"],
     )
     def test_bad_edge_list_exits_before_any_stream(self, tmp_path, monkeypatch, capsys, content, code, message):
         from diffusion_lms import experiment
@@ -371,6 +373,26 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err == message.format(path=edges) + "\n"
         assert not out.exists()
+
+    # the outputs are staged beside the output directory, which "/" has no name to do
+    @pytest.mark.parametrize("command", ["run", "sweep", "denoise"])
+    @pytest.mark.parametrize("out", ["/", "."])
+    def test_out_without_a_name_exits_2_before_any_stream(self, small_config, monkeypatch, capsys, command, out):
+        from diffusion_lms import experiment
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was built before --out was checked")
+
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
+        monkeypatch.chdir("/")
+        argv = {
+            "run": ["run"],
+            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+            "denoise": ["denoise", "--node", "1"],
+        }[command] + ["--config", str(small_config), "--out", out]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: --out: {out!r} resolves to /, a directory with no name\n"
+        assert not [name for name in os.listdir("/") if name.endswith(".partial")]
 
     def test_non_ascii_path_is_echoed_as_utf8(self, tmp_path):
         samples = tmp_path / "caf\u00e9.txt"
@@ -728,11 +750,16 @@ trials = 1
         (out / "comparison.csv").write_text("user data\n")
         assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "2"]) == EXIT_OK
         assert (out / "comparison.csv").read_text() == "user data\n"
-        # a manifest of some other program is not trusted either
-        (out / "manifest.json").write_text(json.dumps({"artifact": "other", "outputs": ["comparison.csv"]}))
-        assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "3"]) == EXIT_OK
-        assert (out / "comparison.csv").read_text() == "user data\n"
-        assert (out / "denoise_node2.csv").exists()
+        # a manifest of some other program is not trusted either, nor one
+        # whose outputs are not a list, though they iterate over the name
+        for manifest in (
+            {"artifact": "other", "outputs": ["comparison.csv"]},
+            {"artifact": "diffusion-lms", "outputs": {"comparison.csv": 1}},
+        ):
+            (out / "manifest.json").write_text(json.dumps(manifest))
+            assert main(["denoise", "--config", str(cfg), "--out", str(out), "--node", "3"]) == EXIT_OK
+            assert (out / "comparison.csv").read_text() == "user data\n"
+            assert (out / "denoise_node2.csv").exists()
 
     def test_white_gaussian_config_exits_2(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -262,3 +262,36 @@ class TestEdgeList:
         path.write_text(f"{10**18}\n1 x\n")
         with pytest.raises(ConfigError, match=f"^nodes: 2, but edge list .* has {10**18} nodes$"):
             load_edge_list(path, 2)
+
+
+# input checks of the tables and builders, one row each
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: CombinationWeights(a=np.full((2, 3), 0.5), c=np.ones((2, 3))), "a must be square, got shape (2, 3)"),
+        (lambda: CombinationWeights(a=np.eye(2), c=np.eye(3)), "c shape (3, 3) does not match a shape (2, 2)"),
+        (lambda: CombinationWeights(a=np.eye(2), c=np.array([[np.nan, 0.0], [1.0, 1.0]])), "c has non-finite entries"),
+        (
+            lambda: non_cooperative_weights(3).validate_support(build_ring_lattice(4, 1)),
+            "weight tables do not match the topology size",
+        ),
+        (lambda: build_ring_lattice(0, 0), "n must be >= 1, got 0"),
+        (lambda: build_ring_lattice(4, -1), "half_width must be >= 0, got -1"),
+        (lambda: build_random_geometric(0, 0.5, 1), "n must be >= 1, got 0"),
+        (lambda: non_cooperative_weights(0), "n must be >= 1, got 0"),
+    ],
+    ids=[
+        "weights_not_square",
+        "weights_mismatched",
+        "weights_not_finite",
+        "support_size_mismatch",
+        "ring_no_nodes",
+        "ring_negative_half_width",
+        "geometric_no_nodes",
+        "non_cooperative_no_nodes",
+    ],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

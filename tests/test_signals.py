@@ -257,21 +257,21 @@ class TestLoadSamples:
     def test_text_file(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text("0.5\n-0.5\n")
-        loaded = load_samples(path)
-        assert np.array_equal(loaded.data, [0.5, -0.5])
-        assert loaded.sample_rate is None
+        samples, sample_rate = load_samples(path)
+        assert np.array_equal(samples, [0.5, -0.5])
+        assert sample_rate is None
 
     def test_text_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text("# header\n1.0\n\n# mid\n2.0\n")
-        assert np.array_equal(load_samples(path).data, [1.0, 2.0])
+        assert np.array_equal(load_samples(path)[0], [1.0, 2.0])
 
     def test_text_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.standard_normal(64)
         path = tmp_path / "rt.txt"
         path.write_text("\n".join(format(v, ".17g") for v in data) + "\n")
-        assert np.abs(load_samples(path).data - data).max() < 1e-9
+        assert np.abs(load_samples(path)[0] - data).max() < 1e-9
 
     def test_text_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -288,18 +288,18 @@ class TestLoadSamples:
             wf.setsampwidth(2)
             wf.setframerate(8000)
             wf.writeframes(np.array([16384, -16384, 0], dtype="<i2").tobytes())
-        loaded = load_samples(path)
-        assert np.array_equal(loaded.data, [0.5, -0.5, 0.0])
-        assert loaded.sample_rate == 8000
+        samples, sample_rate = load_samples(path)
+        assert np.array_equal(samples, [0.5, -0.5, 0.0])
+        assert sample_rate == 8000
 
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         data = np.round(rng.uniform(-0.9, 0.9, 128) * 32768) / 32768
         path = tmp_path / "rt.wav"
         path.write_bytes(wav_bytes(data, 16000))
-        loaded = load_samples(path)
-        assert np.array_equal(loaded.data, data)
-        assert loaded.sample_rate == 16000
+        samples, sample_rate = load_samples(path)
+        assert np.array_equal(samples, data)
+        assert sample_rate == 16000
 
     def test_wav_encodes_clipped_and_non_finite_samples(self, tmp_path):
         path = tmp_path / "edges.wav"
@@ -339,7 +339,8 @@ class TestLoadSamples:
         blob = b"RIFF" + struct.pack("<I", len(body)) + body
         path = tmp_path / "float.wav"
         path.write_bytes(blob)
-        with pytest.raises(DataFileError):
+        # the wave module itself refuses every format code but PCM
+        with pytest.raises(DataFileError, match="malformed WAV file .unknown format: 3"):
             load_samples(path)
 
     def test_wav_rejects_zero_sample_rate(self, tmp_path):
@@ -378,3 +379,26 @@ class TestSyntheticSpeech:
         s = synthetic_speech(4000, 7)
         block_power = (s.reshape(40, 100) ** 2).mean(axis=1)
         assert block_power.max() > 10 * block_power.min()
+
+
+# input checks of the sources, one row each
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: gaussian_source(np.ones(2), np.ones(2), seed=0, horizon=4, noise_variance=-1.0),
+            "noise_variance entries must be finite and >= 0",
+        ),
+        (
+            lambda: gaussian_source(np.ones((1, 2)), np.ones(2), seed=0, horizon=4),
+            "per-node variances must be a 1-D array",
+        ),
+        (lambda: gaussian_source(np.ones(2), np.ones(2), seed=0, horizon=0), "horizon must be >= 1, got 0"),
+        (lambda: synthetic_speech(0, 1), "length must be >= 1, got 0"),
+    ],
+    ids=["negative_noise_variance", "variances_not_1d", "no_horizon", "no_speech"],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
