@@ -17,6 +17,11 @@ from diffusion_lms.network import CombinationWeights
 
 __all__ = ["run_filter"]
 
+# bytes of measurement rows staged at a time for a single trajectory on one
+# tile: about 80 rounds of (20, 20) tables, small enough to stay in cache,
+# and one round, not T, of a dense 200-node trajectory's (200, 200) tables
+STAGED_ROW_BYTES = 1 << 18
+
 
 def run_filter(
     weights: CombinationWeights,
@@ -66,7 +71,16 @@ def run_filter(
     a table with entry (k, l) = c[l, k] * (d_l - w_k . u_l), built in
     place, so that its product with u is the (..., N, M) innovation table.
     With one tile (``weights.halo_tiles`` is None) that table is one dense
-    (..., N, N) table, and the combination one dense product with a.
+    (..., N, N) table, and the combination one dense product with a. A
+    single trajectory on one tile (no batch axes) pays per-call dispatch
+    more than arithmetic, so its rounds take two shortcuts, both bitwise
+    the same: its measurements are staged as full (N, N) tables, a stretch
+    of rounds at a time (``STAGED_ROW_BYTES``), so that the subtraction
+    runs on same-shape operands; and when the rows of ``out`` and
+    ``phi_out`` are C-contiguous float64 tables, the innovation and
+    combination products go through ``np.dot``, which skips the stacked
+    product's dispatch. ``w @ u_t`` stays with ``np.matmul``: through
+    ``np.dot`` it changes the last bit for M >= 16.
     Otherwise each tile of nodes k pairs only with its halo of nodes l,
     whose rows of u, d and the intermediates are gathered every round: the
     tiles' weight tables form (..., tiles, size, width) stacks, and each
@@ -92,10 +106,18 @@ def run_filter(
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
     innovation = np.empty(batch + w.shape[-2:])
     tiles = weights.halo_tiles
+    product = np.matmul
     if tiles is None:
         c_t = np.ascontiguousarray(weights.c.T)
         innovation_tables = innovation
-        rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], out[1:], phi_out[1:])
+        if batch:
+            rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], out[1:], phi_out[1:])
+        else:
+            rounds = _staged_rounds(u, d, out, phi_out)
+            # np.dot writes only behaved C-contiguous float64 rows, and it would
+            # copy other rows of phi_out where np.matmul may run its own loop
+            if out.dtype == phi_out.dtype == np.float64 and out[0].flags.carray and phi_out[0].flags.carray:
+                product = np.dot
     else:
         halo, c_t, tile_a = tiles
         innovation_tables = innovation.reshape(batch + c_t.shape[:2] + w.shape[-1:])
@@ -110,17 +132,35 @@ def run_filter(
             np.matmul(w_tiles, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)
             errors *= c_t
-            np.matmul(errors, u_i, out=innovation_tables)
+            product(errors, u_i, out=innovation_tables)
             innovation *= mu
             np.multiply(w, leak, out=phi_row)
             phi_row += innovation
             if tiles is None or not np.isfinite(phi_row.sum()):
-                np.matmul(a_t, phi_row, out=w_row)
+                product(a_t, phi_row, out=w_row)
             else:
                 # mode "raise" would take into a temporary; every index is in range
                 np.matmul(tile_a, np.take(phi_row, halo, axis=-2, out=phi_halos, mode="clip"), out=w_row_tiles)
             w = w_row
     return out
+
+
+def _staged_rounds(
+    u: np.ndarray, d: np.ndarray, out: np.ndarray, phi_out: np.ndarray
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The loop's operands per round of one trajectory on one tile, as the
+    batched rounds', but with each round's measurements as a full (N, N)
+    table whose every row is d_i: they are copied in stretches of rounds
+    into one buffer, so that no round broadcasts a (1, N) row."""
+    n = d.shape[-1]
+    stretch = max(1, STAGED_ROW_BYTES // (8 * n * n))
+    staged = np.empty((min(stretch, len(d)), n, n))
+    for start in range(0, len(d), stretch):
+        stop = min(start + stretch, len(d))
+        d_rows = staged[: stop - start]
+        np.copyto(d_rows, d[start:stop, None, :])
+        u_rows, w_rows = u[start:stop], out[start + 1 : stop + 1]
+        yield from zip(u_rows, u_rows.swapaxes(-1, -2), d_rows, out[start:stop], w_rows, w_rows, phi_out[start + 1 : stop + 1])
 
 
 def _halo_rounds(

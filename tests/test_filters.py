@@ -7,6 +7,7 @@ from edge_lists import write_edge_list
 from kernel_rounds import dense_run_filter, one_round, trajectory
 from reference_impl import atc_dlms_step, cta_dlms_step, standalone_leaky_lms
 
+from diffusion_lms import filters
 from diffusion_lms.analysis import linear_deviation
 from diffusion_lms.experiment import ExperimentConfig, build_setup
 from diffusion_lms.filters import run_filter
@@ -122,8 +123,10 @@ class TestAgainstReference:
 
     @staticmethod
     def networks(tmp_path):
-        for n, tap_counts in ((1, (1, 5)), (3, (1, 5)), (20, (5,))):
-            yield uniform_weights(build_ring_lattice(n, min(2, (n - 1) // 2))), tap_counts
+        for n, tap_counts in ((1, (1, 5, 16, 33)), (2, (1, 5, 16, 33)), (3, (1, 5)), (20, (5, 16, 33)), (64, (1, 5, 16, 33))):
+            weights = uniform_weights(build_ring_lattice(n, min(2, (n - 1) // 2)))
+            assert weights.halo_tiles is None
+            yield weights, tap_counts
         path = tmp_path / "banded.txt"
         write_edge_list(banded_topology(100), path)
         tiled = [
@@ -508,18 +511,107 @@ class TestHaloTiles:
         assert np.array_equal(out, dense_out, equal_nan=True)
         assert np.array_equal(phi_out, dense_phi_out, equal_nan=True)
 
-    def test_zero_stride_buffer_equals_full_buffers(self):
-        weights = self.ring(200, 3)
+    # the 200-node ring runs on tiles; the 20- and 64-node rings on one tile,
+    # so the unbatched run takes the single-trajectory rounds
+    @pytest.mark.parametrize("n, m", ((200, 3), (20, 16), (64, 33)))
+    def test_zero_stride_buffer_equals_full_buffers(self, n, m):
+        weights = self.ring(n, 3 if n == 200 else 2)
+        assert (weights.halo_tiles is None) == (n != 200)
         rng = np.random.default_rng(6)
-        u, d = rng.standard_normal((12, 200, 3)), rng.standard_normal((12, 200))
-        full_out, full_phi_out = np.zeros((13, 200, 3)), np.zeros((13, 200, 3))
+        u, d = rng.standard_normal((12, n, m)), rng.standard_normal((12, n))
+        full_out, full_phi_out = np.zeros((13, n, m)), np.zeros((13, n, m))
         run_filter(weights, 0.05, 0.1, u, d, out=full_out, phi_out=full_phi_out)
         for ordering in ("atc", "cta"):
-            kept, table = np.zeros((13, 200, 3)), np.zeros((200, 3))
+            kept, table = np.zeros((13, n, m)), np.zeros((n, m))
             unread = np.lib.stride_tricks.as_strided(table, kept.shape, (0,) + table.strides)
             out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
             run_filter(weights, 0.05, 0.1, u, d, out=out, phi_out=phi_out)
             assert np.array_equal(kept, full_out if ordering == "atc" else full_phi_out)
+
+
+class TestSingleTrajectory:
+    """Unbatched runs on one tile, which stage their measurements a stretch
+    of rounds at a time and take the innovation and combination products
+    through ``np.dot``, bitwise against the same data run as a batch of one
+    trial and one pair and against ``dense_run_filter``, on delay-line
+    regressors (a strided view, as the denoise stream passes them)."""
+
+    @staticmethod
+    def delay_line(n, m, rounds):
+        """(weights, u, d) of a one-tile ring and the first ``rounds``
+        rounds of a delay-line stream on it."""
+        weights = uniform_weights(build_ring_lattice(n, min(2, (n - 1) // 2)))
+        assert weights.halo_tiles is None
+        samples = synthetic_speech(max(rounds, m), n * 100 + m)
+        stream = delay_line_source(samples, np.linspace(0.2, 1.0, n), default_lowpass_system(m), seed=m, snr_db=10.0)
+        assert not stream.u.flags.c_contiguous
+        return weights, stream.u[:rounds], stream.d[:rounds]
+
+    @staticmethod
+    def buffer(layout, shape):
+        """A zeroed (rows, ..., N, M) buffer: C-contiguous float64 rows,
+        rows that are not C-contiguous, or float32 rows."""
+        if layout == "strided":
+            return np.zeros(shape[:-1] + (2 * shape[-1],))[..., ::2]
+        return np.zeros(shape, dtype=np.float32 if layout == "float32" else float)
+
+    def references(self, weights, u, d, start, layouts):
+        """(out, phi_out) of the batch-of-one run and of ``dense_run_filter``
+        from ``start``, in buffers of ``layouts`` (out's, phi_out's)."""
+        runs = []
+        for kernel, batch in ((run_filter, (1, 1)), (dense_run_filter, ())):
+            out, phi_out = (self.buffer(layout, (len(u) + 1,) + batch + start.shape) for layout in layouts)
+            out[0] = start
+            axes = (slice(None),) + (None,) * len(batch)
+            kernel(weights, 0.05, 0.02, u[axes], d[axes], out=out, phi_out=phi_out)
+            runs.append((out.reshape(out.shape[:1] + start.shape), phi_out.reshape(out.shape[:1] + start.shape)))
+        return runs
+
+    @pytest.mark.parametrize("m", (1, 5, 16, 33))
+    @pytest.mark.parametrize("n", (1, 2, 20, 64))
+    def test_bitwise_the_batched_and_dense_rounds(self, n, m, monkeypatch):
+        stretch = max(1, filters.STAGED_ROW_BYTES // (8 * n * n))
+        # 0 rounds; 11 rounds, which no stretch below divides; and two
+        # stretches of the module's own size and 5 rounds more, up to 300
+        # rounds (the stretch is 81 rounds at N = 20 and 8 at N = 64)
+        weights, u, d = self.delay_line(n, m, min(2 * stretch + 5, 300))
+        start = np.random.default_rng(n * m).standard_normal((n, m))
+        layout_pairs = [("c", "c"), ("strided", "strided"), ("float32", "float32"), ("c", "strided"), ("c", "float32")]
+        for rows, cap in ((0, None), (11, None), (11, 3), (11, 4), (len(u), None)):
+            if cap is not None:
+                monkeypatch.setattr(filters, "STAGED_ROW_BYTES", cap * 8 * n * n)
+            for layouts in layout_pairs:
+                refs = self.references(weights, u[:rows], d[:rows], start, layouts)
+                assert np.array_equal(refs[0][0], refs[1][0]) and np.array_equal(refs[0][1], refs[1][1])
+                if rows:
+                    assert np.isfinite(refs[0][0]).all() and refs[0][0][-1].any()
+                (ref_out, ref_phi_out), _ = refs
+                for kept in ("both", "out", "phi_out"):
+                    buffers = [self.buffer(layout, ref_out.shape) for layout in layouts]
+                    if kept != "both":
+                        # the unkept buffer is a zero-stride view of one table
+                        # of its layout, whose products match the reference's
+                        unkept = 1 if kept == "out" else 0
+                        table = self.buffer(layouts[unkept], ref_out.shape[1:])
+                        buffers[unkept] = np.lib.stride_tricks.as_strided(table, ref_out.shape, (0,) + table.strides)
+                    out, phi_out = buffers
+                    out[0] = start
+                    assert run_filter(weights, 0.05, 0.02, u[:rows], d[:rows], out=out, phi_out=phi_out) is out
+                    if kept != "phi_out":
+                        assert np.array_equal(out, ref_out)
+                    if kept != "out":
+                        assert np.array_equal(phi_out[1:], ref_phi_out[1:])
+            monkeypatch.undo()
+
+    def test_buffers_np_dot_refuses_fall_back(self):
+        # the strided and float32 buffers above are ones np.dot cannot write
+        a_t, phi_row = np.eye(3), np.ones((3, 2))
+        for layout in ("strided", "float32"):
+            out = self.buffer(layout, (2, 3, 2))
+            with pytest.raises(ValueError):
+                np.dot(a_t, phi_row, out=out[1])
+            np.matmul(a_t, phi_row, out=out[1])
+        np.dot(a_t, phi_row, out=self.buffer("c", (2, 3, 2))[1])
 
 
 class TestOperandForms:
