@@ -70,29 +70,29 @@ def run_filter(
     combination a-averages them into the next w. The weighted errors form
     a table with entry (k, l) = c[l, k] * (d_l - w_k . u_l), built in
     place, so that its product with u is the (..., N, M) innovation table.
-    With one tile (``weights.halo_tiles`` is None) that table is one dense
-    (..., N, N) table, and the combination one dense product with a. A
-    single trajectory on one tile (no batch axes) pays per-call dispatch
-    more than arithmetic, so its rounds take two shortcuts, both bitwise
-    the same: its measurements are staged as full (N, N) tables, a stretch
-    of rounds at a time (``STAGED_ROW_BYTES``), so that the subtraction
-    runs on same-shape operands; and when the rows of ``out`` and
-    ``phi_out`` are C-contiguous float64 tables, the innovation and
-    combination products go through ``np.dot``, which skips the stacked
-    product's dispatch. ``w @ u_t`` stays with ``np.matmul``: through
-    ``np.dot`` it changes the last bit for M >= 16.
-    Otherwise each tile of nodes k pairs only with its halo of nodes l,
-    whose rows of u, d and the intermediates are gathered every round: the
-    tiles' weight tables form (..., tiles, size, width) stacks, and each
-    product is one stacked matmul. The terms left out all have
-    c[l, k] = a[l, k] = 0, so they add exact zeros while each is finite:
-    every product w_k . u_l and every intermediate. A round whose
-    intermediates do not sum to a finite number combines them in one dense
-    product instead, so that a non-finite intermediate reaches every node
-    (0 * inf is NaN) as with one tile. An overflowing w_k . u_l with a
-    non-neighbour l has no such guard (one tile reads 0 * inf = NaN, the
-    tiles leave the term out); a reported first divergence is the first
-    crossing of the divergence bound, which comes rounds before that.
+    A round runs in one of three layouts, all bitwise the same. One tile,
+    batched (``weights.halo_tiles`` is None): the errors form one dense
+    (..., N, N) table and the combination is one dense product with a; so
+    does an unbatched run whose rows ``np.dot`` cannot write. One tile,
+    staged: a run with no batch axes whose rows of ``out`` and ``phi_out``
+    are C-contiguous float64 tables, as the denoise trajectory, copies its
+    measurements ``STAGED_ROW_BYTES`` at a time into full (N, N) tables, so
+    the subtraction runs on same-shape operands, and takes the innovation
+    and combination products through ``np.dot``, which skips the stacked
+    product's dispatch (``w @ u_t`` stays with ``np.matmul``: through
+    ``np.dot`` it changes the last bit for M >= 16). Halo tiles: each tile
+    of nodes k pairs only with its halo of nodes l, whose rows of u, d and
+    the intermediates are gathered every round; the tiles' weight tables
+    form (..., tiles, size, width) stacks, and each product is one stacked
+    matmul. The terms the tiles leave out all have c[l, k] = a[l, k] = 0, so
+    they add exact zeros while each is finite: every product w_k . u_l and
+    every intermediate. A round whose intermediates do not sum to a finite
+    number combines them in one dense product instead, so that a non-finite
+    intermediate reaches every node (0 * inf is NaN) as with one tile. An
+    overflowing w_k . u_l with a non-neighbour l has no such guard (one tile
+    reads 0 * inf = NaN, the tiles leave the term out); a reported first
+    divergence is the first crossing of the divergence bound, which comes
+    rounds before that.
     """
     n = weights.node_count
     if out.shape != phi_out.shape:
@@ -104,31 +104,22 @@ def run_filter(
 
     w = out[0]
     batch = np.broadcast_shapes(w.shape[:-2], u.shape[1:-2])
+    halo, c_t, tile_a = weights.halo_tiles or (None, np.ascontiguousarray(weights.c.T), None)
+    # staged rounds take np.dot, which writes only behaved C-contiguous float64
+    # rows, and would copy other rows of phi_out where np.matmul runs its own loop
+    staged = (
+        not batch and halo is None and out.dtype == phi_out.dtype == np.float64 and w.flags.carray and phi_out[0].flags.carray
+    )
+    product = np.dot if staged else np.matmul
     innovation = np.empty(batch + w.shape[-2:])
-    tiles = weights.halo_tiles
-    product = np.matmul
-    if tiles is None:
-        c_t = np.ascontiguousarray(weights.c.T)
-        innovation_tables = innovation
-        if batch:
-            rounds = zip(u, u.swapaxes(-1, -2), d[..., None, :], out, out[1:], out[1:], phi_out[1:])
-        else:
-            rounds = _staged_rounds(u, d, out, phi_out)
-            # np.dot writes only behaved C-contiguous float64 rows, and it would
-            # copy other rows of phi_out where np.matmul may run its own loop
-            if out.dtype == phi_out.dtype == np.float64 and out[0].flags.carray and phi_out[0].flags.carray:
-                product = np.dot
-    else:
-        halo, c_t, tile_a = tiles
-        innovation_tables = innovation.reshape(batch + c_t.shape[:2] + w.shape[-1:])
-        phi_halos = np.empty(batch + halo.shape + w.shape[-1:])
-        rounds = _halo_rounds(u, d, halo, out, phi_out)
+    innovation_tables = innovation.reshape(batch + c_t.shape[:-1] + w.shape[-1:])
     errors = np.empty(batch + c_t.shape)
+    phi_halos = None if halo is None else np.empty(batch + halo.shape + w.shape[-1:])
     a_t = weights.a.T
     with np.errstate(over="ignore", invalid="ignore"):
         leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
         mu = np.array(np.broadcast_to(mu, w.shape))
-        for u_i, u_t, d_col, w_tiles, w_row_tiles, w_row, phi_row in rounds:
+        for u_i, u_t, d_col, w_tiles, w_row_tiles, w_row, phi_row in _rounds(u, d, halo, staged, out, phi_out):
             np.matmul(w_tiles, u_t, out=errors)
             np.subtract(d_col, errors, out=errors)
             errors *= c_t
@@ -136,7 +127,7 @@ def run_filter(
             innovation *= mu
             np.multiply(w, leak, out=phi_row)
             phi_row += innovation
-            if tiles is None or not np.isfinite(phi_row.sum()):
+            if halo is None or not np.isfinite(phi_row.sum()):
                 product(a_t, phi_row, out=w_row)
             else:
                 # mode "raise" would take into a temporary; every index is in range
@@ -145,35 +136,30 @@ def run_filter(
     return out
 
 
-def _staged_rounds(
-    u: np.ndarray, d: np.ndarray, out: np.ndarray, phi_out: np.ndarray
+def _rounds(
+    u: np.ndarray, d: np.ndarray, halo: np.ndarray | None, staged: bool, out: np.ndarray, phi_out: np.ndarray
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """The loop's operands per round of one trajectory on one tile, as the
-    batched rounds', but with each round's measurements as a full (N, N)
-    table whose every row is d_i: they are copied in stretches of rounds
-    into one buffer, so that no round broadcasts a (1, N) row."""
+    """The loop's operands per round: the regressors and their transposes,
+    the measurements, the round's starting estimates and the row of ``out``
+    it writes, both split into tiles, and its rows of ``out`` and
+    ``phi_out``. Staged measurements are (N, N) tables of d_i, copied a
+    stretch of rounds at a time; halo tiles gather their rows every round."""
     n = d.shape[-1]
-    stretch = max(1, STAGED_ROW_BYTES // (8 * n * n))
-    staged = np.empty((min(stretch, len(d)), n, n))
+    stretch = max(1, STAGED_ROW_BYTES // (8 * n * n) if staged else len(d))
+    staged_rows = np.empty((min(stretch, len(d)), n, n)) if staged else None
+    # splitting the node axis is a view, so it shows the rows each round writes
+    tiled = out if halo is None else np.reshape(out, out.shape[:-2] + (len(halo), -1) + out.shape[-1:], copy=False)
     for start in range(0, len(d), stretch):
         stop = min(start + stretch, len(d))
-        d_rows = staged[: stop - start]
-        np.copyto(d_rows, d[start:stop, None, :])
-        u_rows, w_rows = u[start:stop], out[start + 1 : stop + 1]
-        yield from zip(u_rows, u_rows.swapaxes(-1, -2), d_rows, out[start:stop], w_rows, w_rows, phi_out[start + 1 : stop + 1])
-
-
-def _halo_rounds(
-    u: np.ndarray, d: np.ndarray, halo: np.ndarray, out: np.ndarray, phi_out: np.ndarray
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The tiled loop's operands per round: the halos' regressors
-    (..., tiles, width, M), their transposes, the halos' measurements
-    (..., tiles, 1, width), the round's starting estimates and the row of
-    ``out`` it writes, both as (..., tiles, size, M), and its rows of
-    ``out`` and ``phi_out``."""
-    # splitting the node axis is a view, so it shows the rows each round writes
-    w_tables = np.reshape(out, out.shape[:-2] + (len(halo), -1) + out.shape[-1:], copy=False)
-    d_halo = halo[:, None, :]
-    for u_i, d_i, w_tiles, w_row_tiles, w_row, phi_row in zip(u, d, w_tables, w_tables[1:], out[1:], phi_out[1:]):
-        u_h = np.take(u_i, halo, axis=-2)
-        yield u_h, u_h.swapaxes(-1, -2), np.take(d_i, d_halo, axis=-1), w_tiles, w_row_tiles, w_row, phi_row
+        u_rows, d_rows, w_rows = u[start:stop], d[start:stop, ..., None, :], tiled[start : stop + 1]
+        if staged:
+            d_rows = staged_rows[: stop - start]
+            np.copyto(d_rows, d[start:stop, None, :])
+        rows = w_rows, w_rows[1:], out[start + 1 : stop + 1], phi_out[start + 1 : stop + 1]
+        if halo is None:
+            yield from zip(u_rows, u_rows.swapaxes(-1, -2), d_rows, *rows)
+        else:
+            d_halo = halo[:, None, :]
+            for u_i, d_i, w_tiles, w_row_tiles, w_row, phi_row in zip(u_rows, d[start:stop], *rows):
+                u_i = np.take(u_i, halo, axis=-2)
+                yield u_i, u_i.swapaxes(-1, -2), np.take(d_i, d_halo, axis=-1), w_tiles, w_row_tiles, w_row, phi_row

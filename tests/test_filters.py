@@ -455,6 +455,18 @@ class TestHaloTiles:
         assert np.array_equal(out, dense_out)
         assert np.array_equal(phi_out, dense_phi_out)
 
+    def test_bitwise_dense_without_batch_axes(self):
+        # large_network's ring and taps, as one trajectory in (T + 1, N, M) buffers
+        weights = self.ring(200, 3)
+        assert weights.halo_tiles is not None
+        rng = np.random.default_rng(9)
+        u, d = rng.standard_normal((30, 200, 16)), rng.standard_normal((30, 200))
+        (out, phi_out), (dense_out, dense_phi_out) = self.both_runs(weights, 0.05, 0.02, u, d, np.zeros((200, 16)))
+        assert np.isfinite(out).all() and out[-1].any()
+        # the combined (ATC) rows and the intermediate (CTA) rows
+        assert np.array_equal(out, dense_out)
+        assert np.array_equal(phi_out, dense_phi_out)
+
     def test_dense_within_a_reassociation_per_round(self):
         rng = np.random.default_rng(4)
         for weights, m in [
@@ -512,7 +524,7 @@ class TestHaloTiles:
         assert np.array_equal(phi_out, dense_phi_out, equal_nan=True)
 
     # the 200-node ring runs on tiles; the 20- and 64-node rings on one tile,
-    # so the unbatched run takes the single-trajectory rounds
+    # where the unbatched runs are staged
     @pytest.mark.parametrize("n, m", ((200, 3), (20, 16), (64, 33)))
     def test_zero_stride_buffer_equals_full_buffers(self, n, m):
         weights = self.ring(n, 3 if n == 200 else 2)
@@ -530,11 +542,13 @@ class TestHaloTiles:
 
 
 class TestSingleTrajectory:
-    """Unbatched runs on one tile, which stage their measurements a stretch
-    of rounds at a time and take the innovation and combination products
-    through ``np.dot``, bitwise against the same data run as a batch of one
-    trial and one pair and against ``dense_run_filter``, on delay-line
-    regressors (a strided view, as the denoise stream passes them)."""
+    """Unbatched runs on one tile, bitwise against the same data run as a
+    batch of one trial and one pair and against ``dense_run_filter``, on
+    delay-line regressors (a strided view, as the denoise stream passes
+    them). Only runs whose rows of ``out`` and ``phi_out`` are C-contiguous
+    float64 tables are staged: they copy their measurements a stretch of
+    rounds at a time and take the innovation and combination products
+    through ``np.dot``. Strided and float32 rows run the batched rounds."""
 
     @staticmethod
     def delay_line(n, m, rounds):
