@@ -526,9 +526,15 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     samples, sample_rate = _delay_line_samples(cfg)
     stream = make_stream(cfg, setup, cfg.base_seed, samples=samples)
     output, leaky = ALGORITHMS[cfg.algorithms[0]]
-    kept = np.zeros((len(stream) + 1,) + stream.u.shape[1:])
-    # every row not kept is one zeroed table: run_filter writes a row before reading it
-    unread = np.lib.stride_tricks.as_strided(np.zeros(kept.shape[1:]), kept.shape, (0,) + kept.strides[1:])
+    # run_filter writes row i of a buffer only after its last read of row
+    # i - 1, so rows may share memory. Row i of the kept buffer starts just
+    # past the node's entry of row i - 1 or ends just before it, whichever
+    # moves it fewer node rows, so the node's estimates survive in at most
+    # half a stack; every row of the other buffer is one zeroed table
+    n = setup.topology.node_count
+    shape = (len(stream) + 1,) + stream.u.shape[1:]
+    step = node + 1 if node < n - node else node - n
+    kept, unread = _overlapping_rows(shape, step), _overlapping_rows(shape, 0)
     out, phi_out = (kept, unread) if output == 0 else (unread, kept)
     run_filter(setup.weights, cfg.mu, cfg.gamma if leaky else 0.0, stream.u, stream.d, out=out, phi_out=phi_out)
 
@@ -543,3 +549,15 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
         clean=u_node @ setup.w_o,
         sample_rate=sample_rate,
     )
+
+
+def _overlapping_rows(shape: tuple[int, int, int], step: int) -> np.ndarray:
+    """A writable zeroed (T + 1, N, M) view of one table, whose row i starts
+    ``step`` node rows after row i - 1, or before it if ``step`` is
+    negative. Step k + 1 starts row i just past node k's entry of row i - 1
+    and step k - N ends it just before, so no later row covers node k's
+    entries; with step 0 every row is the same (N, M) table."""
+    rows, n, m = shape
+    table = np.zeros(((rows - 1) * abs(step) + n, m))
+    view = np.lib.stride_tricks.as_strided(table, shape, (abs(step) * table.strides[0],) + table.strides)
+    return view[::-1] if step < 0 else view

@@ -49,11 +49,13 @@ def run_filter(
     of ``phi_out``. ``out`` is returned. A zero step size holds an all-zero
     element at zero.
 
-    Each round writes a row before it reads that row: round i reads row
-    i - 1 of ``out`` and then only the rows it has just written. So a
-    buffer whose rows the caller does not keep may be a writable
-    zero-stride view of one table, which for ``out`` holds the starting
-    estimates.
+    Round i writes row i of ``out`` only after its last read of row i - 1,
+    and reads no row of ``phi_out`` it has not written in that round. So
+    the rows of either buffer may share memory, while the two buffers share
+    none: a buffer whose rows the caller does not keep may be a writable
+    zero-stride view of one table (for ``out``, one that holds the starting
+    estimates), and one whose rows it keeps in part may have rows that
+    overlap earlier rounds' rows in the entries it does not keep.
 
     Both orderings run the ATC recursion: its combined tables are the ATC
     estimates and its intermediates the CTA estimates for the same

@@ -472,17 +472,20 @@ class TestDenoise:
         assert np.array_equal(result.filtered, np.zeros(200))
         assert np.array_equal(result.noisy, result.residual)
 
+    # the kept rows of the 8 nodes step forward for nodes 0 to 3 and back for
+    # nodes 4 to 7: both ends, and both sides of the middle
+    @pytest.mark.parametrize("node", [0, 3, 4, 5, 7])
     @pytest.mark.parametrize("label", ["atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms"])
-    def test_filtered_output_of_every_label(self, label):
+    def test_filtered_output_of_every_label(self, label, node):
         # the first label's estimates at the node, by the literal label rule
         # (gamma = 0.01 applies to the leaky labels only)
         cfg = self.speech_cfg(algorithms=(label,), gamma=0.01, horizon=300)
-        result = denoise_speech(cfg, 5)
+        result = denoise_speech(cfg, node)
         setup = build_setup(cfg)
         stream = make_stream(cfg, setup, cfg.base_seed, samples=_delay_line_samples(cfg)[0])
         ordering, gamma = label_rule(label, cfg.gamma)
-        w = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)[1:, 5]
-        assert np.array_equal(result.filtered, np.einsum("im,im->i", stream.u[:, 5], w))
+        w = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)[1:, node]
+        assert np.array_equal(result.filtered, np.einsum("im,im->i", stream.u[:, node], w))
 
     def test_node_out_of_range_rejected(self):
         cfg = self.speech_cfg()

@@ -523,6 +523,19 @@ class TestHaloTiles:
         assert np.array_equal(out, dense_out, equal_nan=True)
         assert np.array_equal(phi_out, dense_phi_out, equal_nan=True)
 
+    @staticmethod
+    def overlapping_rows(rows, n, m, node):
+        """A zeroed (rows, N, M) buffer whose rows overlap, as the denoise
+        run keeps them: row i starts just past ``node``'s entry of row i - 1
+        when the node is in the first half, and ends just before it
+        otherwise, so the rows of later rounds cover every entry of the
+        earlier ones but the node's."""
+        step = node + 1 if node < n - node else n - node
+        table = np.zeros(((rows - 1) * step + n, m))
+        if node < n - node:
+            return np.lib.stride_tricks.as_strided(table, (rows, n, m), (step * table.strides[0],) + table.strides)
+        return np.lib.stride_tricks.as_strided(table[-n:], (rows, n, m), (-step * table.strides[0],) + table.strides)
+
     # the 200-node ring runs on tiles; the 20- and 64-node rings on one tile,
     # where the unbatched runs are staged
     @pytest.mark.parametrize("n, m", ((200, 3), (20, 16), (64, 33)))
@@ -534,11 +547,18 @@ class TestHaloTiles:
         full_out, full_phi_out = np.zeros((13, n, m)), np.zeros((13, n, m))
         run_filter(weights, 0.05, 0.1, u, d, out=full_out, phi_out=full_phi_out)
         for ordering in ("atc", "cta"):
-            kept, table = np.zeros((13, n, m)), np.zeros((n, m))
-            unread = np.lib.stride_tricks.as_strided(table, kept.shape, (0,) + table.strides)
-            out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
-            run_filter(weights, 0.05, 0.1, u, d, out=out, phi_out=phi_out)
-            assert np.array_equal(kept, full_out if ordering == "atc" else full_phi_out)
+            full = full_out if ordering == "atc" else full_phi_out
+            # every round's rows kept, then only one node's rows kept
+            for node in (None, 0, n // 2 - 1, n // 2, n - 1):
+                kept = np.zeros_like(full) if node is None else self.overlapping_rows(13, n, m, node)
+                table = np.zeros((n, m))
+                unread = np.lib.stride_tricks.as_strided(table, full.shape, (0,) + table.strides)
+                out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
+                run_filter(weights, 0.05, 0.1, u, d, out=out, phi_out=phi_out)
+                nodes = slice(None) if node is None else node
+                assert np.array_equal(kept[:, nodes], full[:, nodes])
+                # the other nodes' rows were written over
+                assert node is None or not np.array_equal(kept, full)
 
 
 class TestSingleTrajectory:
