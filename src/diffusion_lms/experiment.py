@@ -286,10 +286,21 @@ def _delay_line_samples(cfg: ExperimentConfig) -> tuple[np.ndarray, int | None]:
 
 
 def make_stream(
-    cfg: ExperimentConfig, setup: ExperimentSetup, seed: int, samples: np.ndarray | None = None
+    cfg: ExperimentConfig,
+    setup: ExperimentSetup,
+    seed: int,
+    samples: np.ndarray | None = None,
+    out: tuple[np.ndarray | None, np.ndarray] | None = None,
 ) -> FrameStream:
     """Materialize one trial's measurement stream from its derived seed;
-    a delay-line source takes the config's ``samples``, read once per run."""
+    a delay-line source takes the config's ``samples``, read once per run.
+
+    ``out`` is an optional pair of caller tables, (T, N, M) regressors and
+    (T, N) measurements, that the source draws into: the stream's arrays
+    drawn there are read-only views of them, valid until the caller reuses
+    the tables. A delay-line source writes only the measurements, since
+    its regressors are a view of its own table and do not depend on the
+    seed; its regressor entry may be None."""
     if cfg.source == "white_gaussian":
         return gaussian_source(
             setup.variances,
@@ -298,6 +309,7 @@ def make_stream(
             horizon=cfg.horizon,
             snr_db=cfg.snr_db,
             noise_variance=cfg.noise_variance,
+            out=out,
         )
     try:
         return delay_line_source(
@@ -308,6 +320,7 @@ def make_stream(
             snr_db=cfg.snr_db,
             noise_variance=cfg.noise_variance,
             scale_exponent=cfg.scale_exponent,
+            out=out,
         )
     except DataFileError as exc:
         raise DataFileError(f"{cfg.sample_path}: {exc}") from exc
@@ -328,11 +341,15 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     pair. Trials run in chunks, each batched over (trial, pair) and sized
     so that its streams, network deviation curves and block buffer fit in
     CHUNK_BYTES; memory therefore does not grow with the trial count. Each
-    chunk advances BLOCK_ROUNDS rounds at a time into one block buffer of
-    shape (rounds, output, trials, pairs, N, M), output 0 the combined
-    tables and 1 the intermediates, from one data block that is refilled
-    in place; both are allocated once per run, and a shorter last chunk
-    uses their leading trials. After every block the requested labels'
+    trial's stream is drawn into the chunk's (trials, T, N, M) regressor
+    and (trials, T, N) measurement tables (see :func:`make_stream`), which
+    the kernel reads in place; a delay-line chunk has no regressor table,
+    since its regressors do not depend on the seed: every trial reads the
+    first one's view. Each chunk advances BLOCK_ROUNDS rounds at a time
+    into one block buffer of shape (rounds, output, trials, pairs, N, M),
+    output 0 the combined tables and 1 the intermediates. The buffer and
+    the tables are allocated once per run, and a shorter last chunk uses
+    their leading trials. After every block the requested labels'
     estimates are read in place in it: when the labels fill a box of
     (output, pair) slots, as every label, one label, or the pairs of one
     output do, that box is one view, scanned for divergence and reduced to
@@ -378,19 +395,32 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     horizon = cfg.horizon if samples is None else samples.size
     n, m = setup.topology.node_count, setup.w_o.size
     chunk = min(cfg.trials, _chunk_trials(horizon, n, m, len(pairs), len(slots), samples is not None))
-    # the chunk buffers, reused by every chunk: the block buffer, the block's
-    # data with one trial axis that broadcasts over the pairs, and the curves
+    # the chunk buffers, reused by every chunk: the block buffer, the tables
+    # the streams are drawn into (Gaussian regressors and every trial's
+    # measurements), and the curves
     outputs = np.empty((BLOCK_ROUNDS + 1, 2, chunk, len(pairs), n, m))
-    u_block = np.empty((BLOCK_ROUNDS, chunk, 1, n, m))
-    d_block = np.empty((BLOCK_ROUNDS, chunk, 1, n))
+    u_table = np.empty((chunk, horizon, n, m)) if samples is None else None
+    d_table = np.empty((chunk, horizon, n))
     net = np.empty((horizon, chunk, len(slots)))
     acc_net = np.zeros((len(slots), horizon))
     kept = [0] * len(slots)
     first_failure: dict[int, tuple[int, int]] = {}
     for first in range(0, cfg.trials, chunk):
         trials = range(first, min(first + chunk, cfg.trials))
-        streams = [make_stream(cfg, setup, cfg.base_seed + t, samples=samples) for t in trials]
         k = len(trials)
+        for j, t in enumerate(trials):
+            # only the regressor view outlives the call: each stream, and its
+            # noise, is dropped once its tables are filled
+            drawn = make_stream(
+                cfg, setup, cfg.base_seed + t, samples, out=(None if u_table is None else u_table[j], d_table[j])
+            ).u
+            if j == 0:
+                first_u = drawn
+        # the data, with one trial axis that broadcasts over the pairs; the
+        # delay-line regressors do not depend on the seed, so every trial of
+        # the chunk reads the first one's
+        u = first_u[:, None, None] if u_table is None else u_table[:k].swapaxes(0, 1)[:, :, None]
+        d = d_table[:k].swapaxes(0, 1)[:, :, None]
         buffer = outputs[:, :, :k]
         buffer[0, 0] = 0.0
         mu = np.tile(steps[:, 0, None, None], (k, 1, 1, 1))
@@ -399,15 +429,12 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
         for start in range(0, horizon, BLOCK_ROUNDS):
             stop = min(start + BLOCK_ROUNDS, horizon)
             rows = stop - start + 1
-            for j in range(k):
-                u_block[: stop - start, j, 0] = streams[j].u[start:stop]
-                d_block[: stop - start, j, 0] = streams[j].d[start:stop]
             run_filter(
                 setup.weights,
                 mu,
                 gamma,
-                u_block[: stop - start, :k],
-                d_block[: stop - start, :k],
+                u[start:stop],
+                d[start:stop],
                 out=buffer[:rows, 0],
                 phi_out=buffer[:rows, 1],
             )
@@ -430,8 +457,6 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
                 break
             mu[~live] = 0.0
             buffer[0, 0][~live] = 0.0
-        # streams are most of a chunk's memory: free these before the next chunk's are built
-        del streams
         # trial order, so that the sums do not depend on the chunking
         for j in range(k):
             for s in range(len(slots)):
@@ -457,15 +482,16 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
 
 
 def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool = False) -> int:
-    """Trials per chunk under CHUNK_BYTES. A trial holds its stream (the
-    regressors, d and noise), one network deviation curve per label, its
-    rows of the block buffer (both outputs of every pair) and its rows of
-    the data block (one block's u and d). Delay-line regressors are a view
-    of one (N, T + M - 1) table, not a (T, N, M) array."""
-    regressors = n * (horizon + m - 1) if delay_line else horizon * n * m
-    stream_and_curves = regressors + 2 * horizon * n + labels * horizon
-    blocks = 2 * pairs * (BLOCK_ROUNDS + 1) * n * m + BLOCK_ROUNDS * n * (m + 1)
-    return max(1, CHUNK_BYTES // (8 * (stream_and_curves + blocks)))
+    """Trials per chunk under CHUNK_BYTES. A trial holds its rows of the
+    tables its stream is drawn into (Gaussian regressors and every
+    source's measurements), one network deviation curve per label and its
+    rows of the block buffer (both outputs of every pair). A delay-line
+    trial holds no regressors: they do not depend on the seed, so the
+    chunk's trials all read the first one's view of its (N, T + M - 1)
+    table. A stream's noise is not counted: it is dropped once drawn."""
+    regressors = 0 if delay_line else horizon * n * m
+    per_trial = regressors + horizon * n + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
+    return max(1, CHUNK_BYTES // (8 * per_trial))
 
 
 def _sweep(

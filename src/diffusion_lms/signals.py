@@ -48,9 +48,11 @@ class FrameStream:
     """Measurement stream over a fixed horizon; every array is read-only.
 
     Attributes:
-        u: regressors, shape (T, N, M); either an array of its own or a
-            strided view of a smaller table (see :func:`delay_line_source`).
-        d: measurements, shape (T, N), with d = u @ w_o + noise.
+        u: regressors, shape (T, N, M); an array of its own, a view of a
+            caller's table (the sources' ``out``), or a strided view of a
+            smaller table (see :func:`delay_line_source`).
+        d: measurements, shape (T, N), with d = u @ w_o + noise; an array
+            of its own or a view of a caller's table.
         noise: the noise draws, shape (T, N).
         noise_variance: resolved per-node noise variance, shape (N,).
     """
@@ -123,6 +125,7 @@ def gaussian_source(
     horizon: int,
     snr_db: float = 0.0,
     noise_variance: float | np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FrameStream:
     """White-Gaussian stream: independent regressors in time and space.
 
@@ -133,6 +136,12 @@ def gaussian_source(
     (0 yields a noiseless stream). A signal power beyond the float range
     raises ConfigError naming the variances. Deterministic for a fixed
     seed: all regressors are drawn first, then all noise.
+
+    ``out``, when given, is the caller's pair of C-contiguous float64
+    tables, (T, N, M) regressors and (T, N) measurements: the draws fill
+    them in place, the same values in the same order, and the stream's
+    ``u`` and ``d`` are read-only views of them, valid until the caller
+    reuses the tables.
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -146,16 +155,17 @@ def gaussian_source(
         raise ConfigError("regressor_variances: the response power variances * ||w_o||^2 is beyond the float range")
     sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
+    u, d = (np.empty((horizon, n, m)), np.empty((horizon, n))) if out is None else out
     rng = np.random.default_rng(seed)
     # scaled in place, each round's N * M draws by one contiguous row of scales
-    u = rng.standard_normal((horizon, n * m))
-    u *= np.repeat(np.sqrt(variances), m)
-    u = u.reshape(horizon, n, m)
+    draws = np.reshape(u, (horizon, n * m), copy=False)
+    rng.standard_normal(out=draws)
+    draws *= np.repeat(np.sqrt(variances), m)
     noise = rng.standard_normal((horizon, n))
     noise *= np.sqrt(sigma_v_sq)[None, :]
-    d = u @ w_o
+    np.matmul(u, w_o, out=d)
     d += noise
-    return FrameStream(u=u, d=d, noise=noise, noise_variance=sigma_v_sq)
+    return FrameStream(u=u.view(), d=d.view(), noise=noise, noise_variance=sigma_v_sq)
 
 
 def delay_line_source(
@@ -166,6 +176,7 @@ def delay_line_source(
     snr_db: float = 0.0,
     noise_variance: float | np.ndarray | None = None,
     scale_exponent: float = 2.0,
+    out: tuple[np.ndarray | None, np.ndarray] | None = None,
 ) -> FrameStream:
     """Tapped-delay-line stream over a shared scalar sample sequence.
 
@@ -186,7 +197,15 @@ def delay_line_source(
     ``u`` is a read-only (T, N, M) view of it: u[i, k] is M consecutive
     entries of row k, unit stride over the taps, so each round's (N, M)
     slice is a strided matrix that BLAS reads directly. The values are the
-    products a full table would hold; no (T, N, M) array is built.
+    products a full table would hold; no (T, N, M) array is built. The
+    regressors depend on the samples and the variances only, not on the
+    seed, so every seed's stream over one input has the same ``u``.
+
+    ``out``, when given, is the caller's pair of tables as for
+    :func:`gaussian_source`; only its C-contiguous float64 (T, N)
+    measurement table is written, and may be paired with None. The
+    stream's ``d`` is then a read-only view of it, valid until the caller
+    reuses the table.
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -205,7 +224,7 @@ def delay_line_source(
         scale = np.sqrt(variances) ** scale_exponent
         table = scale[:, None] * reversed_padded
         u = np.lib.stride_tricks.sliding_window_view(table, m, axis=1).swapaxes(0, 1)[::-1]
-        clean = u @ w_o
+        clean = np.matmul(u, w_o, out=None if out is None else out[1])
         signal_power = (clean * clean).mean(axis=0)
     if not np.isfinite(signal_power).all():
         with np.errstate(over="ignore"):
@@ -228,7 +247,7 @@ def delay_line_source(
     noise = rng.standard_normal((horizon, n))
     noise *= np.sqrt(sigma_v_sq)[None, :]
     clean += noise  # now the measurements d
-    return FrameStream(u=u, d=clean, noise=noise, noise_variance=sigma_v_sq)
+    return FrameStream(u=u, d=clean.view(), noise=noise, noise_variance=sigma_v_sq)
 
 
 def _load_wav(path: str | os.PathLike) -> tuple[np.ndarray, int]:

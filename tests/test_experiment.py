@@ -101,10 +101,10 @@ class TestConfigMaterialization:
         assert np.array_equal(explicit.topology.adjacency, want_topology.adjacency)
 
 
-# 20 x 5 network: three trials per chunk; the horizon is not a multiple of the block
+# 20 x 5 network: four trials per chunk; the horizon is not a multiple of the block
 ORACLE = ExperimentConfig(horizon=777, steady_window=50)
 # every trial shares the synthetic input and draws its own noise
-DELAY_ORACLE = replace(ORACLE, source="delay_line", trials=7)
+DELAY_ORACLE = replace(ORACLE, source="delay_line", trials=14)
 
 
 class TestBatchedEnsembleMatchesReference:
@@ -112,18 +112,19 @@ class TestBatchedEnsembleMatchesReference:
 
     def test_oracle_config_splits_trials_into_blocks_and_chunks(self):
         assert ORACLE.horizon % BLOCK_ROUNDS != 0
-        assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 3
+        assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 4
         assert _chunk_trials(1000, 20, 5, 2, 4) == 3
 
     def test_delay_line_trials_are_budgeted_by_the_table_they_hold(self):
-        # one (N, T + M - 1) table behind the (T, N, M) view: the default
-        # delay-line run takes 5 trials per chunk, and DELAY_ORACLE's seven
-        # trials run as chunks of 6 and 1 where a full table would give 3, 3, 1
-        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=True) == 5
-        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4, delay_line=True) == 6
-        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4) == 3
+        # a delay-line trial holds no regressors, since every trial of a
+        # chunk reads the first one's: the default delay-line run takes 11
+        # trials per chunk, and DELAY_ORACLE's 14 trials run as chunks of 13
+        # and 1 where per-trial (T, N, M) regressors would give 4, 4, 4, 2
+        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=True) == 11
+        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4, delay_line=True) == 13
+        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4) == 4
 
-    # at mu 5 atc_leaky_dlms loses 5 of the 7 trials and every other label all of them
+    # at mu 5 the leaky labels lose 8 (ATC) and 10 (CTA) of the 14 trials, the plain labels all of them
     @pytest.mark.parametrize("mu", [0.08, 5.0])
     def test_delay_line_exactly_equal(self, mu):
         cfg = replace(DELAY_ORACLE, mu=mu)
@@ -259,6 +260,43 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * stream_bytes
+        # the kernel reads the streams' own tables: beyond one stream and the
+        # block buffer, the peak (184 KB over them) stays under one block of
+        # copied data, (BLOCK_ROUNDS, N, M + 1) floats, which a run that
+        # copies each block's data holds on top of the rest (599 KB over)
+        block_buffer = (BLOCK_ROUNDS + 1) * 2 * cfg.nodes * cfg.taps * 8
+        data_block = BLOCK_ROUNDS * cfg.nodes * (cfg.taps + 1) * 8
+        assert peak < stream_bytes + block_buffer + data_block
+
+    @pytest.mark.parametrize("source", ["white_gaussian", "delay_line"])
+    def test_kernel_reads_the_streams_in_place(self, monkeypatch, source):
+        # no block copies: the kernel's data are views of the tables the
+        # streams were drawn into. Delay-line regressors do not depend on the
+        # seed, so a delay-line block passes one trial's, broadcast over the trials
+        from diffusion_lms import experiment
+
+        streams, blocks = [], []
+        real_stream, real_filter = experiment.make_stream, experiment.run_filter
+
+        def recorded_stream(*args, **kwargs):
+            streams.append(real_stream(*args, **kwargs))
+            return streams[-1]
+
+        def recorded_filter(weights, mu, gamma, u, d, **buffers):
+            blocks.append((u, d))
+            return real_filter(weights, mu, gamma, u, d, **buffers)
+
+        monkeypatch.setattr(experiment, "make_stream", recorded_stream)
+        monkeypatch.setattr(experiment, "run_filter", recorded_filter)
+        cfg = replace(SMALL, source=source)
+        run_ensemble(cfg)
+        assert len(streams) == cfg.trials and len(blocks) == -(-cfg.horizon // BLOCK_ROUNDS)
+        for u, d in blocks:
+            assert u.shape[1:3] == ((1, 1) if source == "delay_line" else (cfg.trials, 1))
+            for j, stream in enumerate(streams):
+                assert np.shares_memory(d[:, j], stream.d)
+                if source == "white_gaussian":
+                    assert np.shares_memory(u[:, j], stream.u)
 
     def test_no_adaptation_gives_flat_trace_at_initial_msd(self):
         cfg = ExperimentConfig(

@@ -223,6 +223,28 @@ class TestDelayLineSource:
             delay_line_source(np.ones(100), np.array([1e300, 1.0]), 1e5 * w_o, seed=0, scale_exponent=1.5)
 
 
+@pytest.mark.parametrize("source", ["white_gaussian", "delay_line"])
+def test_stream_drawn_into_out_is_the_same_stream(source):
+    # the same draws in the same order: a stream drawn into the caller's
+    # tables is bitwise the one drawn into fresh arrays, and what it wrote
+    # there it holds as read-only views, while the tables stay writable
+    variances, w_o, samples = np.array([0.3, 0.6, 0.35]), default_lowpass_system(5), synthetic_speech(300, 4)
+
+    def draw(out=None):
+        if source == "white_gaussian":
+            return gaussian_source(variances, w_o, seed=17, horizon=300, out=out)
+        return delay_line_source(samples, variances, w_o, seed=17, out=out)
+
+    u_table = np.full((300, 3, 5), np.nan) if source == "white_gaussian" else None
+    d_table = np.full((300, 3), np.nan)
+    fresh, drawn = draw(), draw((u_table, d_table))
+    for name in ("u", "d", "noise", "noise_variance"):
+        assert np.array_equal(getattr(drawn, name), getattr(fresh, name))
+    written = [(drawn.d, d_table)] + ([] if u_table is None else [(drawn.u, u_table)])
+    for view, table in written:
+        assert np.shares_memory(view, table) and not view.flags.writeable and table.flags.writeable
+
+
 def test_delay_line_source_builds_no_full_regressor_table():
     horizon, n, m = 48_000, 20, 5
     samples = synthetic_speech(horizon, 1)
