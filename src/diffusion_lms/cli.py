@@ -62,11 +62,17 @@ def _indexed(first: int, *columns: np.ndarray) -> np.ndarray:
 
 
 def _load_config(args: argparse.Namespace):
-    # the outputs are staged in a sibling of the output directory, named after
-    # it: a directory with no name, such as the root, has no such sibling
     out = getattr(args, "out", None)
-    if out is not None and not Path(out).resolve().name:
-        raise ConfigError(f"--out: {out!r} resolves to {Path(out).resolve()}, a directory with no name")
+    if out is not None:
+        out_dir = Path(out).resolve()
+        # the outputs are staged in a sibling of the output directory, named after
+        # it: a directory with no name, such as the root, has no such sibling
+        if not out_dir.name:
+            raise ConfigError(f"--out: {out!r} resolves to {out_dir}, a directory with no name")
+        # a file at or above the output directory would fail the write only after the run
+        existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out: {existing} is not a directory")
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)
@@ -148,8 +154,7 @@ def _write_outputs(args: argparse.Namespace, cfg, command: str, files: dict[str,
         print(name)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_run(args: argparse.Namespace, cfg) -> int:
     results = run_ensemble(cfg)
     traces = {k: v for k, v in results.items() if v.per_iteration_db is not None}
     failures = {k: v for k, v in results.items() if v.per_iteration_db is None}
@@ -185,8 +190,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(args: argparse.Namespace, cfg) -> int:
     try:
         grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     except ValueError:
@@ -206,8 +210,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_denoise(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_denoise(args: argparse.Namespace, cfg) -> int:
     if not 1 <= args.node <= cfg.nodes:
         raise ConfigError(f"--node: {args.node} out of range 1..{cfg.nodes}")
     result = denoise_speech(cfg, args.node - 1)
@@ -232,8 +235,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_validate(args: argparse.Namespace, cfg) -> int:
     print(format_config(cfg), end="")
     return EXIT_OK
 
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except (ConfigError, MemoryError) as exc:  # numpy's MemoryError names the size
         print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG

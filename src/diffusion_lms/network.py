@@ -7,6 +7,7 @@ contains the node itself, and links are undirected.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,14 +226,16 @@ def load_edge_list(path: str | os.PathLike, nodes: int) -> Topology:
     """Read a topology file of ``nodes`` nodes.
 
     The format is plain text: first line "N", then one "k l" line per
-    undirected edge, 1-based, self-loops implicit; blank lines are
-    ignored. A malformed file raises DataFileError, and an N other than
-    ``nodes`` raises ConfigError before any N x N table is built.
+    undirected edge, 1-based, self-loops implicit; blank lines and a
+    leading UTF-8 byte-order mark are ignored. A malformed file raises
+    DataFileError, and an N other than ``nodes`` raises ConfigError
+    before any N x N table is built.
     """
-    # an undecodable byte becomes U+FFFD, which no number parses: its line is reported
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
+    with open(path, "rb") as fh:
+        text = fh.read().removeprefix(b"\xef\xbb\xbf").decode("ascii", errors="replace")
+    # past a leading UTF-8 byte-order mark, a non-ASCII byte becomes U+FFFD, which
+    # no number parses: its line is reported, and no Unicode digit makes an edge
+    lines = [ln for ln in map(str.strip, io.StringIO(text, newline=None)) if ln]
     if not lines:
         raise DataFileError(f"{path}: empty edge-list file")
     try:

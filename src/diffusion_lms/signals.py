@@ -81,32 +81,38 @@ def default_lowpass_system(m: int) -> np.ndarray:
     return np.full(m, 1.0 / m)
 
 
-def _resolve_noise_variance(
+def _measured(
+    rng: np.random.Generator,
+    u: np.ndarray,
+    d: np.ndarray,
     signal_power: np.ndarray,
     snr_db: float,
     noise_variance: float | np.ndarray | None,
-    n: int,
-) -> np.ndarray:
-    """Per-node noise variances, either explicit or SNR-calibrated.
+) -> FrameStream:
+    """Add the noise half of the model to the noiseless response ``d``, in
+    place, and return the stream.
 
-    A calibrated variance is the signal power divided by 10^(snr_db / 10);
-    for white regressors the power is sigma_u^2 * ||w_o||^2. Nodes with
-    zero signal power cannot realize any finite SNR; they fall back to
-    unit noise variance so the stream stays well defined (the measurements
-    there are pure noise). An SNR so low that a variance exceeds the float
-    range raises ConfigError.
+    The per-node noise variance is ``noise_variance`` when given, else the
+    signal power divided by 10^(snr_db / 10). Nodes with zero signal power
+    cannot realize any finite SNR; they fall back to unit noise variance so
+    the stream stays well defined (the measurements there are pure noise).
+    An SNR so low that a variance exceeds the float range raises
+    ConfigError. The (T, N) noise is drawn from ``rng`` after any regressor
+    draws.
     """
     if noise_variance is not None:
-        var = np.broadcast_to(np.asarray(noise_variance, dtype=float), (n,)).copy()
+        var = np.broadcast_to(np.asarray(noise_variance, dtype=float), signal_power.shape).copy()
         if (var < 0.0).any() or not np.isfinite(var).all():
             raise ValueError("noise_variance entries must be finite and >= 0")
-        return var
-    p = np.asarray(signal_power, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        var = np.where(p <= 0.0, 1.0, p / 10.0 ** (snr_db / 10.0))
-    if not np.isfinite(var).all():
-        raise ConfigError(f"snr_db: {snr_db} dB needs a noise variance beyond the float range")
-    return var
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            var = np.where(signal_power <= 0.0, 1.0, signal_power / 10.0 ** (snr_db / 10.0))
+        if not np.isfinite(var).all():
+            raise ConfigError(f"snr_db: {snr_db} dB needs a noise variance beyond the float range")
+    noise = rng.standard_normal(d.shape)
+    noise *= np.sqrt(var)[None, :]
+    d += noise
+    return FrameStream(u=u, d=d.view(), noise=noise, noise_variance=var)
 
 
 def _check_variances(variances: np.ndarray) -> np.ndarray:
@@ -153,7 +159,6 @@ def gaussian_source(
         signal_power = variances * float(w_o @ w_o)
     if not np.isfinite(signal_power).all():
         raise ConfigError("regressor_variances: the response power variances * ||w_o||^2 is beyond the float range")
-    sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
 
     u, d = (np.empty((horizon, n, m)), np.empty((horizon, n))) if out is None else out
     rng = np.random.default_rng(seed)
@@ -161,11 +166,8 @@ def gaussian_source(
     draws = np.reshape(u, (horizon, n * m), copy=False)
     rng.standard_normal(out=draws)
     draws *= np.repeat(np.sqrt(variances), m)
-    noise = rng.standard_normal((horizon, n))
-    noise *= np.sqrt(sigma_v_sq)[None, :]
     np.matmul(u, w_o, out=d)
-    d += noise
-    return FrameStream(u=u.view(), d=d.view(), noise=noise, noise_variance=sigma_v_sq)
+    return _measured(rng, u.view(), d, signal_power, snr_db, noise_variance)
 
 
 def delay_line_source(
@@ -185,9 +187,9 @@ def delay_line_source(
     The default exponent 2 multiplies the shared input by the per-node
     variance itself. Noise variance is calibrated per node from the
     empirical power of the noiseless response u . w_o over the whole
-    sequence (see :func:`_resolve_noise_variance` for silent inputs), or
-    fixed by ``noise_variance``. When that power is beyond the float range,
-    samples whose own mean square already is raise DataFileError; otherwise
+    sequence (see :func:`_measured` for silent inputs), or fixed by
+    ``noise_variance``. When that power is beyond the float range, samples
+    whose own mean square already is raise DataFileError; otherwise
     ConfigError names ``scale_exponent`` if the default exponent would keep
     the power a float, and ``regressor_variances`` if not. One stream
     instant per input sample.
@@ -215,8 +217,6 @@ def delay_line_source(
         raise ValueError("sample sequence must be a nonempty 1-D array")
     if samples.size < m:
         raise ValueError(f"sample sequence shorter than the filter ({samples.size} < {m})")
-    n = variances.shape[0]
-    horizon = samples.size
 
     # u[i, k] = table[k, T-1-i : T-1-i+M]
     reversed_padded = np.concatenate([samples[::-1], np.zeros(m - 1)])
@@ -241,13 +241,7 @@ def delay_line_source(
                 f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
             )
         raise ConfigError("regressor_variances: the samples' response power is beyond the float range")
-    sigma_v_sq = _resolve_noise_variance(signal_power, snr_db, noise_variance, n)
-
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((horizon, n))
-    noise *= np.sqrt(sigma_v_sq)[None, :]
-    clean += noise  # now the measurements d
-    return FrameStream(u=u, d=clean.view(), noise=noise, noise_variance=sigma_v_sq)
+    return _measured(np.random.default_rng(seed), u, clean, signal_power, snr_db, noise_variance)
 
 
 def _load_wav(path: str | os.PathLike) -> tuple[np.ndarray, int]:

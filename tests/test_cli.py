@@ -24,6 +24,13 @@ horizon = 60
 steady_window = 20
 """
 
+# the arguments before --config of each command that writes an output directory
+COMMAND_ARGS = {
+    "run": ["run"],
+    "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
+    "denoise": ["denoise", "--node", "1"],
+}
+
 
 @pytest.fixture
 def small_config(tmp_path):
@@ -337,11 +344,7 @@ class TestRun:
             "[run]\ntrials = 2\nsteady_window = 50\n"
         )
         out = tmp_path / "out"
-        argv = {
-            "run": ["run"],
-            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
-            "denoise": ["denoise", "--node", "1"],
-        }[command] + ["--config", str(cfg), "--out", str(out)]
+        argv = COMMAND_ARGS[command] + ["--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {samples}: WAV sample rate must be positive, got 0\n"
         assert not out.exists()
@@ -385,14 +388,30 @@ class TestRun:
 
         monkeypatch.setattr(experiment, "make_stream", no_stream)
         monkeypatch.chdir("/")
-        argv = {
-            "run": ["run"],
-            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
-            "denoise": ["denoise", "--node", "1"],
-        }[command] + ["--config", str(small_config), "--out", out]
+        argv = COMMAND_ARGS[command] + ["--config", str(small_config), "--out", out]
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: --out: {out!r} resolves to /, a directory with no name\n"
         assert not [name for name in os.listdir("/") if name.endswith(".partial")]
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_at_or_under_a_file_exits_4_before_any_stream(
+        self, small_config, tmp_path, monkeypatch, capsys, command, under
+    ):
+        from diffusion_lms import experiment
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was built before --out was checked")
+
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        argv = COMMAND_ARGS[command] + ["--config", str(small_config), "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: --out: {blocker} is not a directory\n"
+        assert blocker.read_text() == "not a directory\n"
+        assert {p.name for p in tmp_path.iterdir()} == {"small.cfg", "taken"}
 
     def test_non_ascii_path_is_echoed_as_utf8(self, tmp_path):
         samples = tmp_path / "caf\u00e9.txt"
@@ -455,11 +474,7 @@ class TestSnrRange:
             f"[source]\nkind = {source}\n\n[run]\ntrials = 2\nhorizon = 60\nsteady_window = 20\n"
         )
         out = tmp_path / "out"
-        argv = {
-            "run": ["run"],
-            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
-            "denoise": ["denoise", "--node", "1"],
-        }[command] + ["--config", str(cfg), "--out", str(out)]
+        argv = COMMAND_ARGS[command] + ["--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: snr_db: -3230.0 dB")
         assert not out.exists()
@@ -488,11 +503,7 @@ class TestScaleExponentRange:
             "[run]\ntrials = 2\nhorizon = 60\nsteady_window = 20\n"
         )
         out = tmp_path / "out"
-        argv = {
-            "run": ["run"],
-            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
-            "denoise": ["denoise", "--node", "1"],
-        }[command] + ["--config", str(cfg), "--out", str(out)]
+        argv = COMMAND_ARGS[command] + ["--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: scale_exponent: {exponent} ")
         assert not out.exists()
@@ -515,11 +526,7 @@ class TestScaleExponentRange:
             "[run]\ntrials = 2\nsteady_window = 20\n"
         )
         out = tmp_path / "out"
-        argv = {
-            "run": ["run"],
-            "sweep": ["sweep", "--param", "mu", "--grid", "0.05,0.1"],
-            "denoise": ["denoise", "--node", "1"],
-        }[command] + ["--config", str(cfg), "--out", str(out)]
+        argv = COMMAND_ARGS[command] + ["--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {samples}: the samples' mean square ")
         assert not out.exists()

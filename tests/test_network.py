@@ -244,6 +244,17 @@ class TestEdgeList:
         path.write_text("3\n1 2\n2 3\n")
         assert np.array_equal(load_edge_list(path, 3).adjacency, PATH3)
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = b"4\n1 2\n2 3\n3 4\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert np.array_equal(load_edge_list(marked, 4).adjacency, load_edge_list(plain, 4).adjacency)
+        # past the mark, a Unicode digit is still no edge
+        marked.write_bytes(b"\xef\xbb\xbf4\n1 " + "\u0662".encode() + b"\n")
+        with pytest.raises(DataFileError, match="malformed edge line '1 \ufffd\ufffd'"):
+            load_edge_list(marked, 4)
+
     def test_load_rejects_bad_content(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 2 3\n")

@@ -8,7 +8,7 @@ from diffusion_lms.experiment import ExperimentConfig, denoise_speech
 from diffusion_lms.signals import (
     ConfigError,
     DataFileError,
-    _resolve_noise_variance,
+    _measured,
     default_lowpass_system,
     delay_line_source,
     gaussian_source,
@@ -66,7 +66,8 @@ class TestNoiseVarianceForSnr:
     def test_per_node_resolution_is_the_scalar_rule_bitwise(self):
         power = np.array([0.0, 0.1, 0.35 * 0.2, 1.0, 2.5e-3, 7.0, 0.0])
         for snr_db in (0.0, -3.0, 10.0, 17.3):
-            got = _resolve_noise_variance(power, snr_db, None, power.size)
+            d = np.zeros((1, power.size))
+            got = _measured(np.random.default_rng(0), d[:, :, None], d, power, snr_db, None).noise_variance
             want = [1.0 if p <= 0.0 else float(p) / 10.0 ** (snr_db / 10.0) for p in power]
             assert np.array_equal(got, want)
 
