@@ -10,6 +10,7 @@ import numpy as np
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
+    "divergence_bound",
     "MsdTrace",
     "DivergenceReport",
     "linear_deviation",
@@ -21,7 +22,7 @@ __all__ = [
 
 # max-norm above which an estimate counts as divergent: far above any
 # converging trajectory at these scales, far below float overflow. An
-# ensemble multiplies it by max(1, max|w_o|), the scale of its unknown vector
+# ensemble multiplies it by the scale of its data (see divergence_bound)
 DIVERGENCE_THRESHOLD = 1e6
 
 
@@ -113,6 +114,26 @@ def step_size_upper_bound(sigma_u_sq: float, gamma: float = 0.0) -> float:
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return 2.0 / (gamma + sigma_u_sq)
+
+
+def divergence_bound(w_o: np.ndarray, u: np.ndarray, noise_variance: np.ndarray) -> float:
+    """An ensemble's divergence bound: DIVERGENCE_THRESHOLD times the scale
+    of its data, max(1, max|w_o|, sqrt(max_k noise_variance[k] / p_k)).
+
+    ``u`` is one stream's (T, N, M) regressors and p_k node k's mean
+    regressor power over them. A stable filter's estimates stay within a
+    few multiples of the unknown vector and of the noise-to-regressor
+    amplitude ratio, so neither a large-gain system nor a very noisy
+    stream reads as divergent. Nodes with zero regressor power bound no
+    ratio; a ratio beyond the float range makes the bound infinite, so
+    only non-finite estimates count.
+    """
+    t, _, m = u.shape
+    with np.errstate(over="ignore"):
+        power = np.einsum("tnm,tnm->n", u, u) / (t * m)
+        heard = power > 0.0
+        ratio = (np.sqrt(noise_variance[heard]) / np.sqrt(power[heard])).max(initial=0.0)
+    return DIVERGENCE_THRESHOLD * max(1.0, float(np.abs(w_o).max()), float(ratio))
 
 
 def detect_divergence(snapshots: np.ndarray, threshold: float = DIVERGENCE_THRESHOLD) -> DivergenceReport:

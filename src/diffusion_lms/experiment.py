@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from diffusion_lms.analysis import (
-    DIVERGENCE_THRESHOLD,
     MsdTrace,
     detect_divergence,
+    divergence_bound,
     linear_deviation,
     steady_state_msd,
 )
@@ -291,6 +291,7 @@ def make_stream(
     seed: int,
     samples: np.ndarray | None = None,
     out: tuple[np.ndarray | None, np.ndarray] | None = None,
+    noise_out: np.ndarray | None = None,
 ) -> FrameStream:
     """Materialize one trial's measurement stream from its derived seed;
     a delay-line source takes the config's ``samples``, read once per run.
@@ -300,7 +301,11 @@ def make_stream(
     drawn there are read-only views of them, valid until the caller reuses
     the tables. A delay-line source writes only the measurements, since
     its regressors are a view of its own table and do not depend on the
-    seed; its regressor entry may be None."""
+    seed; its regressor entry may be None. ``noise_out`` is the delay-line
+    source's optional (T, N) noise table in the same way, which it also
+    uses as scratch for the squares of its noiseless response before the
+    noise is drawn; a white-Gaussian source draws its noise into an array
+    of its own."""
     if cfg.source == "white_gaussian":
         return gaussian_source(
             setup.variances,
@@ -321,6 +326,7 @@ def make_stream(
             noise_variance=cfg.noise_variance,
             scale_exponent=cfg.scale_exponent,
             out=out,
+            noise_out=noise_out,
         )
     except DataFileError as exc:
         raise DataFileError(f"{cfg.sample_path}: {exc}") from exc
@@ -354,12 +360,14 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     (output, pair) slots, as every label, one label, or the pairs of one
     output do, that box is one view, scanned for divergence and reduced to
     deviation curves in one pass; otherwise each label is its own view,
-    so no slot is read that no label asks for. Each label
-    is judged on its own estimates (ATC labels on the combined tables, CTA
-    labels on the intermediates), so the labels of one recursion can keep
-    and drop different trials. A (trial, label) that diverges anywhere is
-    dropped whole when the chunk ends, and its curve rows hold no
-    meaningful values; a (trial, pair) whose labels have all diverged is
+    so no slot is read that no label asks for. An estimate diverges when
+    it is not finite or its max-norm passes the ``divergence_bound`` of
+    the first trial's stream. Each label is judged on its own estimates
+    (ATC labels on the combined tables, CTA labels on the
+    intermediates), so the labels of one recursion can keep and drop
+    different trials. A (trial, label) that diverges anywhere is dropped
+    whole when the chunk ends, and its curve rows hold no meaningful
+    values; a (trial, pair) whose labels have all diverged is
     held at zero, and a chunk stops once every one of its (trial, pair)s
     is held; a chunk with any live pair runs the whole horizon. The
     averages match running every (trial, label) on its own exactly.
@@ -376,8 +384,6 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     steps = np.array(pairs)
     gamma = steps[:, 1, None, None]
     feeds = np.arange(len(pairs))[:, None] == np.array([p for _, p in slots])  # (pair, label)
-    # a large unknown vector is not divergence: the bound grows with its largest tap
-    bound = DIVERGENCE_THRESHOLD * max(1.0, float(np.abs(setup.w_o).max()))
 
     # each group: a box of outputs [o0, o1) x pairs [p0, p1) and its labels
     # with their (output, pair) offsets in it. Every pair feeds a label, so
@@ -411,11 +417,16 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
         for j, t in enumerate(trials):
             # only the regressor view outlives the call: each stream, and its
             # noise, is dropped once its tables are filled
-            drawn = make_stream(
+            stream = make_stream(
                 cfg, setup, cfg.base_seed + t, samples, out=(None if u_table is None else u_table[j], d_table[j])
-            ).u
+            )
+            if t == 0:
+                # neither a large unknown vector nor loud noise is divergence:
+                # the bound follows the first trial's data, once per run
+                bound = divergence_bound(setup.w_o, stream.u, stream.noise_variance)
             if j == 0:
-                first_u = drawn
+                first_u = stream.u
+            del stream
         # the data, with one trial axis that broadcasts over the pairs; the
         # delay-line regressors do not depend on the seed, so every trial of
         # the chunk reads the first one's
@@ -550,17 +561,21 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     if not 0 <= node < setup.topology.node_count:
         raise ValueError(f"node {node} out of range for {setup.topology.node_count} nodes")
     samples, sample_rate = _delay_line_samples(cfg)
-    stream = make_stream(cfg, setup, cfg.base_seed, samples=samples)
     output, leaky = ALGORITHMS[cfg.algorithms[0]]
     # run_filter writes row i of a buffer only after its last read of row
     # i - 1, so rows may share memory. Row i of the kept buffer starts just
     # past the node's entry of row i - 1 or ends just before it, whichever
     # moves it fewer node rows, so the node's estimates survive in at most
     # half a stack; every row of the other buffer is one zeroed table
-    n = setup.topology.node_count
-    shape = (len(stream) + 1,) + stream.u.shape[1:]
+    n, m, horizon = setup.topology.node_count, setup.w_o.size, samples.size
+    shape = (horizon + 1, n, m)
     step = node + 1 if node < n - node else node - n
-    kept, unread = _overlapping_rows(shape, step), _overlapping_rows(shape, 0)
+    # one scratch table holds the stream's noise and then the kept rows: the
+    # noise is dead once it is added to the measurements
+    table = np.empty(max((horizon * abs(step) + n) * m, horizon * n))
+    noise = table[: horizon * n].reshape(horizon, n)
+    stream = make_stream(cfg, setup, cfg.base_seed, samples=samples, noise_out=noise)
+    kept, unread = _overlapping_rows(table, shape, step), _overlapping_rows(np.empty(n * m), shape, 0)
     out, phi_out = (kept, unread) if output == 0 else (unread, kept)
     run_filter(setup.weights, cfg.mu, cfg.gamma if leaky else 0.0, stream.u, stream.d, out=out, phi_out=phi_out)
 
@@ -577,13 +592,15 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     )
 
 
-def _overlapping_rows(shape: tuple[int, int, int], step: int) -> np.ndarray:
-    """A writable zeroed (T + 1, N, M) view of one table, whose row i starts
-    ``step`` node rows after row i - 1, or before it if ``step`` is
+def _overlapping_rows(table: np.ndarray, shape: tuple[int, int, int], step: int) -> np.ndarray:
+    """A writable (T + 1, N, M) view of the leading (T * |step| + N) * M
+    entries of ``table``, a flat float64 array, which it zeroes. Row i
+    starts ``step`` node rows after row i - 1, or before it if ``step`` is
     negative. Step k + 1 starts row i just past node k's entry of row i - 1
     and step k - N ends it just before, so no later row covers node k's
     entries; with step 0 every row is the same (N, M) table."""
     rows, n, m = shape
-    table = np.zeros(((rows - 1) * abs(step) + n, m))
-    view = np.lib.stride_tricks.as_strided(table, shape, (abs(step) * table.strides[0],) + table.strides)
+    base = table[: ((rows - 1) * abs(step) + n) * m].reshape(-1, m)
+    base[...] = 0.0
+    view = np.lib.stride_tricks.as_strided(base, shape, (abs(step) * base.strides[0],) + base.strides)
     return view[::-1] if step < 0 else view

@@ -53,7 +53,9 @@ class FrameStream:
             smaller table (see :func:`delay_line_source`).
         d: measurements, shape (T, N), with d = u @ w_o + noise; an array
             of its own or a view of a caller's table.
-        noise: the noise draws, shape (T, N).
+        noise: the noise draws, shape (T, N); an array of its own or a view
+            of a caller's table (the delay-line source's ``noise_out``),
+            valid until the caller reuses the table.
         noise_variance: resolved per-node noise variance, shape (N,).
     """
 
@@ -88,6 +90,7 @@ def _measured(
     signal_power: np.ndarray,
     snr_db: float,
     noise_variance: float | np.ndarray | None,
+    noise_out: np.ndarray | None = None,
 ) -> FrameStream:
     """Add the noise half of the model to the noiseless response ``d``, in
     place, and return the stream.
@@ -98,7 +101,9 @@ def _measured(
     the stream stays well defined (the measurements there are pure noise).
     An SNR so low that a variance exceeds the float range raises
     ConfigError. The (T, N) noise is drawn from ``rng`` after any regressor
-    draws.
+    draws: into ``noise_out`` when given, a C-contiguous float64 (T, N)
+    table of the caller's, the same values in the same order, and the
+    stream's ``noise`` is then a read-only view of it.
     """
     if noise_variance is not None:
         var = np.broadcast_to(np.asarray(noise_variance, dtype=float), signal_power.shape).copy()
@@ -109,10 +114,10 @@ def _measured(
             var = np.where(signal_power <= 0.0, 1.0, signal_power / 10.0 ** (snr_db / 10.0))
         if not np.isfinite(var).all():
             raise ConfigError(f"snr_db: {snr_db} dB needs a noise variance beyond the float range")
-    noise = rng.standard_normal(d.shape)
+    noise = rng.standard_normal(d.shape) if noise_out is None else rng.standard_normal(out=noise_out)
     noise *= np.sqrt(var)[None, :]
     d += noise
-    return FrameStream(u=u, d=d.view(), noise=noise, noise_variance=var)
+    return FrameStream(u=u, d=d.view(), noise=noise.view(), noise_variance=var)
 
 
 def _check_variances(variances: np.ndarray) -> np.ndarray:
@@ -179,6 +184,7 @@ def delay_line_source(
     noise_variance: float | np.ndarray | None = None,
     scale_exponent: float = 2.0,
     out: tuple[np.ndarray | None, np.ndarray] | None = None,
+    noise_out: np.ndarray | None = None,
 ) -> FrameStream:
     """Tapped-delay-line stream over a shared scalar sample sequence.
 
@@ -207,7 +213,11 @@ def delay_line_source(
     :func:`gaussian_source`; only its C-contiguous float64 (T, N)
     measurement table is written, and may be paired with None. The
     stream's ``d`` is then a read-only view of it, valid until the caller
-    reuses the table.
+    reuses the table. ``noise_out``, when given, is the caller's
+    C-contiguous float64 (T, N) noise table, which the noise is drawn into
+    (see :func:`_measured`); the squares of the noiseless response are
+    written there first, for its power, so no (T, N) temporary is built
+    beside it.
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -225,7 +235,7 @@ def delay_line_source(
         table = scale[:, None] * reversed_padded
         u = np.lib.stride_tricks.sliding_window_view(table, m, axis=1).swapaxes(0, 1)[::-1]
         clean = np.matmul(u, w_o, out=None if out is None else out[1])
-        signal_power = (clean * clean).mean(axis=0)
+        signal_power = np.multiply(clean, clean, out=noise_out).mean(axis=0)
     if not np.isfinite(signal_power).all():
         with np.errstate(over="ignore"):
             own_power = (samples * samples).mean()
@@ -241,7 +251,7 @@ def delay_line_source(
                 f"scale_exponent: {scale_exponent} takes the samples' response power beyond the float range"
             )
         raise ConfigError("regressor_variances: the samples' response power is beyond the float range")
-    return _measured(np.random.default_rng(seed), u, clean, signal_power, snr_db, noise_variance)
+    return _measured(np.random.default_rng(seed), u, clean, signal_power, snr_db, noise_variance, noise_out)
 
 
 def _load_wav(path: str | os.PathLike) -> tuple[np.ndarray, int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from kernel_rounds import trajectory
 
-from diffusion_lms.analysis import DIVERGENCE_THRESHOLD, MsdTrace, detect_divergence, linear_deviation
+from diffusion_lms.analysis import MsdTrace, detect_divergence, divergence_bound, linear_deviation
 from diffusion_lms.experiment import _delay_line_samples, build_setup, make_stream
 
 
@@ -106,8 +106,6 @@ def ensemble_reference(cfg):
     the linear domain. Returns the same mapping as ``run_ensemble``.
     """
     setup = build_setup(cfg)
-    # the threshold grows with the largest |tap| of the unknown vector, never below 1e6
-    bound = DIVERGENCE_THRESHOLD * max([1.0] + [abs(float(v)) for v in setup.w_o])
     rules = {label: label_rule(label, cfg.gamma) for label in cfg.algorithms}
     acc_net = {label: None for label in cfg.algorithms}
     kept = {label: 0 for label in cfg.algorithms}
@@ -115,6 +113,9 @@ def ensemble_reference(cfg):
     samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     for t in range(cfg.trials):
         stream = make_stream(cfg, setup, cfg.base_seed + t, samples=samples)
+        if t == 0:
+            # the shared rule, on the first trial's data
+            bound = divergence_bound(setup.w_o, stream.u, stream.noise_variance)
         for label in cfg.algorithms:
             ordering, gamma = rules[label]
             snapshots = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)

@@ -7,6 +7,7 @@ from diffusion_lms.analysis import (
     DIVERGENCE_THRESHOLD,
     MsdTrace,
     detect_divergence,
+    divergence_bound,
     leaky_fixed_point,
     linear_deviation,
     steady_state_msd,
@@ -196,6 +197,37 @@ class TestDetectDivergence:
         assert report.divergent and report.first_iteration == 2 and report.nodes == 0
         snaps[2, 0, 1] = DIVERGENCE_THRESHOLD
         assert not detect_divergence(snaps).divergent
+
+    def test_bound_follows_the_largest_scale_of_the_data(self):
+        # unit regressors on nodes 0 and 1; node 2 hears nothing, so its
+        # noise, however loud, bounds no ratio
+        u = np.ones((10, 3, 2))
+        u[:, 2] = 0.0
+        w_o = np.array([0.5, -0.25])
+        quiet = np.array([0.25, 0.5, 1e300])
+        assert divergence_bound(w_o, u, quiet) == DIVERGENCE_THRESHOLD
+        assert divergence_bound(8.0 * w_o, u, quiet) == 4.0 * DIVERGENCE_THRESHOLD
+        # noise std 100 over regressor std 1 on node 0, 50 over 0.5 on node 1
+        assert divergence_bound(w_o, u, np.array([1e4, 0.0, 0.0])) == 100.0 * DIVERGENCE_THRESHOLD
+        halved = u * [[[1.0], [0.5], [0.0]]]
+        assert divergence_bound(w_o, halved, np.array([0.0, 625.0, 0.0])) == 50.0 * DIVERGENCE_THRESHOLD
+        # a ratio beyond the float range leaves only non-finite estimates divergent
+        assert divergence_bound(w_o, 1e-160 * u, np.array([1e300, 0.0, 0.0])) == np.inf
+        # a run with no regressor power anywhere falls back to the unknown vector
+        assert divergence_bound(w_o, 0.0 * u, quiet) == DIVERGENCE_THRESHOLD
+
+    def test_bound_of_a_noisy_stream_is_its_largest_noise_to_regressor_ratio(self):
+        # a first trial at -40 dB: each node's noise standard deviation over
+        # its root-mean-square regressor, node by node, is far above max|w_o|
+        w_o = default_lowpass_system(5)
+        stream = gaussian_source(np.array([0.2, 1.5, 0.7, 0.05]), w_o, seed=3, horizon=400, snr_db=-40.0)
+        ratios = []
+        for k in range(4):
+            rms = np.sqrt(np.mean(stream.u[:, k, :] ** 2))
+            ratios.append(np.sqrt(stream.noise_variance[k]) / rms)
+        assert max(ratios) > 10.0 * np.abs(w_o).max()
+        bound = divergence_bound(w_o, stream.u, stream.noise_variance)
+        assert bound == pytest.approx(DIVERGENCE_THRESHOLD * max(ratios), rel=1e-12)
 
     def test_batched_stack_reports_each_element(self):
         snaps = np.zeros((5, 2, 3, 4, 2))

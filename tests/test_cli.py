@@ -298,6 +298,21 @@ class TestRun:
             f"note: {label}: {k}/6 trials diverged and were excluded\n" for label, k in zip(labels, (3, 3, 2, 3))
         )
 
+    def test_noisy_stable_run_exits_0_with_finite_curves(self, tmp_path, capsys):
+        # the default network at mu 0.08, far below its mean-square bound:
+        # at -160 dB the estimates pass 1e6 from the first round, but the
+        # divergence bound follows the noise, so no trial is dropped
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text("[model]\nsnr_db = -160\n\n[run]\ntrials = 4\nhorizon = 400\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out / "comparison.csv")
+        assert header == ["iteration", *ALGORITHM_LABELS] and len(rows) == 400
+        curves = np.array(rows, dtype=float)[:, 1:]
+        # finite, and at the noise floor, about 160 dB above the clean run's
+        assert np.isfinite(curves).all() and (curves[-1] > 100.0).all()
+
     def test_malformed_sample_file_exits_5_without_outputs(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         cfg = tmp_path / "bad.cfg"

@@ -373,6 +373,18 @@ class TestRunEnsemble:
                 big[label].per_iteration_db, base[label].per_iteration_db + 10 * np.log10(2.0**46), rtol=0, atol=1e-9
             )
 
+    @pytest.mark.parametrize("source", ["white_gaussian", "delay_line"])
+    def test_divergence_bound_scales_with_the_noise(self, source):
+        # at -160 dB the noise is about 1e8 times the response, so the first
+        # rounds' estimates pass 1e6 although mu 0.08 is far below the
+        # mean-square bound: the run is noisy, not divergent
+        cfg = ExperimentConfig(nodes=8, radius=0.5, source=source, snr_db=-160.0, trials=3, horizon=300)
+        results = run_ensemble(cfg)
+        assert_same_results(results, ensemble_reference(cfg))
+        for trace in results.values():
+            assert trace.divergent_trials == 0 and trace.first_divergence is None
+            assert np.isfinite(trace.per_iteration_db).all()
+
     def test_wholly_divergent_algorithm_reports_failure(self):
         cfg = ExperimentConfig(nodes=10, radius=0.5, trials=3, horizon=200, mu=2.6, steady_window=50)
         results = run_ensemble(cfg)
