@@ -301,11 +301,11 @@ def make_stream(
     drawn there are read-only views of them, valid until the caller reuses
     the tables. A delay-line source writes only the measurements, since
     its regressors are a view of its own table and do not depend on the
-    seed; its regressor entry may be None. ``noise_out`` is the delay-line
-    source's optional (T, N) noise table in the same way, which it also
-    uses as scratch for the squares of its noiseless response before the
-    noise is drawn; a white-Gaussian source draws its noise into an array
-    of its own."""
+    seed; its regressor entry may be None, and its measurement table may
+    be time-reversed (see :func:`delay_line_source`). ``noise_out`` is an
+    optional C-contiguous (T, N) noise table of the caller's in the same
+    way, for either source; the delay-line source also uses it as scratch
+    for the squares of its noiseless response before the noise is drawn."""
     if cfg.source == "white_gaussian":
         return gaussian_source(
             setup.variances,
@@ -315,6 +315,7 @@ def make_stream(
             snr_db=cfg.snr_db,
             noise_variance=cfg.noise_variance,
             out=out,
+            noise_out=noise_out,
         )
     try:
         return delay_line_source(
@@ -355,7 +356,8 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     into one block buffer of shape (rounds, output, trials, pairs, N, M),
     output 0 the combined tables and 1 the intermediates. The buffer and
     the tables are allocated once per run, and a shorter last chunk uses
-    their leading trials. After every block the requested labels'
+    their leading trials. The buffer is idle while a chunk's streams are
+    drawn, so each trial's noise is drawn into it. After every block the requested labels'
     estimates are read in place in it: when the labels fill a box of
     (output, pair) slots, as every label, one label, or the pairs of one
     output do, that box is one view, scanned for divergence and reduced to
@@ -403,8 +405,12 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     chunk = min(cfg.trials, _chunk_trials(horizon, n, m, len(pairs), len(slots), samples is not None))
     # the chunk buffers, reused by every chunk: the block buffer, the tables
     # the streams are drawn into (Gaussian regressors and every trial's
-    # measurements), and the curves
-    outputs = np.empty((BLOCK_ROUNDS + 1, 2, chunk, len(pairs), n, m))
+    # measurements), and the curves. The block buffer is idle while a
+    # chunk's streams are drawn, so each trial's noise is drawn into it
+    shape = (BLOCK_ROUNDS + 1, 2, chunk, len(pairs), n, m)
+    block_table = np.empty(max(math.prod(shape), horizon * n))
+    outputs = block_table[: math.prod(shape)].reshape(shape)
+    noise = block_table[: horizon * n].reshape(horizon, n)
     u_table = np.empty((chunk, horizon, n, m)) if samples is None else None
     d_table = np.empty((chunk, horizon, n))
     net = np.empty((horizon, chunk, len(slots)))
@@ -415,11 +421,10 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
         trials = range(first, min(first + chunk, cfg.trials))
         k = len(trials)
         for j, t in enumerate(trials):
-            # only the regressor view outlives the call: each stream, and its
-            # noise, is dropped once its tables are filled
-            stream = make_stream(
-                cfg, setup, cfg.base_seed + t, samples, out=(None if u_table is None else u_table[j], d_table[j])
-            )
+            # only the regressor view outlives the call: each stream is
+            # dropped once its tables are filled
+            tables = None if u_table is None else u_table[j], d_table[j]
+            stream = make_stream(cfg, setup, cfg.base_seed + t, samples, out=tables, noise_out=noise)
             if t == 0:
                 # neither a large unknown vector nor loud noise is divergence:
                 # the bound follows the first trial's data, once per run
@@ -499,7 +504,9 @@ def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_l
     rows of the block buffer (both outputs of every pair). A delay-line
     trial holds no regressors: they do not depend on the seed, so the
     chunk's trials all read the first one's view of its (N, T + M - 1)
-    table. A stream's noise is not counted: it is dropped once drawn."""
+    table. A stream's noise is not counted: it is drawn into the block
+    buffer, which is idle while the chunk's streams are drawn and is
+    allocated with at least T * N floats."""
     regressors = 0 if delay_line else horizon * n * m
     per_trial = regressors + horizon * n + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
     return max(1, CHUNK_BYTES // (8 * per_trial))
@@ -570,11 +577,19 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     n, m, horizon = setup.topology.node_count, setup.w_o.size, samples.size
     shape = (horizon + 1, n, m)
     step = node + 1 if node < n - node else node - n
-    # one scratch table holds the stream's noise and then the kept rows: the
-    # noise is dead once it is added to the measurements
-    table = np.empty(max((horizon * abs(step) + n) * m, horizon * n))
-    noise = table[: horizon * n].reshape(horizon, n)
-    stream = make_stream(cfg, setup, cfg.base_seed, samples=samples, noise_out=noise)
+    # one scratch table holds the stream's noise and measurements d, then
+    # the kept rows; the noise is dead once it is added to d. run_filter
+    # reads no row of d after its round, so d sits at the end of the table
+    # that the kept rows move toward, in the order they pass it (reversed
+    # for a negative step). Kept row i then ends where row i of d starts or
+    # before, so round i writes only over rows of d that rounds 1 to i read:
+    # row 0 because T >= M, later rows because they move |step| * M entries
+    # a round against d's N and the last one ends at the table's end at most
+    table = np.empty(max((horizon * abs(step) + n) * m, 2 * horizon * n))
+    ends = table[: horizon * n].reshape(horizon, n), table[-horizon * n :].reshape(horizon, n)
+    noise, d = ends if step > 0 else (ends[1], ends[0][::-1])
+    stream = make_stream(cfg, setup, cfg.base_seed, samples=samples, out=(None, d), noise_out=noise)
+    noisy = stream.d[:, node].copy()
     kept, unread = _overlapping_rows(table, shape, step), _overlapping_rows(np.empty(n * m), shape, 0)
     out, phi_out = (kept, unread) if output == 0 else (unread, kept)
     run_filter(setup.weights, cfg.mu, cfg.gamma if leaky else 0.0, stream.u, stream.d, out=out, phi_out=phi_out)
@@ -582,7 +597,6 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     u_node = stream.u[:, node, :]
     w_node = kept[1:, node, :]
     filtered = np.einsum("im,im->i", u_node, w_node)
-    noisy = stream.d[:, node]
     return DenoiseResult(
         noisy=noisy,
         filtered=filtered,
@@ -593,14 +607,18 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
 
 
 def _overlapping_rows(table: np.ndarray, shape: tuple[int, int, int], step: int) -> np.ndarray:
-    """A writable (T + 1, N, M) view of the leading (T * |step| + N) * M
-    entries of ``table``, a flat float64 array, which it zeroes. Row i
-    starts ``step`` node rows after row i - 1, or before it if ``step`` is
-    negative. Step k + 1 starts row i just past node k's entry of row i - 1
-    and step k - N ends it just before, so no later row covers node k's
-    entries; with step 0 every row is the same (N, M) table."""
+    """A writable (T + 1, N, M) view of (T * |step| + N) * M entries of
+    ``table``, a flat float64 array: its leading entries, or its trailing
+    ones if ``step`` is negative. Only row 0 is zeroed. Row i starts
+    ``step`` node rows after row i - 1, or before it if ``step`` is
+    negative, so the rows move toward the table's far end. Step k + 1
+    starts row i just past node k's entry of row i - 1 and step k - N ends
+    it just before, so no later row covers node k's entries; with step 0
+    every row is the same (N, M) table."""
     rows, n, m = shape
-    base = table[: ((rows - 1) * abs(step) + n) * m].reshape(-1, m)
-    base[...] = 0.0
+    size = ((rows - 1) * abs(step) + n) * m
+    base = (table[:size] if step >= 0 else table[table.size - size :]).reshape(-1, m)
     view = np.lib.stride_tricks.as_strided(base, shape, (abs(step) * base.strides[0],) + base.strides)
-    return view[::-1] if step < 0 else view
+    view = view[::-1] if step < 0 else view
+    view[0] = 0.0
+    return view

@@ -55,7 +55,12 @@ def run_filter(
     none: a buffer whose rows the caller does not keep may be a writable
     zero-stride view of one table (for ``out``, one that holds the starting
     estimates), and one whose rows it keeps in part may have rows that
-    overlap earlier rounds' rows in the entries it does not keep.
+    overlap earlier rounds' rows in the entries it does not keep. Round i
+    reads row i - 1 of ``d`` before it writes any row (a staged stretch
+    copies its rows of ``d`` at its first round, earlier still), and no
+    round reads a row of ``d`` after its own. So a buffer may also share
+    memory with ``d`` if its row i covers no row of ``d`` from row i on:
+    every row it writes over has been read.
 
     Both orderings run the ATC recursion: its combined tables are the ATC
     estimates and its intermediates the CTA estimates for the same

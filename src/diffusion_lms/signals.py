@@ -52,11 +52,13 @@ class FrameStream:
             caller's table (the sources' ``out``), or a strided view of a
             smaller table (see :func:`delay_line_source`).
         d: measurements, shape (T, N), with d = u @ w_o + noise; an array
-            of its own or a view of a caller's table.
+            of its own or a view of a caller's table (the sources' ``out``),
+            which for a delay-line stream may be time-reversed.
         noise: the noise draws, shape (T, N); an array of its own or a view
-            of a caller's table (the delay-line source's ``noise_out``),
-            valid until the caller reuses the table.
+            of a caller's table (the sources' ``noise_out``).
         noise_variance: resolved per-node noise variance, shape (N,).
+
+    A view of a caller's table is valid until the caller reuses the table.
     """
 
     u: np.ndarray
@@ -103,7 +105,8 @@ def _measured(
     ConfigError. The (T, N) noise is drawn from ``rng`` after any regressor
     draws: into ``noise_out`` when given, a C-contiguous float64 (T, N)
     table of the caller's, the same values in the same order, and the
-    stream's ``noise`` is then a read-only view of it.
+    stream's ``noise`` is then a read-only view of it. ``noise_out`` must
+    not share memory with ``d``, which may have any strides.
     """
     if noise_variance is not None:
         var = np.broadcast_to(np.asarray(noise_variance, dtype=float), signal_power.shape).copy()
@@ -137,6 +140,7 @@ def gaussian_source(
     snr_db: float = 0.0,
     noise_variance: float | np.ndarray | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    noise_out: np.ndarray | None = None,
 ) -> FrameStream:
     """White-Gaussian stream: independent regressors in time and space.
 
@@ -152,7 +156,9 @@ def gaussian_source(
     tables, (T, N, M) regressors and (T, N) measurements: the draws fill
     them in place, the same values in the same order, and the stream's
     ``u`` and ``d`` are read-only views of them, valid until the caller
-    reuses the tables.
+    reuses the tables. ``noise_out``, when given, is the caller's
+    C-contiguous float64 (T, N) table that the noise is drawn into (see
+    :func:`_measured`).
     """
     variances = _check_variances(variances)
     w_o = np.asarray(w_o, dtype=float)
@@ -172,7 +178,7 @@ def gaussian_source(
     rng.standard_normal(out=draws)
     draws *= np.repeat(np.sqrt(variances), m)
     np.matmul(u, w_o, out=d)
-    return _measured(rng, u.view(), d, signal_power, snr_db, noise_variance)
+    return _measured(rng, u.view(), d, signal_power, snr_db, noise_variance, noise_out)
 
 
 def delay_line_source(
@@ -210,8 +216,10 @@ def delay_line_source(
     seed, so every seed's stream over one input has the same ``u``.
 
     ``out``, when given, is the caller's pair of tables as for
-    :func:`gaussian_source`; only its C-contiguous float64 (T, N)
-    measurement table is written, and may be paired with None. The
+    :func:`gaussian_source`; only its float64 (T, N) measurement table is
+    written, and may be paired with None. That table's rows are
+    C-contiguous, but it may be time-reversed, a view with a negative row
+    stride, as the denoise run stores it; the values are the same. The
     stream's ``d`` is then a read-only view of it, valid until the caller
     reuses the table. ``noise_out``, when given, is the caller's
     C-contiguous float64 (T, N) noise table, which the noise is drawn into

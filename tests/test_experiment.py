@@ -252,6 +252,7 @@ class TestRunEnsemble:
         assert _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 1, 1) == 1
         stream = make_stream(cfg, build_setup(cfg), cfg.base_seed)
         stream_bytes = stream.u.nbytes + stream.d.nbytes + stream.noise.nbytes
+        noise_bytes = stream.noise.nbytes
         del stream
         tracemalloc.start()
         try:
@@ -260,13 +261,17 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * stream_bytes
-        # the kernel reads the streams' own tables: beyond one stream and the
-        # block buffer, the peak (184 KB over them) stays under one block of
-        # copied data, (BLOCK_ROUNDS, N, M + 1) floats, which a run that
-        # copies each block's data holds on top of the rest (599 KB over)
+        # the kernel reads the streams' own tables, and each trial's noise is
+        # drawn into the block buffer: beyond one stream's regressors and
+        # measurements and the block buffer, the peak stays under one block
+        # of copied data, (BLOCK_ROUNDS, N, M + 1) floats, which a run that
+        # copies each block's data holds on top of the rest, and under a
+        # stream's (T, N) noise, which a run that draws it into an array of
+        # its own holds beside the block buffer
         block_buffer = (BLOCK_ROUNDS + 1) * 2 * cfg.nodes * cfg.taps * 8
         data_block = BLOCK_ROUNDS * cfg.nodes * (cfg.taps + 1) * 8
-        assert peak < stream_bytes + block_buffer + data_block
+        assert data_block < noise_bytes
+        assert peak < stream_bytes - noise_bytes + block_buffer + data_block
 
     @pytest.mark.parametrize("source", ["white_gaussian", "delay_line"])
     def test_kernel_reads_the_streams_in_place(self, monkeypatch, source):
@@ -522,20 +527,61 @@ class TestDenoise:
         assert np.array_equal(result.filtered, np.zeros(200))
         assert np.array_equal(result.noisy, result.residual)
 
-    # the kept rows of the 8 nodes step forward for nodes 0 to 3 and back for
-    # nodes 4 to 7: both ends, and both sides of the middle
-    @pytest.mark.parametrize("node", [0, 3, 4, 5, 7])
-    @pytest.mark.parametrize("label", ["atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms"])
-    def test_filtered_output_of_every_label(self, label, node):
-        # the first label's estimates at the node, by the literal label rule
-        # (gamma = 0.01 applies to the leaky labels only)
-        cfg = self.speech_cfg(algorithms=(label,), gamma=0.01, horizon=300)
+    @staticmethod
+    def assert_literal_run(cfg, node):
+        """``denoise_speech`` at ``node`` against the stream drawn on its
+        own and the literal trajectory of the first label, by the label
+        rule: the noisy, filtered and residual sequences, bit for bit."""
         result = denoise_speech(cfg, node)
         setup = build_setup(cfg)
         stream = make_stream(cfg, setup, cfg.base_seed, samples=_delay_line_samples(cfg)[0])
-        ordering, gamma = label_rule(label, cfg.gamma)
+        ordering, gamma = label_rule(cfg.algorithms[0], cfg.gamma)
         w = trajectory(setup.weights, ordering, cfg.mu, gamma, stream)[1:, node]
+        assert np.array_equal(result.noisy, stream.d[:, node])
         assert np.array_equal(result.filtered, np.einsum("im,im->i", stream.u[:, node], w))
+        assert np.array_equal(result.residual, result.noisy - result.filtered)
+
+    # the kept rows of the 8 nodes step forward for nodes 0 to 3 and back for
+    # nodes 4 to 7, by 1 to 4 node rows
+    @pytest.mark.parametrize("node", range(8))
+    @pytest.mark.parametrize("label", ["atc_dlms", "cta_dlms", "atc_leaky_dlms", "cta_leaky_dlms"])
+    def test_filtered_output_of_every_label(self, label, node):
+        # gamma = 0.01 applies to the leaky labels only
+        self.assert_literal_run(self.speech_cfg(algorithms=(label,), gamma=0.01, horizon=300), node)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["atc_leaky_dlms", "cta_dlms"])
+    def test_every_node_of_small_networks(self, label, nodes):
+        # every node, over inputs as short as the taps, twice as long and
+        # of 40 samples; with 3 nodes, 3 taps and 3 samples, row 0 of the
+        # measurements starts right after the kept rows' row 0
+        for taps in (3, 5):
+            for horizon in (taps, 2 * taps, 40):
+                shape = dict(nodes=nodes, radius=1.5, taps=taps, horizon=horizon, steady_window=1)
+                cfg = self.speech_cfg(**shape, algorithms=(label,), gamma=0.01)
+                for node in range(nodes):
+                    self.assert_literal_run(cfg, node)
+
+    @pytest.mark.parametrize("node", [14, 185])
+    @pytest.mark.parametrize("label", ["atc_leaky_dlms", "cta_dlms"])
+    def test_tiled_ring_reads_each_measurement_before_it_is_written_over(self, label, node):
+        # halo tiles read each round's measurements in that round, not a
+        # stretch ahead. With 16 taps over 16 samples on the 200-node ring,
+        # the kept rows of nodes 14 and 185 (0-based) step 15 node rows a
+        # round, and the last kept row written before the last round ends
+        # 40 entries before the measurements that round reads
+        cfg = self.speech_cfg(
+            nodes=200,
+            topology="ring_lattice",
+            half_width=3,
+            taps=16,
+            horizon=16,
+            steady_window=1,
+            algorithms=(label,),
+            gamma=0.01,
+        )
+        assert build_setup(cfg).weights.halo_tiles is not None
+        self.assert_literal_run(cfg, node)
 
     def test_node_out_of_range_rejected(self):
         cfg = self.speech_cfg()

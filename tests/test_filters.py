@@ -561,6 +561,64 @@ class TestHaloTiles:
                 assert node is None or not np.array_equal(kept, full)
 
 
+    @staticmethod
+    def kept_rows_over_d(d, m, node):
+        """The kept rows of ``overlapping_rows`` and a copy of ``d`` in one
+        table, as close as the input rule lets them be: ``d`` lies where
+        the kept rows move to, in the order they pass it (time-reversed for
+        rows that move back), so that row i of the kept rows ends where row
+        i of ``d`` starts or before, and exactly there at the closest row.
+        Row 0 of the kept rows is zeroed."""
+        rows, n = len(d) + 1, d.shape[1]
+        forward = node < n - node
+        step = node + 1 if forward else n - node
+        kept_size = ((rows - 1) * step + n) * m
+        # row 0 of d starts past the kept rows' row 0, and row T - 1 past theirs
+        start = n * m + max(0, (rows - 2) * (step * m - n))
+        table = np.full(max(kept_size, start + d.size), np.nan)
+        if forward:
+            base, d_table = table[:kept_size], table[start : start + d.size].reshape(d.shape)
+        else:
+            base = table[table.size - kept_size :]
+            d_table = table[table.size - start - d.size : table.size - start].reshape(d.shape)[::-1]
+        base = base.reshape(-1, m)
+        kept = np.lib.stride_tricks.as_strided(base, (rows, n, m), (step * base.strides[0],) + base.strides)
+        kept = kept if forward else kept[::-1]
+        d_table[...] = d
+        kept[0] = 0.0
+        return kept, d_table
+
+    # N = 20, M = 5 on one tile, staged (also a stretch of one round), with
+    # kept rows that move below 4, 4 and at least 8 node rows a round, forward
+    # and back; and the 200-node ring's halo tiles, which take np.matmul
+    @pytest.mark.parametrize("n, m, nodes", ((20, 5, (1, 18, 3, 16, 7, 12, 9)), (200, 3, (0, 99, 100, 199))))
+    def test_kept_rows_may_share_memory_with_d(self, n, m, nodes, monkeypatch):
+        # round i reads d up to row i - 1 before it writes, and no row of d
+        # after its round: kept rows that write over the rows of d already
+        # read give bitwise the run with d in its own array
+        weights = self.ring(n, 3 if n == 200 else 2)
+        assert (weights.halo_tiles is None) == (n == 20)
+        rng = np.random.default_rng(11)
+        u, d = rng.standard_normal((100, n, m)), rng.standard_normal((100, n))
+        full_out, full_phi_out = np.zeros((101, n, m)), np.zeros((101, n, m))
+        run_filter(weights, 0.05, 0.1, u, d, out=full_out, phi_out=full_phi_out)
+        for stretch in (None, 1):
+            if stretch is not None:
+                monkeypatch.setattr(filters, "STAGED_ROW_BYTES", stretch * 8 * n * n)
+            for ordering in ("atc", "cta"):
+                full = full_out if ordering == "atc" else full_phi_out
+                for node in nodes:
+                    kept, shared_d = self.kept_rows_over_d(d, m, node)
+                    table = np.zeros((n, m))
+                    unread = np.lib.stride_tricks.as_strided(table, full.shape, (0,) + table.strides)
+                    out, phi_out = (kept, unread) if ordering == "atc" else (unread, kept)
+                    run_filter(weights, 0.05, 0.1, u, shared_d, out=out, phi_out=phi_out)
+                    assert np.array_equal(kept[:, node], full[:, node])
+                    # the kept rows did write over d
+                    assert not np.array_equal(shared_d, d)
+            monkeypatch.undo()
+
+
 class TestSingleTrajectory:
     """Unbatched runs on one tile, bitwise against the same data run as a
     batch of one trial and one pair and against ``dense_run_filter``, on

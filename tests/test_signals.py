@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import wave
 
@@ -227,21 +228,23 @@ class TestDelayLineSource:
 @pytest.mark.parametrize("source", ["white_gaussian", "delay_line"])
 def test_stream_drawn_into_out_is_the_same_stream(source):
     # the same draws in the same order: a stream drawn into the caller's
-    # measurement tables, or a delay-line stream drawn into those, its
-    # noise table or both, is bitwise the one drawn into fresh arrays, and
-    # what it wrote there it holds as read-only views, while the tables
-    # stay writable
+    # measurement tables, its noise table or both, is bitwise the one drawn
+    # into fresh arrays, and what it wrote there it holds as read-only
+    # views, while the tables stay writable. A delay-line measurement table
+    # may also be time-reversed, as the denoise run stores it
     variances, w_o, samples = np.array([0.3, 0.6, 0.35]), default_lowpass_system(5), synthetic_speech(300, 4)
 
     def draw(out=None, noise_out=None):
         if source == "white_gaussian":
-            return gaussian_source(variances, w_o, seed=17, horizon=300, out=out)
+            return gaussian_source(variances, w_o, seed=17, horizon=300, out=out, noise_out=noise_out)
         return delay_line_source(samples, variances, w_o, seed=17, out=out, noise_out=noise_out)
 
     fresh = draw()
-    for tables in ("measurements",) if source == "white_gaussian" else ("measurements", "noise", "both"):
+    orders = ("forward",) if source == "white_gaussian" else ("forward", "reversed")
+    for tables, order in itertools.product(("measurements", "noise", "both"), orders):
         u_table = np.full((300, 3, 5), np.nan) if source == "white_gaussian" else None
         d_table, noise_table = np.full((300, 3), np.nan), np.full((300, 3), np.nan)
+        d_table = d_table if order == "forward" else d_table[::-1]
         out = None if tables == "noise" else (u_table, d_table)
         noise_out = None if tables == "measurements" else noise_table
         drawn = draw(out, noise_out)
@@ -272,20 +275,25 @@ def test_delay_line_source_builds_no_full_regressor_table():
     "label, node",
     [
         # an end node, whose kept rows step 1 node row (1.9 MB): the noise
-        # (7.7 MB) is the larger use of the scratch table
+        # and the measurements (7.7 MB each) are the larger use of the
+        # scratch table
         pytest.param("atc_leaky_dlms", 0, id="atc_leaky_dlms"),
         pytest.param("cta_leaky_dlms", 0, id="cta_leaky_dlms"),
         # the benchmark's node, whose kept rows step 7 node rows (13.4 MB)
         pytest.param("atc_leaky_dlms", 13, id="atc_leaky_dlms-node13"),
+        # kept rows that step 10 node rows (19.2 MB), inside which the
+        # measurements fit
+        pytest.param("cta_leaky_dlms", 9, id="cta_leaky_dlms-node9"),
     ],
 )
 def test_denoise_keeps_one_estimate_stack(label, node):
     # the rows denoise_speech does not keep alias one (N, M) table, and the
     # kept rows overlap in all but the node's entries: at most half a
-    # stack. The noise is dead before the kept rows are first written, so
-    # it is drawn into their table: the peak is the stream's regressor
-    # table and measurements and the larger of the kept rows and the
-    # noise, with no fourth array (31.1 MB at node 13, 38.8 with one)
+    # stack. The noise is dead before the kept rows are first written, and
+    # they write only over measurements the kernel has read, so both are
+    # drawn into the kept rows' table: the peak is the stream's regressor
+    # table and the larger of the kept rows and twice the measurements,
+    # with no separate (T, N) array (25.0 MB at node 13, 30.4 with one)
     horizon, n, m = 48_000, 20, 5
     cfg = ExperimentConfig(nodes=n, taps=m, source="delay_line", horizon=horizon, algorithms=(label,))
     tracemalloc.start()
@@ -297,8 +305,8 @@ def test_denoise_keeps_one_estimate_stack(label, node):
     assert result.filtered.shape == (horizon,)
     step = min(node + 1, n - node)
     regressors, measurements = 8 * n * (horizon + m - 1), 8 * horizon * n
-    kept, noise = 8 * (horizon * step + n) * m, 8 * horizon * n
-    assert peak <= 1.15 * (regressors + measurements + max(kept, noise))
+    kept = 8 * (horizon * step + n) * m
+    assert peak <= 1.15 * (regressors + max(kept, 2 * measurements))
 
 
 class TestLoadSamples:
