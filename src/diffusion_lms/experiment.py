@@ -569,28 +569,12 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
         raise ValueError(f"node {node} out of range for {setup.topology.node_count} nodes")
     samples, sample_rate = _delay_line_samples(cfg)
     output, leaky = ALGORITHMS[cfg.algorithms[0]]
-    # run_filter writes row i of a buffer only after its last read of row
-    # i - 1, so rows may share memory. Row i of the kept buffer starts just
-    # past the node's entry of row i - 1 or ends just before it, whichever
-    # moves it fewer node rows, so the node's estimates survive in at most
-    # half a stack; every row of the other buffer is one zeroed table
-    n, m, horizon = setup.topology.node_count, setup.w_o.size, samples.size
-    shape = (horizon + 1, n, m)
-    step = node + 1 if node < n - node else node - n
-    # one scratch table holds the stream's noise and measurements d, then
-    # the kept rows; the noise is dead once it is added to d. run_filter
-    # reads no row of d after its round, so d sits at the end of the table
-    # that the kept rows move toward, in the order they pass it (reversed
-    # for a negative step). Kept row i then ends where row i of d starts or
-    # before, so round i writes only over rows of d that rounds 1 to i read:
-    # row 0 because T >= M, later rows because they move |step| * M entries
-    # a round against d's N and the last one ends at the table's end at most
-    table = np.empty(max((horizon * abs(step) + n) * m, 2 * horizon * n))
-    ends = table[: horizon * n].reshape(horizon, n), table[-horizon * n :].reshape(horizon, n)
-    noise, d = ends if step > 0 else (ends[1], ends[0][::-1])
+    n, m = setup.topology.node_count, setup.w_o.size
+    noise, d, kept = _denoise_tables(samples.size, n, m, node)
     stream = make_stream(cfg, setup, cfg.base_seed, samples=samples, out=(None, d), noise_out=noise)
     noisy = stream.d[:, node].copy()
-    kept, unread = _overlapping_rows(table, shape, step), _overlapping_rows(np.empty(n * m), shape, 0)
+    kept[0] = 0.0
+    unread = np.lib.stride_tricks.as_strided(np.zeros((n, m)), kept.shape, (0,) + kept.strides[1:])
     out, phi_out = (kept, unread) if output == 0 else (unread, kept)
     run_filter(setup.weights, cfg.mu, cfg.gamma if leaky else 0.0, stream.u, stream.d, out=out, phi_out=phi_out)
 
@@ -606,19 +590,30 @@ def denoise_speech(cfg: ExperimentConfig, node: int) -> DenoiseResult:
     )
 
 
-def _overlapping_rows(table: np.ndarray, shape: tuple[int, int, int], step: int) -> np.ndarray:
-    """A writable (T + 1, N, M) view of (T * |step| + N) * M entries of
-    ``table``, a flat float64 array: its leading entries, or its trailing
-    ones if ``step`` is negative. Only row 0 is zeroed. Row i starts
-    ``step`` node rows after row i - 1, or before it if ``step`` is
-    negative, so the rows move toward the table's far end. Step k + 1
-    starts row i just past node k's entry of row i - 1 and step k - N ends
-    it just before, so no later row covers node k's entries; with step 0
-    every row is the same (N, M) table."""
-    rows, n, m = shape
-    size = ((rows - 1) * abs(step) + n) * m
-    base = (table[:size] if step >= 0 else table[table.size - size :]).reshape(-1, m)
-    view = np.lib.stride_tricks.as_strided(base, shape, (abs(step) * base.strides[0],) + base.strides)
-    view = view[::-1] if step < 0 else view
-    view[0] = 0.0
-    return view
+def _denoise_tables(horizon: int, n: int, m: int, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of one scratch table of max((T * s + N) * M, 2 * T * N) floats,
+    s = min(node + 1, N - node): the stream's (T, N) noise and measurements
+    d, and the (T + 1, N, M) kept estimate rows of ``node``. Nothing is
+    zeroed.
+
+    run_filter writes row i of a buffer only after its last read of row
+    i - 1 and reads no row of d after its round, so the three may share
+    memory. Kept row i starts s node rows after row i - 1 (step node + 1,
+    just past the node's entry of row i - 1) or before it (step node - N,
+    ending just before that entry), so no later row covers the node's
+    entries and the rows take at most half a stack. The noise lies where
+    kept row 0 goes: it is dead once added to d, before row 0 is written.
+    d lies at the end the kept rows move toward, in the order they pass it
+    (time-reversed for step node - N). Kept row i then ends where row i of
+    d starts or before, so round i writes only over rows of d that rounds 1
+    to i read: row 0 because T >= M, later rows because they move s * M
+    entries a round against d's N and the last one ends at the table's end
+    at most."""
+    s = min(node + 1, n - node)
+    size = (horizon * s + n) * m
+    table = np.empty(max(size, 2 * horizon * n))
+    head, tail = table[: horizon * n].reshape(horizon, n), table[-horizon * n :].reshape(horizon, n)
+    shape, strides = (horizon + 1, n, m), (s * m * table.itemsize, m * table.itemsize, table.itemsize)
+    if node < n - node:
+        return head, tail, np.lib.stride_tricks.as_strided(table[:size], shape, strides)
+    return tail, head[::-1], np.lib.stride_tricks.as_strided(table[-size:], shape, strides)[::-1]

@@ -8,6 +8,7 @@ contains the node itself, and links are undirected.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -180,7 +181,8 @@ def build_random_geometric(n: int, radius: float, seed: int) -> Topology:
 
     Nodes are placed uniformly at random from the seed; two nodes link when
     their Euclidean distance is at most ``radius``. If the result is
-    disconnected the radius is grown by 10% until it is (termination is
+    disconnected the radius is grown by 10% (by one ulp where a subnormal
+    radius times 1.1 rounds back to itself) until it is (termination is
     guaranteed once the radius exceeds sqrt(2)). Deterministic in
     (n, radius, seed).
     """
@@ -197,7 +199,7 @@ def build_random_geometric(n: int, radius: float, seed: int) -> Topology:
         topo = Topology(d2 <= r * r)
         if topo.is_connected():
             return topo
-        r *= 1.1
+        r = max(r * 1.1, math.nextafter(r, math.inf))
 
 
 def uniform_weights(topology: Topology) -> CombinationWeights:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 import wave
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diffusion_lms
 from diffusion_lms.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, SLAB_ROWS, _csv, main
 from diffusion_lms.config import parse_config
 from diffusion_lms.experiment import ALGORITHM_LABELS, build_setup, denoise_speech
@@ -106,6 +109,24 @@ class TestRun:
             assert value == "-inf" or np.isfinite(float(value))
         header, rows = read_csv(out / "comparison.csv")
         assert header[0] == "iteration" and len(header) == 5
+
+    def test_subnormal_radius_grows_until_connected(self, tmp_path):
+        # 1.1 times a radius of a few subnormal ulps rounds back to it; a
+        # child process fails the test at its timeout instead of hanging
+        cfg = tmp_path / "tiny_radius.cfg"
+        cfg.write_text(SMALL_CFG.replace("radius = 0.5", "radius = 5e-324"))
+        code = (
+            "import sys\n"
+            "from diffusion_lms.cli import main\n"
+            "from diffusion_lms.network import build_random_geometric\n"
+            "assert build_random_geometric(20, 5e-324, 42).is_connected()\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(diffusion_lms.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        args = [sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert subprocess.run(args, env=env, capture_output=True, timeout=60).returncode == EXIT_OK
+        assert (tmp_path / "out" / "manifest.json").is_file()
 
     def test_manifest_lists_outputs_and_echoes_config(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -24,6 +24,7 @@ from diffusion_lms.experiment import (
     denoise_speech,
     _chunk_trials,
     _delay_line_samples,
+    _denoise_tables,
     make_stream,
     run_ensemble,
     sweep_leakage,
@@ -582,6 +583,30 @@ class TestDenoise:
         )
         assert build_setup(cfg).weights.halo_tiles is not None
         self.assert_literal_run(cfg, node)
+
+    def test_tables_keep_every_row_until_it_is_read(self):
+        # the writes of run_filter's rounds, in order: kept row 0, then row i
+        # in round i, which has read rows 0 to i - 1 of d and reads none
+        # after; the node's entries must outlive every later row
+        for n in range(1, 11):
+            for m in range(1, 7):
+                for horizon in (m, m + 1, 2 * m, 3 * m + 2):
+                    for node in range(n):
+                        noise, d, kept = _denoise_tables(horizon, n, m, node)
+                        s = min(node + 1, n - node)
+                        assert noise.shape == d.shape == (horizon, n)
+                        assert kept.shape == (horizon + 1, n, m)
+                        assert not np.shares_memory(noise, d)
+                        assert noise.base is d.base and d.base.size == max((horizon * s + n) * m, 2 * horizon * n)
+                        low, high = np.lib.array_utils.byte_bounds(d.base)
+                        kept_low, kept_high = np.lib.array_utils.byte_bounds(kept)
+                        assert low <= kept_low and kept_high <= high
+                        markers = np.arange(1.0, d.size + 1).reshape(d.shape)
+                        d[:] = markers
+                        for i in range(horizon + 1):
+                            kept[i] = -1.0 - i
+                            assert np.array_equal(d[i:], markers[i:]), (n, m, horizon, node, i)
+                        assert (kept[:, node] == -1.0 - np.arange(horizon + 1.0)[:, None]).all()
 
     def test_node_out_of_range_rejected(self):
         cfg = self.speech_cfg()
