@@ -37,7 +37,10 @@ class MsdTrace:
     are excluded from the average and counted, and ``first_divergence`` is
     the 0-based (round, node) of the first of them in trial order (None
     when none diverged). Exactly-zero deviation appears as the -inf
-    sentinel, never as a floor value.
+    sentinel, never as a floor value. A curve reduced over its last W
+    rounds only (``run_ensemble``'s ``steady_only``) holds those rounds:
+    entry i is then round T - W + i + 1 of a horizon T, with the value the
+    whole curve holds there.
     """
 
     per_iteration_db: np.ndarray | None

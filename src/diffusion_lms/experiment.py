@@ -333,7 +333,7 @@ def make_stream(
         raise DataFileError(f"{cfg.sample_path}: {exc}") from exc
 
 
-def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
+def run_ensemble(cfg: ExperimentConfig, *, steady_only: bool = False) -> dict[str, MsdTrace]:
     """Ensemble-averaged learning curves, one result per algorithm label.
 
     Each trial draws one stream (seed base_seed + trial) shared by all
@@ -341,6 +341,13 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     (``per_iteration_db`` None); other labels are unaffected. Every result
     carries the first divergence in trial order. Deterministic for a fixed
     config.
+
+    With ``steady_only`` the curves hold only the last ``cfg.steady_window``
+    rounds, all a steady-state readout reads: every block is still scanned
+    for divergence, so trials are kept, dropped and frozen as in the whole
+    run, but only the rows of the window are reduced to deviation curves,
+    and each curve's values are those of the same rounds of the whole run.
+    A window longer than a sample file's trace raises ConfigError.
 
     ATC and CTA labels with the same (mu, gamma) share one recursion: its
     combined tables are the ATC estimates and its intermediates the CTA
@@ -401,8 +408,13 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
 
     samples = _delay_line_samples(cfg)[0] if cfg.source == "delay_line" else None
     horizon = cfg.horizon if samples is None else samples.size
+    # the curves hold the rounds from `skip` on: all of them, or the steady window
+    window = cfg.steady_window if steady_only else horizon
+    if window > horizon:
+        raise ConfigError(f"steady_window {cfg.steady_window} exceeds trace length {horizon}")
+    skip = horizon - window
     n, m = setup.topology.node_count, setup.w_o.size
-    chunk = min(cfg.trials, _chunk_trials(horizon, n, m, len(pairs), len(slots), samples is not None))
+    chunk = min(cfg.trials, _chunk_trials(horizon, n, m, len(pairs), len(slots), samples is not None, window))
     # the chunk buffers, reused by every chunk: the block buffer, the tables
     # the streams are drawn into (Gaussian regressors and every trial's
     # measurements), and the curves. The block buffer is idle while a
@@ -413,8 +425,8 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     noise = block_table[: horizon * n].reshape(horizon, n)
     u_table = np.empty((chunk, horizon, n, m)) if samples is None else None
     d_table = np.empty((chunk, horizon, n))
-    net = np.empty((horizon, chunk, len(slots)))
-    acc_net = np.zeros((len(slots), horizon))
+    net = np.empty((window, chunk, len(slots)))
+    acc_net = np.zeros((len(slots), window))
     kept = [0] * len(slots)
     first_failure: dict[int, tuple[int, int]] = {}
     for first in range(0, cfg.trials, chunk):
@@ -454,18 +466,22 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
                 out=buffer[:rows, 0],
                 phi_out=buffer[:rows, 1],
             )
+            # the whole block is scanned, the rounds before the window are not reduced
+            lo = max(start, skip)
             for (o0, o1, p0, p1), members in groups:
                 view = buffer[1:rows, o0:o1, :, p0:p1]
                 report = detect_divergence(view, bound)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    deviation = linear_deviation(view, setup.w_o)
+                if lo < stop:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        deviation = linear_deviation(view[lo - start :], setup.w_o)
                 for s, o, p in members:
                     if report.divergent:
                         its = report.first_iterations[o, :, p]
                         fresh = (its >= 0) & (first_it[:, s] < 0)
                         first_it[fresh, s] = start + its[fresh]
                         first_node[fresh, s] = report.nodes[o, :, p][fresh]
-                    net[start:stop, :k, s] = deviation[:, o, :, p]
+                    if lo < stop:
+                        net[lo - skip : stop - skip, :k, s] = deviation[:, o, :, p]
             buffer[0, 0] = buffer[rows - 1, 0]
             # a (trial, pair) is frozen once every label it feeds has diverged
             live = ((first_it < 0)[:, None, :] & feeds).any(axis=-1)
@@ -497,18 +513,22 @@ def run_ensemble(cfg: ExperimentConfig) -> dict[str, MsdTrace]:
     return results
 
 
-def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool = False) -> int:
+def _chunk_trials(
+    horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool = False, window: int | None = None
+) -> int:
     """Trials per chunk under CHUNK_BYTES. A trial holds its rows of the
     tables its stream is drawn into (Gaussian regressors and every
-    source's measurements), one network deviation curve per label and its
-    rows of the block buffer (both outputs of every pair). A delay-line
+    source's measurements), one network deviation curve per label over
+    the last ``window`` rounds (all of them by default) and its rows of the
+    block buffer (both outputs of every pair). A delay-line
     trial holds no regressors: they do not depend on the seed, so the
     chunk's trials all read the first one's view of its (N, T + M - 1)
     table. A stream's noise is not counted: it is drawn into the block
     buffer, which is idle while the chunk's streams are drawn and is
     allocated with at least T * N floats."""
     regressors = 0 if delay_line else horizon * n * m
-    per_trial = regressors + horizon * n + labels * horizon + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
+    curves = labels * (horizon if window is None else window)
+    per_trial = regressors + horizon * n + curves + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
     return max(1, CHUNK_BYTES // (8 * per_trial))
 
 
@@ -525,7 +545,7 @@ def _sweep(
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})
-        for label, res in run_ensemble(point_cfg).items():
+        for label, res in run_ensemble(point_cfg, steady_only=True).items():
             db = None if res.per_iteration_db is None else steady_state_msd(res, cfg.steady_window)
             out[label].append((float(value), db))
     return {label: tuple(points) for label, points in out.items()}
@@ -534,7 +554,9 @@ def _sweep(
 def sweep_step_size(
     cfg: ExperimentConfig, mu_grid: tuple[float, ...]
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
-    """Steady-state MSD versus step size; one full ensemble per grid point.
+    """Steady-state MSD versus step size: one ensemble per grid point,
+    which reduces only its last ``steady_window`` rounds (see
+    :func:`run_ensemble`'s ``steady_only``).
 
     A grid point where the algorithm's every trial diverged is reported as
     None, never as a number.

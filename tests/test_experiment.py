@@ -115,6 +115,8 @@ class TestBatchedEnsembleMatchesReference:
         assert ORACLE.horizon % BLOCK_ROUNDS != 0
         assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 4
         assert _chunk_trials(1000, 20, 5, 2, 4) == 3
+        # mu_sweep's grid points hold 200-round curves and still take three
+        assert _chunk_trials(1000, 20, 5, 2, 4, window=200) == 3
 
     def test_delay_line_trials_are_budgeted_by_the_table_they_hold(self):
         # a delay-line trial holds no regressors, since every trial of a
@@ -163,6 +165,25 @@ class TestBatchedEnsembleMatchesReference:
         else:
             assert chunks == 1 and sum(rows) < cfg.horizon
             assert all(res.divergent_trials == trials for res in results.values())
+
+    # windows of one round, one starting on a block edge (round 750), one
+    # mid-block (727) and the whole horizon, on every config above
+    @pytest.mark.parametrize(
+        "cfg",
+        [replace(ORACLE, trials=trials, mu=mu) for mu in (0.08, 2.15, 2.2, 3.0) for trials in (1, 3, 5)]
+        + [replace(DELAY_ORACLE, mu=mu) for mu in (0.08, 5.0)],
+        ids=lambda cfg: f"{cfg.source}-mu{cfg.mu}-trials{cfg.trials}",
+    )
+    def test_steady_window_is_the_tail_of_the_whole_run(self, cfg):
+        whole = run_ensemble(cfg)
+        for window in (1, 27, 50, 777):
+            tail = {
+                label: replace(res, per_iteration_db=None if curve is None else curve[-window:])
+                for label, res in whole.items()
+                for curve in [res.per_iteration_db]
+            }
+            got = run_ensemble(replace(cfg, steady_window=window), steady_only=True)
+            assert_same_results(got, tail)
 
     def test_each_label_is_judged_on_its_own_estimates(self):
         # trial 4 at mu 2.15 peaks just under the threshold in the shared
@@ -473,6 +494,43 @@ class TestSweeps:
         for label, values in points.items():
             assert values[0][1] is not None
             assert values[1][1] is None
+
+    def test_grid_points_reduce_only_the_steady_window(self, monkeypatch):
+        # two chunks per grid point, the window starting mid-block: each
+        # chunk reduces its steady_window rows and no round before them
+        from diffusion_lms import experiment
+
+        rows = []
+        real = experiment.linear_deviation
+
+        def counted(snapshots, w_o):
+            rows.append(snapshots.shape[0])
+            return real(snapshots, w_o)
+
+        monkeypatch.setattr(experiment, "linear_deviation", counted)
+        cfg = replace(ORACLE, trials=5)
+        chunks = -(-cfg.trials // _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4, window=cfg.steady_window))
+        assert chunks == 2
+        sweep_step_size(cfg, (0.05, 0.08))
+        assert sum(rows) == 2 * chunks * cfg.steady_window
+
+    @pytest.mark.parametrize("call", ["sweep", "run_ensemble"])
+    def test_sample_file_shorter_than_the_window_fails_before_any_stream(self, tmp_path, monkeypatch, call):
+        from diffusion_lms import experiment
+
+        path = tmp_path / "short.txt"
+        path.write_text("\n".join(["0.25", "-0.5"] * 15) + "\n")
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was drawn before the window was checked")
+
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
+        cfg = replace(SMALL, source="delay_line", sample_path=str(path))
+        with pytest.raises(ConfigError, match="steady_window 40 exceeds trace length 30"):
+            if call == "sweep":
+                sweep_step_size(cfg, (SMALL.mu,))
+            else:
+                run_ensemble(cfg, steady_only=True)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
