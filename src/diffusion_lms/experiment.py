@@ -513,22 +513,19 @@ def run_ensemble(cfg: ExperimentConfig, *, steady_only: bool = False) -> dict[st
     return results
 
 
-def _chunk_trials(
-    horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool = False, window: int | None = None
-) -> int:
+def _chunk_trials(horizon: int, n: int, m: int, pairs: int, labels: int, delay_line: bool, window: int) -> int:
     """Trials per chunk under CHUNK_BYTES. A trial holds its rows of the
     tables its stream is drawn into (Gaussian regressors and every
     source's measurements), one network deviation curve per label over
-    the last ``window`` rounds (all of them by default) and its rows of the
-    block buffer (both outputs of every pair). A delay-line
-    trial holds no regressors: they do not depend on the seed, so the
-    chunk's trials all read the first one's view of its (N, T + M - 1)
-    table. A stream's noise is not counted: it is drawn into the block
-    buffer, which is idle while the chunk's streams are drawn and is
-    allocated with at least T * N floats."""
+    the last ``window`` rounds and its rows of the block buffer (both
+    outputs of every pair). A delay-line trial holds no regressors: they
+    do not depend on the seed, so the chunk's trials all read the first
+    one's view of its (N, T + M - 1) table. A stream's noise is not
+    counted: it is drawn into the block buffer, which is idle while the
+    chunk's streams are drawn and is allocated with at least T * N
+    floats."""
     regressors = 0 if delay_line else horizon * n * m
-    curves = labels * (horizon if window is None else window)
-    per_trial = regressors + horizon * n + curves + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
+    per_trial = regressors + horizon * n + labels * window + 2 * pairs * (BLOCK_ROUNDS + 1) * n * m
     return max(1, CHUNK_BYTES // (8 * per_trial))
 
 
@@ -537,11 +534,6 @@ def _sweep(
 ) -> dict[str, tuple[tuple[float, float | None], ...]]:
     if len(grid) == 0:
         raise ConfigError("sweep grid must be nonempty")
-    # ExperimentConfig holds steady_window to the horizon; a sample file sets its own length
-    if cfg.source == "delay_line" and cfg.sample_path != SYNTHETIC_SAMPLE_PATH:
-        length = _delay_line_samples(cfg)[0].size
-        if cfg.steady_window > length:
-            raise ConfigError(f"steady_window {cfg.steady_window} exceeds trace length {length}")
     out: dict[str, list[tuple[float, float | None]]] = {label: [] for label in cfg.algorithms}
     for value in grid:
         point_cfg = replace(cfg, **{field: float(value)})

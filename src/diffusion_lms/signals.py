@@ -70,9 +70,6 @@ class FrameStream:
         for arr in (self.u, self.d, self.noise, self.noise_variance):
             arr.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.u.shape[0]
-
 
 def default_lowpass_system(m: int) -> np.ndarray:
     """Length-m moving-average taps, 1/m each.

@@ -48,7 +48,7 @@ def trajectory(
 ) -> np.ndarray:
     """The ``ordering`` estimates over every round of ``stream``, from
     all-zero tables: a (T + 1, N, M) stack whose row 0 is the starting table."""
-    out = np.zeros((len(stream) + 1,) + stream.u.shape[1:])
+    out = np.zeros((len(stream.u) + 1,) + stream.u.shape[1:])
     phi_out = np.zeros_like(out)
     run_filter(weights, mu, gamma, stream.u, stream.d, out=out, phi_out=phi_out)
     return out if ordering == "atc" else phi_out

@@ -636,7 +636,7 @@ class TestStdout:
 
 
 class TestSweep:
-    def test_window_longer_than_sample_file_fails_before_any_ensemble(self, tmp_path, monkeypatch, capsys):
+    def test_window_longer_than_sample_file_fails_before_any_stream(self, tmp_path, monkeypatch, capsys):
         from diffusion_lms import experiment
 
         samples = tmp_path / "short.txt"
@@ -647,10 +647,10 @@ class TestSweep:
             f"sample_path = {samples}\n\n[run]\ntrials = 2\n"
         )
 
-        def no_ensemble(*args, **kwargs):
-            raise AssertionError("an ensemble ran before the window was checked")
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was drawn before the window was checked")
 
-        monkeypatch.setattr(experiment, "run_ensemble", no_ensemble)
+        monkeypatch.setattr(experiment, "make_stream", no_stream)
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--param", "mu", "--grid", "0.05,0.1"]
         assert main(argv) == EXIT_CONFIG

@@ -37,7 +37,7 @@ from diffusion_lms.network import (
     non_cooperative_weights,
     uniform_weights,
 )
-from diffusion_lms.signals import default_lowpass_system
+from diffusion_lms.signals import default_lowpass_system, synthetic_speech
 
 SMALL = ExperimentConfig(nodes=8, radius=0.5, trials=3, horizon=120, steady_window=40)
 
@@ -113,19 +113,21 @@ class TestBatchedEnsembleMatchesReference:
 
     def test_oracle_config_splits_trials_into_blocks_and_chunks(self):
         assert ORACLE.horizon % BLOCK_ROUNDS != 0
-        assert _chunk_trials(ORACLE.horizon, ORACLE.nodes, ORACLE.taps, 2, 4) == 4
-        assert _chunk_trials(1000, 20, 5, 2, 4) == 3
+        horizon = ORACLE.horizon
+        assert _chunk_trials(horizon, ORACLE.nodes, ORACLE.taps, 2, 4, delay_line=False, window=horizon) == 4
+        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=False, window=1000) == 3
         # mu_sweep's grid points hold 200-round curves and still take three
-        assert _chunk_trials(1000, 20, 5, 2, 4, window=200) == 3
+        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=False, window=200) == 3
 
     def test_delay_line_trials_are_budgeted_by_the_table_they_hold(self):
         # a delay-line trial holds no regressors, since every trial of a
         # chunk reads the first one's: the default delay-line run takes 11
         # trials per chunk, and DELAY_ORACLE's 14 trials run as chunks of 13
         # and 1 where per-trial (T, N, M) regressors would give 4, 4, 4, 2
-        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=True) == 11
-        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4, delay_line=True) == 13
-        assert _chunk_trials(DELAY_ORACLE.horizon, 20, 5, 2, 4) == 4
+        assert _chunk_trials(1000, 20, 5, 2, 4, delay_line=True, window=1000) == 11
+        horizon = DELAY_ORACLE.horizon
+        assert _chunk_trials(horizon, 20, 5, 2, 4, delay_line=True, window=horizon) == 13
+        assert _chunk_trials(horizon, 20, 5, 2, 4, delay_line=False, window=horizon) == 4
 
     # at mu 5 the leaky labels lose 8 (ATC) and 10 (CTA) of the 14 trials, the plain labels all of them
     @pytest.mark.parametrize("mu", [0.08, 5.0])
@@ -159,7 +161,8 @@ class TestBatchedEnsembleMatchesReference:
         monkeypatch.setattr(experiment, "run_filter", counted)
         cfg = replace(ORACLE, trials=trials, mu=mu)
         results = run_ensemble(cfg)
-        chunks = -(-trials // _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4))
+        per_chunk = _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4, delay_line=False, window=cfg.horizon)
+        chunks = -(-trials // per_chunk)
         if full:
             assert sum(rows) == cfg.horizon * chunks
         else:
@@ -271,7 +274,7 @@ class TestRunEnsemble:
         cfg = ExperimentConfig(
             nodes=60, topology="ring_lattice", half_width=3, taps=16, trials=3, horizon=1000, algorithms=("atc_dlms",)
         )
-        assert _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 1, 1) == 1
+        assert _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 1, 1, delay_line=False, window=cfg.horizon) == 1
         stream = make_stream(cfg, build_setup(cfg), cfg.base_seed)
         stream_bytes = stream.u.nbytes + stream.d.nbytes + stream.noise.nbytes
         noise_bytes = stream.noise.nbytes
@@ -509,28 +512,61 @@ class TestSweeps:
 
         monkeypatch.setattr(experiment, "linear_deviation", counted)
         cfg = replace(ORACLE, trials=5)
-        chunks = -(-cfg.trials // _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4, window=cfg.steady_window))
+        per_chunk = _chunk_trials(cfg.horizon, cfg.nodes, cfg.taps, 2, 4, delay_line=False, window=cfg.steady_window)
+        chunks = -(-cfg.trials // per_chunk)
         assert chunks == 2
         sweep_step_size(cfg, (0.05, 0.08))
         assert sum(rows) == 2 * chunks * cfg.steady_window
 
+    # SMALL's window is 40 rounds: a file of 39 samples is one round short
+    @pytest.mark.parametrize("length", [30, 39])
     @pytest.mark.parametrize("call", ["sweep", "run_ensemble"])
-    def test_sample_file_shorter_than_the_window_fails_before_any_stream(self, tmp_path, monkeypatch, call):
+    def test_sample_file_shorter_than_the_window_fails_before_any_stream(self, tmp_path, monkeypatch, call, length):
         from diffusion_lms import experiment
 
         path = tmp_path / "short.txt"
-        path.write_text("\n".join(["0.25", "-0.5"] * 15) + "\n")
+        path.write_text("".join(f"{v}\n" for v in ([0.25, -0.5] * 20)[:length]))
 
         def no_stream(*args, **kwargs):
             raise AssertionError("a stream was drawn before the window was checked")
 
         monkeypatch.setattr(experiment, "make_stream", no_stream)
         cfg = replace(SMALL, source="delay_line", sample_path=str(path))
-        with pytest.raises(ConfigError, match="steady_window 40 exceeds trace length 30"):
+        with pytest.raises(ConfigError, match=f"^steady_window 40 exceeds trace length {length}$"):
             if call == "sweep":
                 sweep_step_size(cfg, (SMALL.mu,))
             else:
                 run_ensemble(cfg, steady_only=True)
+
+    def test_window_of_the_whole_sample_file_reads_the_whole_run(self, tmp_path):
+        # the other side of the window check: a window of every round of the
+        # file skips nothing, so each grid point reads the whole run
+        path = tmp_path / "speech.txt"
+        path.write_text("".join(f"{v!r}\n" for v in (0.8 * synthetic_speech(90, 7)).tolist()))
+        cfg = replace(SMALL, source="delay_line", sample_path=str(path), steady_window=90)
+        grid = (0.05, 0.08)
+        points = sweep_step_size(cfg, grid)
+        for i, mu in enumerate(grid):
+            whole = run_ensemble(replace(cfg, mu=mu))
+            for label, values in points.items():
+                assert whole[label].per_iteration_db.size == 90
+                assert values[i] == (mu, steady_state_msd(whole[label], 90))
+
+    def test_sample_file_sweep_reads_the_file_once_per_grid_point(self, tmp_path, monkeypatch):
+        from diffusion_lms import experiment
+
+        path = tmp_path / "speech.txt"
+        path.write_text("".join(f"{v!r}\n" for v in (0.8 * synthetic_speech(60, 7)).tolist()))
+        reads = []
+        real = experiment.load_samples
+
+        def counted(sample_path):
+            reads.append(sample_path)
+            return real(sample_path)
+
+        monkeypatch.setattr(experiment, "load_samples", counted)
+        sweep_step_size(replace(SMALL, source="delay_line", sample_path=str(path)), (0.05, 0.08))
+        assert reads == [str(path)] * 2
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
