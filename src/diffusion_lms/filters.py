@@ -19,7 +19,8 @@ __all__ = ["run_filter"]
 
 # bytes of measurement rows staged at a time for a single trajectory on one
 # tile: about 80 rounds of (20, 20) tables, small enough to stay in cache,
-# and one round, not T, of a dense 200-node trajectory's (200, 200) tables
+# and one round, not T, of a dense 200-node trajectory's (200, 200) tables.
+# The same rounds' regressor rows are staged too: np.dot copies strided ones
 STAGED_ROW_BYTES = 1 << 18
 
 
@@ -84,10 +85,13 @@ def run_filter(
     staged: a run with no batch axes whose rows of ``out`` and ``phi_out``
     are C-contiguous float64 tables, as the denoise trajectory, copies its
     measurements ``STAGED_ROW_BYTES`` at a time into full (N, N) tables, so
-    the subtraction runs on same-shape operands, and takes the innovation
-    and combination products through ``np.dot``, which skips the stacked
-    product's dispatch (``w @ u_t`` stays with ``np.matmul``: through
-    ``np.dot`` it changes the last bit for M >= 16). Halo tiles: each tile
+    the subtraction runs on same-shape operands, and its regressor rows into
+    one C-contiguous table. It takes the innovation and combination products
+    through ``np.dot``, which skips the stacked product's dispatch but
+    copies, on every call, any operand that is not one contiguous segment,
+    such as a delay line's strided rows (``w @ u_t`` stays with
+    ``np.matmul``: through ``np.dot`` it changes the last bit for
+    M >= 16). Halo tiles: each tile
     of nodes k pairs only with its halo of nodes l, whose rows of u, d and
     the intermediates are gathered every round; the tiles' weight tables
     form (..., tiles, size, width) stacks, and each product is one stacked
@@ -123,22 +127,25 @@ def run_filter(
     errors = np.empty(batch + c_t.shape)
     phi_halos = None if halo is None else np.empty(batch + halo.shape + w.shape[-1:])
     a_t = weights.a.T
+    # local names and positional outputs spare each few-microsecond round the
+    # attribute lookups, keyword parsing and in-place operator dispatch
+    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
         leak = np.array(np.broadcast_to(1.0 - mu * gamma, w.shape))
         mu = np.array(np.broadcast_to(mu, w.shape))
         for u_i, u_t, d_col, w_tiles, w_row_tiles, w_row, phi_row in _rounds(u, d, halo, staged, out, phi_out):
-            np.matmul(w_tiles, u_t, out=errors)
-            np.subtract(d_col, errors, out=errors)
-            errors *= c_t
-            product(errors, u_i, out=innovation_tables)
-            innovation *= mu
-            np.multiply(w, leak, out=phi_row)
-            phi_row += innovation
+            matmul(w_tiles, u_t, errors)
+            subtract(d_col, errors, errors)
+            multiply(errors, c_t, errors)
+            product(errors, u_i, innovation_tables)
+            multiply(innovation, mu, innovation)
+            multiply(w, leak, phi_row)
+            add(phi_row, innovation, phi_row)
             if halo is None or not np.isfinite(phi_row.sum()):
-                product(a_t, phi_row, out=w_row)
+                product(a_t, phi_row, w_row)
             else:
                 # mode "raise" would take into a temporary; every index is in range
-                np.matmul(tile_a, np.take(phi_row, halo, axis=-2, out=phi_halos, mode="clip"), out=w_row_tiles)
+                matmul(tile_a, np.take(phi_row, halo, axis=-2, out=phi_halos, mode="clip"), w_row_tiles)
             w = w_row
     return out
 
@@ -149,18 +156,21 @@ def _rounds(
     """The loop's operands per round: the regressors and their transposes,
     the measurements, the round's starting estimates and the row of ``out``
     it writes, both split into tiles, and its rows of ``out`` and
-    ``phi_out``. Staged measurements are (N, N) tables of d_i, copied a
-    stretch of rounds at a time; halo tiles gather their rows every round."""
+    ``phi_out``. A staged stretch of rounds copies its measurements, as
+    (N, N) tables of d_i, and its regressor rows into C-contiguous tables;
+    halo tiles gather their rows every round."""
     n = d.shape[-1]
     stretch = max(1, STAGED_ROW_BYTES // (8 * n * n) if staged else len(d))
-    staged_rows = np.empty((min(stretch, len(d)), n, n)) if staged else None
+    staged_d = np.empty((min(stretch, len(d)), n, n)) if staged else None
+    staged_u = np.empty((min(stretch, len(d)),) + u.shape[1:], u.dtype) if staged else None
     # splitting the node axis is a view, so it shows the rows each round writes
     tiled = out if halo is None else np.reshape(out, out.shape[:-2] + (len(halo), -1) + out.shape[-1:], copy=False)
     for start in range(0, len(d), stretch):
         stop = min(start + stretch, len(d))
         u_rows, d_rows, w_rows = u[start:stop], d[start:stop, ..., None, :], tiled[start : stop + 1]
         if staged:
-            d_rows = staged_rows[: stop - start]
+            u_rows, d_rows = staged_u[: stop - start], staged_d[: stop - start]
+            np.copyto(u_rows, u[start:stop])
             np.copyto(d_rows, d[start:stop, None, :])
         rows = w_rows, w_rows[1:], out[start + 1 : stop + 1], phi_out[start + 1 : stop + 1]
         if halo is None:

@@ -624,9 +624,10 @@ class TestSingleTrajectory:
     batch of one trial and one pair and against ``dense_run_filter``, on
     delay-line regressors (a strided view, as the denoise stream passes
     them). Only runs whose rows of ``out`` and ``phi_out`` are C-contiguous
-    float64 tables are staged: they copy their measurements a stretch of
-    rounds at a time and take the innovation and combination products
-    through ``np.dot``. Strided and float32 rows run the batched rounds."""
+    float64 tables are staged: they copy their measurements and regressors
+    a stretch of rounds at a time and take the innovation and combination
+    products through ``np.dot``. Strided and float32 rows run the batched
+    rounds."""
 
     @staticmethod
     def delay_line(n, m, rounds):
@@ -694,6 +695,25 @@ class TestSingleTrajectory:
                     if kept != "out":
                         assert np.array_equal(phi_out[1:], ref_phi_out[1:])
             monkeypatch.undo()
+
+    def test_np_dot_reads_contiguous_operands(self, monkeypatch):
+        # np.dot copies an operand that is not one contiguous segment into a
+        # temporary on every call; a.T is F-contiguous and read as it is
+        n, m = 20, 5
+        stretch = filters.STAGED_ROW_BYTES // (8 * n * n)
+        weights, u, d = self.delay_line(n, m, 2 * stretch + 5)
+        dot, operands = np.dot, []
+
+        def spy(*args, **kwargs):
+            operands.extend(args)
+            operands.extend(kwargs.values())
+            return dot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", spy)
+        out, phi_out = np.zeros((2, len(u) + 1, n, m))
+        run_filter(weights, 0.05, 0.02, u, d, out=out, phi_out=phi_out)
+        assert len(operands) == 2 * 3 * len(u)
+        assert all(a.flags.c_contiguous or a.flags.f_contiguous for a in operands)
 
     def test_buffers_np_dot_refuses_fall_back(self):
         # the strided and float32 buffers above are ones np.dot cannot write

@@ -22,6 +22,13 @@ commit SHA (null for a bare tree), the git SHA of its ``src/`` tree, which
 names the measured program code exactly, and its ``src/`` lines; and the
 run metadata the records share. Run it on a quiet machine: both trees share
 the CPU.
+
+Every run gets ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves bytecode
+behind for a later one: both trees import ``src/`` by compiling it, in every
+pair, whatever the calling shell sets. How ``src/`` is imported moves
+``peak_rss_mb`` by more than some changes do: the same code's
+``headline_run`` read 42.30–42.50 MB from valid ``__pycache__`` files and
+42.66–42.81 MB compiling at import.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -61,7 +69,7 @@ def run_once(tree: Path, workloads: list[str]) -> tuple[dict, dict]:
     """One benchmark run in ``tree``: its verdict line and its records."""
     done = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), *RUN_ARGS],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), stdout=subprocess.PIPE, text=True, check=True,
     )
     verdict = json.loads(done.stdout.strip().splitlines()[-1])
     results = tree / ".perfbench_out" / "results"
